@@ -30,16 +30,8 @@ from .samplers import (
     MellBound,
     RejectionStalledError,
     RngStream,
-    SampleBlock,
     TruncationUnderflowError,
     compute_m_ell,
-    gamma_increment,
-    sample_exponential,
-    sample_nominal,
-    sample_pis_block,
-    sample_scaled_ncx2,
-    sample_truncated_univariate,
-    sample_uniform_simplex,
 )
 from .specfun import (
     Ncx2Params,
@@ -58,10 +50,8 @@ __all__ = [
     "ChannelConfig", "EstimateResult", "closed_form_outage", "gsc_statistic",
     "Ncx2Params", "log_bessel_i0", "marcum_q", "ncx2_cdf", "ncx2_logcdf",
     "ncx2_pdf", "ncx2_quantile", "regularized_lower_gamma",
-    "RngStream", "SampleBlock", "MellBound", "compute_m_ell",
-    "sample_nominal", "sample_truncated_univariate", "sample_uniform_simplex",
-    "sample_pis_block", "sample_exponential", "sample_scaled_ncx2",
-    "gamma_increment", "RejectionStalledError", "TruncationUnderflowError",
+    "RngStream", "MellBound", "compute_m_ell", "RejectionStalledError",
+    "TruncationUnderflowError",
     "CEParams", "MlsSchedule", "PartitionPlan", "CeAdaptationError",
     "build_partition_plan", "ce_update", "estimate_nmc", "estimate_uis",
     "estimate_pis", "estimate_et", "estimate_ce", "estimate_mls",

@@ -16,8 +16,9 @@ estimator variance, so relative error is sqrt(var_hat / samples) / p_hat:
   mls  multilevel splitting along a gamma-process embedding of the channel,
        with survivor resampling at pilot-chosen levels
 
-Sampling is sharded into fixed-size blocks with one child stream per block,
-so results are identical for any worker count given the same seed.
+Every estimator maps a block kernel over fixed-size blocks, one child stream
+per block (_run_blocks), so results are identical for any worker count given
+the same seed.  wall_time_s covers setup, pilot, sampling and reduction.
 """
 
 from __future__ import annotations
@@ -33,17 +34,16 @@ from scipy import optimize
 
 from .model import ChannelConfig, EstimateResult, gsc_statistic_rows
 from .samplers import (
-    MellBound,
     RngStream,
-    SampleBlock,
     TruncationUnderflowError,
     _exponential_rows,
+    _inverse_rows,
     _nominal_rows,
     _pis_block_rows,
     _scaled_ncx2_rows,
     compute_m_ell,
 )
-from .specfun import Ncx2Params, log_bessel_i0, ncx2_cdf, ncx2_quantile
+from .specfun import Ncx2Params, log_bessel_i0, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
@@ -136,16 +136,13 @@ def build_partition_plan(config: ChannelConfig) -> PartitionPlan:
         ell2 *= ncx2_cdf(2.0 * g, Ncx2Params(2 * size, 2.0 * delta * delta))
         bounds.append(compute_m_ell(float(seg[0]), size, g))
         start += size
+    if ell2 == 0.0:
+        raise _underflow(f"ell2 underflows to 0 at gamma_th={g!r}")
     return PartitionPlan(blocks=tuple(blocks), ell2=float(ell2), bounds=tuple(bounds))
 
 
 # ---------------------------------------------------------------------------
-# block scheduling (fixed block size keeps results worker-count independent)
-
-
-def _block_sizes(total: int, block: int = BLOCK_SIZE):
-    full, rem = divmod(total, block)
-    return [block] * full + ([rem] if rem else [])
+# block dispatch and the two shared reductions
 
 
 def _map_ordered(fn, tasks, workers: int):
@@ -155,16 +152,78 @@ def _map_ordered(fn, tasks, workers: int):
     return [fn(t) for t in tasks]
 
 
+def _run_blocks(kernel, head, total, rng: RngStream, workers: int,
+                first: int = 0, block: int = BLOCK_SIZE) -> list:
+    """kernel((*head, rng.child(first + i), n)) for blocks of `block` covering `total`.
+
+    A fixed block size and one child stream per block keep the results,
+    returned in block order, independent of the worker count.
+    """
+    full, rem = divmod(total, block)
+    sizes = [block] * full + ([rem] if rem else [])
+    tasks = [(*head, rng.child(first + i), n) for i, n in enumerate(sizes)]
+    return _map_ordered(kernel, tasks, workers)
+
+
+def _outage(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
+    """Row mask of the outage event H(x) <= gamma_th."""
+    return gsc_statistic_rows(x, config.m) <= config.gamma_th
+
+
+def _underflow(what: str) -> TruncationUnderflowError:
+    return TruncationUnderflowError(
+        f"threshold too extreme for double precision: {what}")
+
+
+def _selection(ell: float, hits: int, S: int):
+    """(p_hat, var_hat) = (ell * hits / S, ell * p - p^2); nmc has ell = 1.
+
+    The variance is exact for selection sampling with conditioning
+    probability ell.  It is zero only when every sample hit; a hit with
+    p_hat = 0, or a zero variance with misses, means ell * p underflowed.
+    """
+    p = ell * hits / S
+    var = max(ell * p - p * p, 0.0)
+    if hits and (p == 0.0 or (hits < S and var == 0.0)):
+        raise _underflow(f"{hits} of {S} hits give p_hat={p!r}, var_hat={var!r}")
+    return p, var
+
+
+def _weighted(parts, S: int):
+    """(p_hat, var_hat, hits) from per-block (sum w, sum w^2, hits).
+
+    p_hat is the mean likelihood ratio over all S samples and var_hat its
+    sample variance.  A hit whose weight or squared weight underflowed
+    leaves p_hat = 0 or sum w^2 = 0, which would report a silent zero.
+    """
+    total = sum(p[0] for p in parts)
+    total_sq = sum(p[1] for p in parts)
+    hits = sum(p[2] for p in parts)
+    p = total / S
+    if hits and (p == 0.0 or total_sq == 0.0):
+        raise _underflow(f"{hits} hits give sum w={total!r}, sum w^2={total_sq!r}")
+    var = max((total_sq - S * p * p) / (S - 1), 0.0) if S > 1 else 0.0
+    return p, var, hits
+
+
+def _lr_sums(config: ChannelConfig, x: np.ndarray, log_lr):
+    """(sum w, sum w^2, hits) over the outage rows of x, w = exp(log_lr(rows))."""
+    mask = _outage(config, x)
+    hits = int(np.count_nonzero(mask))
+    if not hits:
+        return 0.0, 0.0, 0
+    w = np.exp(log_lr(x[mask]))
+    return float(w.sum()), float(np.dot(w, w)), hits
+
+
 # ---------------------------------------------------------------------------
 # naive Monte Carlo
 
 
 def _nmc_block(task):
     config, stream, n = task
-    gen = stream.generator()
-    x = _nominal_rows(config.mu_array, gen, n)
-    h = gsc_statistic_rows(x, config.m)
-    return int(np.count_nonzero(h <= config.gamma_th))
+    x = _nominal_rows(config.mu_array, stream.generator(), n)
+    return int(np.count_nonzero(_outage(config, x)))
 
 
 def estimate_nmc(config: ChannelConfig, S: int, rng: RngStream,
@@ -172,15 +231,12 @@ def estimate_nmc(config: ChannelConfig, S: int, rng: RngStream,
     """Naive MC: hit fraction of the outage event under the nominal law."""
     if S < 1:
         raise ValueError("S must be >= 1")
-    sizes = _block_sizes(S)
-    tasks = [(config, rng.child(i), n) for i, n in enumerate(sizes)]
     t0 = time.perf_counter()
-    hits = sum(_map_ordered(_nmc_block, tasks, workers))
-    wall = time.perf_counter() - t0
-    p = hits / S
-    return EstimateResult(p_hat=p, var_hat=p * (1.0 - p), samples=S,
-                          wall_time_s=wall, method="nmc", seed=rng.seed,
-                          diagnostics={"hits": hits})
+    hits = sum(_run_blocks(_nmc_block, (config,), S, rng, workers))
+    p, var = _selection(1.0, hits, S)
+    return EstimateResult(p_hat=p, var_hat=var, samples=S,
+                          wall_time_s=time.perf_counter() - t0, method="nmc",
+                          seed=rng.seed, diagnostics={"hits": hits})
 
 
 # ---------------------------------------------------------------------------
@@ -188,48 +244,34 @@ def estimate_nmc(config: ChannelConfig, S: int, rng: RngStream,
 
 
 def _uis_block(task):
-    config, stream, n = task
-    gen = stream.generator()
-    M = config.M
-    u = gen.random((n, M))
-    x = np.empty((n, M))
-    mu = config.mu_array
-    for val in sorted(set(config.mu)):
-        cols = np.nonzero(mu == val)[0]
-        k = ncx2_cdf(2.0 * config.gamma_th, Ncx2Params(2, 2.0 * val * val))
-        p = np.maximum(k * u[:, cols], 1e-300)
-        q = ncx2_quantile(p.ravel(), Ncx2Params(2, 2.0 * val * val))
-        x[:, cols] = 0.5 * q.reshape(p.shape)
-    h = gsc_statistic_rows(x, config.m)
-    return int(np.count_nonzero(h <= config.gamma_th))
+    config, k, stream, n = task
+    u = stream.generator().random((n, config.M))
+    x = _inverse_rows(k * u, config.mu_array)
+    return int(np.count_nonzero(_outage(config, x)))
 
 
 def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
                  workers: int = 1) -> EstimateResult:
     """Selection sampling with every branch truncated below the threshold.
 
-    The conditioning probability ell1 is the product of per-branch CDFs at
-    the threshold; the estimator is ell1 times the conditional hit fraction
-    and its single-sample variance is ell1 * p - p^2 exactly.
+    Branch j is drawn as F_j^{-1}(k_j u) with k_j its CDF at the threshold.
+    The conditioning probability ell1 is the product of the k_j; the
+    estimator is ell1 times the conditional hit fraction and its
+    single-sample variance is ell1 * p - p^2 exactly.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
-    ell1 = 1.0
-    for mu in config.mu:
-        k = ncx2_cdf(2.0 * config.gamma_th, Ncx2Params(2, 2.0 * mu * mu))
-        if k <= 0.0:
-            raise TruncationUnderflowError(
-                "threshold too extreme for truncated inverse transform")
-        ell1 *= k
-    sizes = _block_sizes(S)
-    tasks = [(config, rng.child(i), n) for i, n in enumerate(sizes)]
     t0 = time.perf_counter()
-    hits = sum(_map_ordered(_uis_block, tasks, workers))
-    wall = time.perf_counter() - t0
-    p = ell1 * hits / S
-    var = max(ell1 * p - p * p, 0.0)
-    return EstimateResult(p_hat=p, var_hat=var, samples=S, wall_time_s=wall,
-                          method="uis", seed=rng.seed,
+    k = [ncx2_cdf(2.0 * config.gamma_th, Ncx2Params(2, 2.0 * mu * mu))
+         for mu in config.mu]
+    if min(k) <= 0.0:
+        raise _underflow("a branch CDF at the threshold is 0")
+    ell1 = math.prod(k)
+    hits = sum(_run_blocks(_uis_block, (config, np.array(k)), S, rng, workers))
+    p, var = _selection(ell1, hits, S)
+    return EstimateResult(p_hat=p, var_hat=var, samples=S,
+                          wall_time_s=time.perf_counter() - t0, method="uis",
+                          seed=rng.seed,
                           diagnostics={"ell1": ell1, "hit_fraction": hits / S})
 
 
@@ -237,7 +279,7 @@ def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
 # partition importance sampling
 
 
-def _pis_block_task(task):
+def _pis_block(task):
     config, plan, stream, n = task
     gen = stream.generator()
     x = np.empty((n, config.M))
@@ -247,8 +289,7 @@ def _pis_block_task(task):
                                      gen, n, bound=bnd)
         x[:, start:start + size] = rows
         proposals += used
-    h = gsc_statistic_rows(x, config.m)
-    return int(np.count_nonzero(h <= config.gamma_th)), proposals
+    return int(np.count_nonzero(_outage(config, x))), proposals
 
 
 def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
@@ -261,20 +302,16 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
     """
     if S < 1:
         raise ValueError("S must be >= 1")
-    plan = build_partition_plan(config)
-    sizes = _block_sizes(S)
-    tasks = [(config, plan, rng.child(i), n) for i, n in enumerate(sizes)]
     t0 = time.perf_counter()
-    parts = _map_ordered(_pis_block_task, tasks, workers)
-    wall = time.perf_counter() - t0
+    plan = build_partition_plan(config)
+    parts = _run_blocks(_pis_block, (config, plan), S, rng, workers)
     hits = sum(h for h, _ in parts)
     proposals = sum(pr for _, pr in parts)
-    p = plan.ell2 * hits / S
-    var = max(plan.ell2 * p - p * p, 0.0)
+    p, var = _selection(plan.ell2, hits, S)
     n_blocks = len(plan.blocks)
     return EstimateResult(
-        p_hat=p, var_hat=var, samples=S, wall_time_s=wall, method="pis",
-        seed=rng.seed, work_units=S,
+        p_hat=p, var_hat=var, samples=S, wall_time_s=time.perf_counter() - t0,
+        method="pis", seed=rng.seed, work_units=S,
         diagnostics={
             "ell2": plan.ell2,
             "hit_fraction": hits / S,
@@ -289,26 +326,14 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
 # approximate exponential tilting
 
 
-def _et_log_const(config: ChannelConfig) -> float:
-    M, g = config.M, config.gamma_th
-    return M * math.log(g) - M * math.log(M) - config.mu_norm_sq
-
-
 def _et_block(task):
     config, stream, n = task
-    gen = stream.generator()
     M, g = config.M, config.gamma_th
-    x = _exponential_rows(M / g, gen, (n, M))
-    h = gsc_statistic_rows(x, config.m)
-    mask = h <= g
-    hits = int(np.count_nonzero(mask))
-    if not hits:
-        return 0.0, 0.0, 0
-    xs = x[mask]
-    log_lr = (_et_log_const(config) + (M - g) / g * xs.sum(axis=1)
-              + log_bessel_i0(2.0 * config.mu_array * np.sqrt(xs)).sum(axis=1))
-    ell = np.exp(log_lr)
-    return float(ell.sum()), float(np.dot(ell, ell)), hits
+    x = _exponential_rows(M / g, stream.generator(), (n, M))
+    return _lr_sums(config, x, lambda xs: (
+        M * math.log(g) - M * math.log(M) - config.mu_norm_sq
+        + (M - g) / g * xs.sum(axis=1)
+        + log_bessel_i0(2.0 * config.mu_array * np.sqrt(xs)).sum(axis=1)))
 
 
 def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
@@ -321,19 +346,11 @@ def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
     """
     if S < 1:
         raise ValueError("S must be >= 1")
-    sizes = _block_sizes(S)
-    tasks = [(config, rng.child(i), n) for i, n in enumerate(sizes)]
     t0 = time.perf_counter()
-    parts = _map_ordered(_et_block, tasks, workers)
-    wall = time.perf_counter() - t0
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    hits = sum(p[2] for p in parts)
-    p = total / S
-    var = max((total_sq - S * p * p) / (S - 1), 0.0) if S > 1 else 0.0
-    return EstimateResult(p_hat=p, var_hat=var, samples=S, wall_time_s=wall,
-                          method="et", seed=rng.seed,
-                          diagnostics={"hit_rate": hits / S})
+    p, var, hits = _weighted(_run_blocks(_et_block, (config,), S, rng, workers), S)
+    return EstimateResult(p_hat=p, var_hat=var, samples=S,
+                          wall_time_s=time.perf_counter() - t0, method="et",
+                          seed=rng.seed, diagnostics={"hit_rate": hits / S})
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +370,26 @@ def _ce_log_lr_rows(x: np.ndarray, nominal: CEParams, sampling: CEParams) -> np.
             - _ce_log_pdf_rows(x, sampling.v1, sampling.v2))
 
 
-def ce_update(samples: SampleBlock, weights: np.ndarray, current: CEParams,
+def ce_update(x: np.ndarray, weights: np.ndarray, current: CEParams,
               fix_v2: float = None) -> CEParams:
     """Weighted maximum likelihood over the scaled ncx2 family.
 
-    Maximizes sum_s w_s * ln f(x_s; v) over v = (v1, v2), seeded by moment
-    matching and polished with Nelder-Mead in (ln v1, sqrt v2) coordinates;
-    never returns a point with a worse objective than `current`.  With
-    fix_v2 the noncentrality is pinned and only the scale is fitted (the
-    pure-scale fit has the closed form v1 = weighted mean / (2 + v2)).
+    Maximizes sum_s w_s * ln f(x_s; v) over v = (v1, v2) for the (S, M)
+    sample array x, seeded by moment matching and polished with Nelder-Mead
+    in (ln v1, sqrt v2) coordinates; never returns a point with a worse
+    objective than `current`.  With fix_v2 the noncentrality is pinned and
+    only the scale is fitted (the pure-scale fit has the closed form
+    v1 = weighted mean / (2 + v2)).
     """
+    x = np.asarray(x, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (samples.x.shape[0],):
-        raise ValueError("weights must have one entry per sample")
+    if x.ndim != 2 or w.shape != (x.shape[0],):
+        raise ValueError("ce_update needs x of shape (S, M) and one weight per row")
     pos = w > 0.0
     if not np.any(pos):
         raise ValueError("ce_update needs at least one positive weight")
-    z = samples.x[pos].ravel()
-    wz = np.repeat(w[pos], samples.x.shape[1])
+    z = x[pos].ravel()
+    wz = np.repeat(w[pos], x.shape[1])
     wsum = wz.sum()
     if not np.any(z > 0.0):
         return CEParams(v1=1e-12, v2=0.0, iteration=current.iteration + 1,
@@ -417,17 +436,18 @@ def ce_update(samples: SampleBlock, weights: np.ndarray, current: CEParams,
                     gamma_t=current.gamma_t)
 
 
+def _elite_weights(x, h, level, nominal: CEParams, v: CEParams) -> np.ndarray:
+    """Likelihood ratios to the nominal law on rows with H <= level, else 0."""
+    w = np.where(h <= level, np.exp(_ce_log_lr_rows(x, nominal, v)), 0.0)
+    if not np.any(w > 0.0):
+        raise CeAdaptationError("CE elite set empty")
+    return w
+
+
 def _ce_final_block(task):
     config, nominal, vfin, stream, n = task
-    gen = stream.generator()
-    x = _scaled_ncx2_rows(vfin.v1, vfin.v2, gen, (n, config.M))
-    h = gsc_statistic_rows(x, config.m)
-    mask = h <= config.gamma_th
-    hits = int(np.count_nonzero(mask))
-    if not hits:
-        return 0.0, 0.0, 0
-    ell = np.exp(_ce_log_lr_rows(x[mask], nominal, vfin))
-    return float(ell.sum()), float(np.dot(ell, ell)), hits
+    x = _scaled_ncx2_rows(vfin.v1, vfin.v2, stream.generator(), (n, config.M))
+    return _lr_sums(config, x, lambda xs: _ce_log_lr_rows(xs, nominal, vfin))
 
 
 def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
@@ -449,55 +469,39 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
         raise ValueError("rho must be in (0, 1)")
     if not config.identical_mu:
         raise ValueError("CE requires identical mu_i across branches")
+    t0 = time.perf_counter()
     mu = config.mu[0]
     nominal = CEParams(v1=0.5, v2=2.0 * mu * mu)
     g = config.gamma_th
     kth = max(int(math.floor(rho * S0)), 1) - 1
 
-    t0 = time.perf_counter()
     gen = rng.child(0).generator()
-    v = replace(nominal)
-    x = _scaled_ncx2_rows(v.v1, v.v2, gen, (S0, config.M))
-    h = gsc_statistic_rows(x, config.m)
-    gamma_hat = float(np.partition(h, kth)[kth])
-    trace = [{"iteration": 0, "gamma_t": gamma_hat, "v1": v.v1, "v2": v.v2}]
-    pilot_work = S0
-    iteration = 0
-    while gamma_hat >= g:
-        iteration += 1
-        if iteration > CE_MAX_ITER:
-            raise CeAdaptationError("CE failed to reach target threshold")
-        w = np.where(h <= gamma_hat, np.exp(_ce_log_lr_rows(x, nominal, v)), 0.0)
-        if not np.any(w > 0.0):
-            raise CeAdaptationError("CE elite set empty")
-        v = ce_update(SampleBlock(x, np.zeros(S0)), w,
-                      replace(v, gamma_t=gamma_hat))
+    v = nominal
+    trace = []
+    while True:
         x = _scaled_ncx2_rows(v.v1, v.v2, gen, (S0, config.M))
         h = gsc_statistic_rows(x, config.m)
         gamma_hat = float(np.partition(h, kth)[kth])
-        pilot_work += S0
-        trace.append({"iteration": iteration, "gamma_t": gamma_hat,
+        trace.append({"iteration": len(trace), "gamma_t": gamma_hat,
                       "v1": v.v1, "v2": v.v2})
+        if gamma_hat < g:
+            break
+        if len(trace) > CE_MAX_ITER:
+            raise CeAdaptationError("CE failed to reach target threshold")
+        v = ce_update(x, _elite_weights(x, h, gamma_hat, nominal, v),
+                      replace(v, gamma_t=gamma_hat))
+    pilot_work = S0 * len(trace)
     # final update at the true threshold, then the estimation run
-    w = np.where(h <= g, np.exp(_ce_log_lr_rows(x, nominal, v)), 0.0)
-    if not np.any(w > 0.0):
-        raise CeAdaptationError("CE elite set empty")
-    vfin = ce_update(SampleBlock(x, np.zeros(S0)), w, replace(v, gamma_t=g))
-    trace.append({"iteration": iteration + 1, "gamma_t": g,
+    vfin = ce_update(x, _elite_weights(x, h, g, nominal, v), replace(v, gamma_t=g))
+    trace.append({"iteration": len(trace), "gamma_t": g,
                   "v1": vfin.v1, "v2": vfin.v2})
 
-    sizes = _block_sizes(S)
-    tasks = [(config, nominal, vfin, rng.child(1 + i), n)
-             for i, n in enumerate(sizes)]
-    parts = _map_ordered(_ce_final_block, tasks, workers)
-    wall = time.perf_counter() - t0
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    hits = sum(p[2] for p in parts)
-    p = total / S
-    var = max((total_sq - S * p * p) / (S - 1), 0.0) if S > 1 else 0.0
-    return EstimateResult(p_hat=p, var_hat=var, samples=S, wall_time_s=wall,
-                          method="ce", seed=rng.seed, work_units=S + pilot_work,
+    parts = _run_blocks(_ce_final_block, (config, nominal, vfin), S, rng,
+                        workers, first=1)
+    p, var, hits = _weighted(parts, S)
+    return EstimateResult(p_hat=p, var_hat=var, samples=S,
+                          wall_time_s=time.perf_counter() - t0, method="ce",
+                          seed=rng.seed, work_units=S + pilot_work,
                           diagnostics={"trace": trace, "hit_rate": hits / S,
                                        "v_final": {"v1": vfin.v1, "v2": vfin.v2}})
 
@@ -506,33 +510,28 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
 # multilevel splitting
 
 
-def _mls_transform(g_mat: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Map gamma-process coordinates to channel space, X = F^{-1}(1 - e^{-G})."""
-    x = np.empty_like(g_mat)
-    for val in sorted(set(mu.tolist())):
-        cols = np.nonzero(mu == val)[0]
-        p = np.maximum(-np.expm1(-g_mat[:, cols]), 5e-324)
-        q = ncx2_quantile(p.ravel(), Ncx2Params(2, 2.0 * val * val))
-        x[:, cols] = 0.5 * q.reshape(p.shape)
-    return x
+def _mls_advance(config: ChannelConfig, gen, g_surv, dt: float, s: int):
+    """s paths advanced by dt from survivors picked uniformly (fresh if None).
+
+    Returns the gamma-process coordinates G and the outage mask of the
+    channel point X = F^{-1}(1 - e^{-G}).
+    """
+    if g_surv is None:
+        g_mat = gen.gamma(dt, size=(s, config.M))
+    else:
+        pick = gen.integers(0, g_surv.shape[0], size=s)
+        g_mat = g_surv[pick] + gen.gamma(dt, size=(s, config.M))
+    return g_mat, _outage(config, _inverse_rows(-np.expm1(-g_mat), config.mu_array))
 
 
 def _mls_replication(task):
-    config, levels, s, stream = task
+    config, levels, stream, s = task
     gen = stream.generator()
-    mu = config.mu_array
-    M, m, g = config.M, config.m, config.gamma_th
     estimate = 1.0
     g_surv = None
     for idx in range(1, len(levels)):
-        dt = levels[idx] - levels[idx - 1]
-        if idx == 1:
-            g_mat = gen.gamma(dt, size=(s, M))
-        else:
-            pick = gen.integers(0, g_surv.shape[0], size=s)
-            g_mat = g_surv[pick] + gen.gamma(dt, size=(s, M))
-        h = gsc_statistic_rows(_mls_transform(g_mat, mu), m)
-        mask = h <= g
+        g_mat, mask = _mls_advance(config, gen, g_surv,
+                                   levels[idx] - levels[idx - 1], s)
         count = int(np.count_nonzero(mask))
         estimate *= count / s
         if count == 0:
@@ -555,21 +554,13 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
     if pilot_samples < 100:
         raise ValueError("pilot_samples must be >= 100")
     gen = rng.generator()
-    mu = config.mu_array
-    M, m, g = config.M, config.m, config.gamma_th
     work = 0
 
     def cond_fraction(t_from, t_to, g_surv):
         nonlocal work
-        dt = t_to - t_from
-        if g_surv is None:
-            g_mat = gen.gamma(dt, size=(pilot_samples, M))
-        else:
-            pick = gen.integers(0, g_surv.shape[0], size=pilot_samples)
-            g_mat = g_surv[pick] + gen.gamma(dt, size=(pilot_samples, M))
         work += pilot_samples
-        h = gsc_statistic_rows(_mls_transform(g_mat, mu), m)
-        mask = h <= g
+        g_mat, mask = _mls_advance(config, gen, g_surv, t_to - t_from,
+                                   pilot_samples)
         return float(np.mean(mask)), g_mat[mask]
 
     levels = [0.0]
@@ -629,14 +620,14 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
                                     rng.child(0))
     elif not isinstance(schedule, MlsSchedule):
         raise ValueError("schedule must be an MlsSchedule or 'auto'")
-    tasks = [(config, schedule.levels, s, rng.child(1 + i))
-             for i in range(replications)]
-    parts = _map_ordered(_mls_replication, tasks, workers)
-    wall = time.perf_counter() - t0
+    # one block of s chains per replication
+    parts = _run_blocks(_mls_replication, (config, schedule.levels),
+                        s * replications, rng, workers, first=1, block=s)
     estimates = np.array([p[0] for p in parts])
     dead = [i for i, p in enumerate(parts) if p[1]]
     p = float(estimates.mean())
     var_repl = float(estimates.var(ddof=1))
+    wall = time.perf_counter() - t0
     chain_steps = s * schedule.n_levels * replications
     warnings = []
     if dead:

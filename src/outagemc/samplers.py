@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import ChannelConfig
 from .specfun import (
     Ncx2Params,
     log_bessel_i0,
-    ncx2_cdf,
     ncx2_logcdf,
     ncx2_logpdf,
     ncx2_quantile,
@@ -42,7 +40,7 @@ class RejectionStalledError(RuntimeError):
 
 
 class TruncationUnderflowError(ValueError):
-    """Threshold too extreme for the truncated inverse transform."""
+    """Threshold too extreme for double precision."""
 
 
 @dataclass(frozen=True)
@@ -65,20 +63,6 @@ class RngStream:
 
     def child(self, index: int) -> "RngStream":
         return RngStream(self.seed, self.stream_id, (*self.path, int(index)))
-
-
-@dataclass
-class SampleBlock:
-    """A batch of M-dimensional nonnegative sample vectors with log-likelihood ratios."""
-
-    x: np.ndarray
-    log_lr: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.log_lr = np.asarray(self.log_lr, dtype=float)
-        if self.x.ndim != 2 or self.log_lr.shape != (self.x.shape[0],):
-            raise ValueError("SampleBlock needs x of shape (S, M) and log_lr of shape (S,)")
 
 
 @dataclass(frozen=True)
@@ -106,46 +90,27 @@ def _nominal_rows(mu: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarra
     return 0.5 * ((z1 + root_lam) ** 2 + z2 ** 2)
 
 
-def sample_nominal(config: ChannelConfig, rng: RngStream) -> np.ndarray:
-    """One M-vector from the nominal channel law."""
-    return _nominal_rows(config.mu_array, rng.generator(), 1)[0]
+def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """x[:, j] = (1/2) Q(p[:, j]; ncx2(2, 2 mu_j^2)), the branch-j inverse CDF.
 
-
-def _truncation_constant(mu: float, gamma_th: float) -> float:
-    k = ncx2_cdf(2.0 * gamma_th, Ncx2Params(2, 2.0 * mu * mu))
-    if k <= 0.0:
-        raise TruncationUnderflowError(
-            "threshold too extreme for truncated inverse transform")
-    return k
-
-
-def _truncated_column(mu: float, gamma_th: float, gen, n: int) -> np.ndarray:
-    k = _truncation_constant(mu, gamma_th)
-    u = gen.random(n)
-    p = np.maximum(k * u, 1e-300)
-    return 0.5 * ncx2_quantile(p, Ncx2Params(2, 2.0 * mu * mu))
-
-
-def sample_truncated_univariate(mu: float, gamma_th: float, rng: RngStream) -> float:
-    """One draw of X | X <= gamma_th via the inverse transform."""
-    if gamma_th <= 0.0:
-        raise ValueError("gamma_th must be > 0")
-    return float(_truncated_column(mu, gamma_th, rng.generator(), 1)[0])
+    The one truncated inverse transform: uis passes k_j u with k_j the
+    branch CDF at the threshold, mls passes 1 - e^{-G} for the gamma-process
+    coordinate G.  Columns sharing a mean share one quantile call; p is
+    floored at the smallest subnormal so the quantile stays finite.
+    """
+    x = np.empty_like(p)
+    for val in sorted(set(mu.tolist())):
+        cols = np.nonzero(mu == val)[0]
+        q = np.maximum(p[:, cols], 5e-324)
+        x[:, cols] = 0.5 * ncx2_quantile(
+            q.ravel(), Ncx2Params(2, 2.0 * val * val)).reshape(q.shape)
+    return x
 
 
 def _simplex_rows(n: int, gamma_th: float, gen, rows: int) -> np.ndarray:
     """rows draws, uniform over {x_i >= 0, sum x_i <= gamma_th}."""
     e = gen.standard_exponential((rows, n + 1))
     return gamma_th * e[:, :n] / e.sum(axis=1, keepdims=True)
-
-
-def sample_uniform_simplex(n: int, gamma_th: float, rng: RngStream) -> np.ndarray:
-    """One point uniform over the solid simplex, via n+1 exponential spacings."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if gamma_th <= 0.0:
-        raise ValueError("gamma_th must be > 0")
-    return _simplex_rows(n, gamma_th, rng.generator(), 1)[0]
 
 
 def compute_m_ell(mu: float, n: int, gamma_th: float) -> MellBound:
@@ -248,22 +213,9 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     return out, proposals
 
 
-def sample_pis_block(mu: float, n: int, gamma_th: float, rng: RngStream) -> np.ndarray:
-    """One accepted block from the threshold-conditioned joint density."""
-    rows, _ = _pis_block_rows(mu, n, gamma_th, rng.generator(), 1)
-    return rows[0]
-
-
 def _exponential_rows(rate: float, gen, shape) -> np.ndarray:
     u = gen.random(shape)
     return -np.log1p(-u) / rate
-
-
-def sample_exponential(rate: float, n: int, rng: RngStream) -> np.ndarray:
-    """n iid Exp(rate) variates by the inverse transform."""
-    if rate <= 0.0:
-        raise ValueError("rate must be > 0")
-    return _exponential_rows(rate, rng.generator(), n)
 
 
 def _scaled_ncx2_rows(v1: float, v2: float, gen, shape) -> np.ndarray:
@@ -271,19 +223,3 @@ def _scaled_ncx2_rows(v1: float, v2: float, gen, shape) -> np.ndarray:
     z1 = gen.standard_normal(shape)
     z2 = gen.standard_normal(shape)
     return v1 * ((z1 + root) ** 2 + z2 ** 2)
-
-
-def sample_scaled_ncx2(v1: float, v2: float, n: int, rng: RngStream) -> np.ndarray:
-    """n iid draws of v1 * ncx2(2, v2)."""
-    if v1 <= 0.0:
-        raise ValueError("v1 must be > 0")
-    if v2 < 0.0:
-        raise ValueError("v2 must be >= 0")
-    return _scaled_ncx2_rows(v1, v2, rng.generator(), n)
-
-
-def gamma_increment(shape: float, rng: RngStream) -> float:
-    """One Gamma(shape, rate 1) variate; shapes below 1 are fine."""
-    if shape <= 0.0:
-        raise ValueError("shape must be > 0")
-    return float(rng.generator().gamma(shape))

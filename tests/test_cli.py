@@ -105,6 +105,18 @@ class TestEstimateCommand:
         et_row = next(r for r in rows if r.startswith("et,"))
         assert "error:" not in et_row
 
+    def test_underflow_gets_error_row(self, tmp_path):
+        # a threshold past double precision is reported, not returned as 0;
+        # with no estimate left the run exits with the runtime code
+        text = GOOD_SPEC.replace("M = 4\nm = 2", "M = 8\nm = 8")
+        text = text.replace("gamma_th = 0.8", "gamma_th = 1e-40")
+        spec = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["estimate", str(spec), "--out-dir", str(out)]) == 2
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all("error:" in r and "too extreme" in r for r in rows)
+
     def test_spec_error_exit_code(self, tmp_path):
         spec = write(tmp_path, GOOD_SPEC.replace("M = 4", "M = -4"))
         assert main(["estimate", str(spec)]) == 1

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from outagemc.estimators import (
+    ESTIMATORS,
     CEParams,
     MlsSchedule,
     build_partition_plan,
@@ -24,7 +25,7 @@ from outagemc.estimators import (
     mls_pilot_levels,
 )
 from outagemc.model import ChannelConfig, closed_form_outage
-from outagemc.samplers import RngStream, SampleBlock, _scaled_ncx2_rows
+from outagemc.samplers import RngStream, TruncationUnderflowError, _scaled_ncx2_rows
 from outagemc.specfun import Ncx2Params, log_bessel_i0, ncx2_cdf
 
 
@@ -181,8 +182,7 @@ class TestCeUpdate:
         v1_true, v2_true = 0.35, 1.8
         x = _scaled_ncx2_rows(v1_true, v2_true, RngStream(15).generator(),
                               (250_000, 4))
-        block = SampleBlock(x, np.zeros(x.shape[0]))
-        got = ce_update(block, np.ones(x.shape[0]), CEParams(0.5, 0.5))
+        got = ce_update(x, np.ones(x.shape[0]), CEParams(0.5, 0.5))
         assert got.v1 == pytest.approx(v1_true, rel=0.02)
         assert got.v2 == pytest.approx(v2_true, rel=0.02)
 
@@ -191,15 +191,13 @@ class TestCeUpdate:
         # reduces to the exponential maximum likelihood fit, v1 = c / 2
         c = 0.8
         x = np.full((500, 3), c)
-        block = SampleBlock(x, np.zeros(500))
-        got = ce_update(block, np.ones(500), CEParams(0.5, 0.0), fix_v2=0.0)
+        got = ce_update(x, np.ones(500), CEParams(0.5, 0.0), fix_v2=0.0)
         assert got.v2 == 0.0
         assert got.v1 == pytest.approx(c / 2.0, rel=1e-6)
 
     def test_ascent(self):
         x = _scaled_ncx2_rows(0.5, 0.5, RngStream(16).generator(), (20_000, 4))
         w = (x.sum(axis=1) < 2.0).astype(float)
-        block = SampleBlock(x, np.zeros(x.shape[0]))
         current = CEParams(0.5, 0.5)
 
         def objective(p):
@@ -208,13 +206,19 @@ class TestCeUpdate:
                  + log_bessel_i0(arg))
             return float(w @ t.sum(axis=1))
 
-        got = ce_update(block, w, current)
+        got = ce_update(x, w, current)
         assert objective(got) >= objective(current) - 1e-9
 
     def test_all_zero_weights_rejected(self):
         x = np.ones((10, 2))
         with pytest.raises(ValueError):
-            ce_update(SampleBlock(x, np.zeros(10)), np.zeros(10), CEParams(1, 1))
+            ce_update(x, np.zeros(10), CEParams(1, 1))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one weight per row"):
+            ce_update(np.ones((10, 2)), np.ones(9), CEParams(1, 1))
+        with pytest.raises(ValueError, match="one weight per row"):
+            ce_update(np.ones(10), np.ones(10), CEParams(1, 1))
 
 
 class TestCe:
@@ -323,6 +327,8 @@ class TestWorkerDeterminism:
         (estimate_et, {}),
         (estimate_pis, {}),
         (estimate_ce, {"S0": 20_000}),
+        (estimate_nmc, {}),
+        (estimate_uis, {}),
     ])
     def test_sharded_estimators(self, runner, kwargs):
         cfg = ChannelConfig(M=4, m=2, mu=0.5, gamma_th=0.8)
@@ -330,6 +336,7 @@ class TestWorkerDeterminism:
         b = runner(cfg, 300_000, RngStream(29), workers=3, **kwargs)
         assert a.p_hat == b.p_hat
         assert a.var_hat == b.var_hat
+        assert a.diagnostics == b.diagnostics
 
     def test_mls(self):
         a = estimate_mls(SMALL, 1000, RngStream(30), replications=12,
@@ -337,3 +344,86 @@ class TestWorkerDeterminism:
         b = estimate_mls(SMALL, 1000, RngStream(30), replications=12,
                          pilot_samples=2000, workers=3)
         assert a.p_hat == b.p_hat and a.var_hat == b.var_hat
+        assert a.diagnostics == b.diagnostics
+
+
+def _counts(r):
+    """Integer diagnostics: hits, pis proposals, ce stages, mls levels, work."""
+    d = r.diagnostics
+    out = {"work_units": r.work_units}
+    for key in ("hit_fraction", "hit_rate"):
+        if key in d:
+            out["hits"] = round(d[key] * r.samples)
+    for key in ("hits", "proposals"):
+        if key in d:
+            out[key] = d[key]
+    if "trace" in d:
+        out["ce_stages"] = len(d["trace"])
+    if "levels" in d:
+        out["levels"] = len(d["levels"]) - 1
+    return out
+
+
+class TestReproducibility:
+    """Outputs at one seed, pinned so that any change to child-stream
+    indices, draw order or reductions fails here."""
+
+    @pytest.mark.parametrize("method,size,kwargs,p_hat,var_hat,counts", [
+        ("nmc", 20_000, {}, 0.01045, 0.0103407975,
+         {"work_units": 20_000, "hits": 209}),
+        ("uis", 20_000, {}, 0.010656547319765336, 0.0002500691256333786,
+         {"work_units": 20_000, "hits": 6246}),
+        ("pis", 20_000, {}, 0.010776736532385787, 9.082630913140866e-05,
+         {"work_units": 20_000, "hits": 11223, "proposals": 49711}),
+        ("et", 20_000, {}, 0.010683266318179318, 0.0001518257629254988,
+         {"work_units": 20_000, "hits": 13166}),
+        ("ce", 20_000, {"S0": 2_000}, 0.010650028887467243,
+         0.00011109147506878174,
+         {"work_units": 24_000, "hits": 16316, "ce_stages": 3}),
+        ("mls", 200, {"replications": 4, "pilot_samples": 1_000},
+         0.0113750625, 0.003297175759375001,
+         {"work_units": 27_400, "levels": 3}),
+    ])
+    def test_pinned_outputs(self, method, size, kwargs, p_hat, var_hat, counts):
+        r = ESTIMATORS[method](SMALL, size, RngStream(2024), **kwargs)
+        assert r.p_hat == pytest.approx(p_hat, rel=1e-12)
+        assert r.var_hat == pytest.approx(var_hat, rel=1e-12)
+        assert _counts(r) == counts
+
+
+class TestUnderflow:
+    """Thresholds past double precision raise instead of returning a silent 0.
+
+    At M = m = 8, mu = 0.5 the outage probability is 3.36e-166 at
+    gamma_th = 1e-20 and below the smallest subnormal at 1e-40.
+    """
+
+    @staticmethod
+    def config(gamma_th):
+        return ChannelConfig(M=8, m=8, mu=0.5, gamma_th=gamma_th)
+
+    @pytest.mark.parametrize("gamma_th", [1e-20, 1e-40])
+    def test_et(self, gamma_th):
+        # the squared weights underflow at 1e-20, the weights too at 1e-40
+        with pytest.raises(TruncationUnderflowError, match="too extreme"):
+            estimate_et(self.config(gamma_th), 20_000, RngStream(1))
+
+    @pytest.mark.parametrize("gamma_th", [1e-20, 1e-40])
+    def test_uis(self, gamma_th):
+        # 3 hits: ell1 * p underflows at 1e-20, ell1 * hits / S at 1e-40
+        with pytest.raises(TruncationUnderflowError, match="too extreme"):
+            estimate_uis(self.config(gamma_th), 200_000, RngStream(1))
+
+    def test_pis_partition_plan(self):
+        with pytest.raises(TruncationUnderflowError, match="ell2 underflows"):
+            build_partition_plan(self.config(1e-40))
+        with pytest.raises(TruncationUnderflowError):
+            estimate_pis(self.config(1e-40), 1000, RngStream(1))
+
+    def test_pis_every_sample_hits(self):
+        # at m = M every partition sample is an outage: exact, zero variance
+        cfg = self.config(1e-20)
+        r = estimate_pis(cfg, 20_000, RngStream(1))
+        assert r.p_hat == pytest.approx(closed_form_outage(cfg), rel=1e-11)
+        assert r.p_hat > 0.0 and r.var_hat == 0.0
+        assert r.diagnostics["hit_fraction"] == 1.0

@@ -1,4 +1,4 @@
-"""Distributional tests for every sampler, plus the rejection bound."""
+"""Distributional tests for every row sampler, plus the rejection bound."""
 
 import numpy as np
 import pytest
@@ -10,19 +10,12 @@ from outagemc.samplers import (
     RejectionStalledError,
     RngStream,
     compute_m_ell,
-    gamma_increment,
-    sample_exponential,
-    sample_nominal,
-    sample_pis_block,
-    sample_scaled_ncx2,
-    sample_truncated_univariate,
-    sample_uniform_simplex,
     _exponential_rows,
+    _inverse_rows,
     _nominal_rows,
     _pis_block_rows,
     _scaled_ncx2_rows,
     _simplex_rows,
-    _truncated_column,
 )
 from outagemc.specfun import Ncx2Params, ncx2_cdf
 
@@ -80,22 +73,23 @@ class TestSampleNominal:
         mine = _nominal_rows(np.array([mu]), RngStream(4).generator(), 10 ** 5)[:, 0]
         assert stats.ks_2samp(oracle, mine).pvalue > KS_ALPHA
 
-    def test_public_shape(self):
-        cfg = ChannelConfig(M=5, m=2, mu=0.5, gamma_th=1.0)
-        x = sample_nominal(cfg, RngStream(5))
-        assert x.shape == (5,) and np.all(x >= 0.0)
+
+def _truncated(mu, gamma, gen, n):
+    """n draws of X | X <= gamma for one branch, as uis draws them."""
+    k = ncx2_cdf(2 * gamma, Ncx2Params(2, 2 * mu * mu))
+    return _inverse_rows(k * gen.random((n, 1)), np.array([mu]))[:, 0]
 
 
 class TestTruncatedUnivariate:
     def test_range(self):
-        x = _truncated_column(0.5, 1.0, RngStream(6).generator(), 10 ** 4)
+        x = _truncated(0.5, 1.0, RngStream(6).generator(), 10 ** 4)
         assert np.all((x >= 0.0) & (x <= 1.0))
 
     def test_central_closed_form(self):
         # for mu = 0 the inverse transform is -ln(1 - u (1 - e^-gamma))
         gamma = 0.7
         gen = RngStream(7).generator()
-        x = _truncated_column(0.0, gamma, gen, 10 ** 5)
+        x = _truncated(0.0, gamma, gen, 10 ** 5)
         gen2 = RngStream(7).generator()
         u = gen2.random(10 ** 5)
         closed = -np.log1p(-u * (1.0 - np.exp(-gamma)))
@@ -105,16 +99,26 @@ class TestTruncatedUnivariate:
         mu, gamma = 0.5, 1.0
         params = Ncx2Params(2, 2 * mu * mu)
         k = ncx2_cdf(2 * gamma, params)
-        x = _truncated_column(mu, gamma, RngStream(8).generator(), 10 ** 5)
+        x = _truncated(mu, gamma, RngStream(8).generator(), 10 ** 5)
         t = 0.6
         emp = np.mean(x <= t)
         exact = ncx2_cdf(2 * t, params) / k
         se = np.sqrt(exact * (1 - exact) / x.shape[0])
         assert abs(emp - exact) < 4.0 * se
 
-    def test_scalar_api(self):
-        x = sample_truncated_univariate(0.5, 1.0, RngStream(9))
-        assert 0.0 <= x <= 1.0
+    def test_columns_grouped_by_mean(self):
+        # each column follows its own branch law, whatever the other columns
+        mu = np.array([0.5, 1.5, 0.5])
+        p = RngStream(9).generator().random((2000, 3))
+        x = _inverse_rows(p, mu)
+        for j in range(3):
+            alone = _inverse_rows(p[:, [j]], mu[[j]])[:, 0]
+            assert np.allclose(x[:, j], alone, rtol=1e-12, atol=0.0)
+
+    def test_zero_probability_floored(self):
+        # p = 0 (u = 0, or 1 - e^-G rounding to 0) still maps to a finite x
+        x = _inverse_rows(np.zeros((4, 2)), np.array([0.5, 2.0]))
+        assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
 
 
 class TestUniformSimplex:
@@ -141,8 +145,9 @@ class TestUniformSimplex:
             assert abs(emp - exact) < 4.0 * se
 
     def test_support(self):
-        x = sample_uniform_simplex(4, 0.8, RngStream(13))
-        assert x.shape == (4,) and np.all(x >= 0.0) and x.sum() <= 0.8
+        x = _simplex_rows(4, 0.8, RngStream(13).generator(), 1000)
+        assert x.shape == (1000, 4) and np.all(x >= 0.0)
+        assert np.all(x.sum(axis=1) <= 0.8)
 
 
 class TestComputeMell:
@@ -264,22 +269,18 @@ class TestPisBlockSampler:
                       block_mu=good.block_mu, block_size=good.block_size,
                       log_block_cdf=good.log_block_cdf)
 
-    def test_public_single_draw(self):
-        x = sample_pis_block(0.5, 3, 1.0, RngStream(20))
-        assert x.shape == (3,) and x.sum() <= 1.0
-
 
 class TestSampleExponential:
     def test_mean_and_ks(self):
         rate = 8.0
-        x = sample_exponential(rate, 10 ** 5, RngStream(21))
+        x = _exponential_rows(rate, RngStream(21).generator(), 10 ** 5)
         assert abs(x.mean() - 1 / rate) < 4.0 * x.std() / np.sqrt(x.size)
         assert stats.kstest(x * rate, "expon").pvalue > KS_ALPHA
 
     def test_proposal_head_mass(self):
         # rate M / gamma puts 1 - e^-1 of the mass below gamma / M
         M, gamma = 8, 1.0
-        x = sample_exponential(M / gamma, 10 ** 6, RngStream(22))
+        x = _exponential_rows(M / gamma, RngStream(22).generator(), 10 ** 6)
         exact = 1.0 - np.exp(-1.0)
         emp = np.mean(x <= gamma / M)
         se = np.sqrt(exact * (1 - exact) / x.size)
@@ -289,19 +290,19 @@ class TestSampleExponential:
 class TestSampleScaledNcx2:
     def test_nominal_parameters_reproduce_channel_law(self):
         mu = 0.5
-        a = sample_scaled_ncx2(0.5, 2 * mu * mu, 10 ** 5, RngStream(23))
+        a = _scaled_ncx2_rows(0.5, 2 * mu * mu, RngStream(23).generator(), 10 ** 5)
         b = _nominal_rows(np.array([mu]), RngStream(24).generator(), 10 ** 5)[:, 0]
         assert stats.ks_2samp(a, b).pvalue > KS_ALPHA
 
     def test_mean(self):
         v1, v2 = 0.3, 4.0
-        x = sample_scaled_ncx2(v1, v2, 10 ** 6, RngStream(25))
+        x = _scaled_ncx2_rows(v1, v2, RngStream(25).generator(), 10 ** 6)
         want = v1 * (2.0 + v2)
         assert abs(x.mean() - want) < 4.0 * x.std() / np.sqrt(x.size)
 
     def test_cdf(self):
         v1, v2 = 0.7, 1.5
-        x = sample_scaled_ncx2(v1, v2, 10 ** 6, RngStream(26))
+        x = _scaled_ncx2_rows(v1, v2, RngStream(26).generator(), 10 ** 6)
         t = 1.2
         exact = ncx2_cdf(t / v1, Ncx2Params(2, v2))
         emp = np.mean(x <= t)
@@ -328,8 +329,3 @@ class TestGammaIncrement:
         for a, b in zip(cuts, cuts[1:]):
             total += gen.gamma(b - a, size=10 ** 5)
         assert stats.kstest(total, "expon").pvalue > KS_ALPHA
-
-    def test_scalar_api(self):
-        assert gamma_increment(0.5, RngStream(30)) >= 0.0
-        with pytest.raises(ValueError):
-            gamma_increment(0.0, RngStream(30))
