@@ -136,8 +136,8 @@ def build_partition_plan(config: ChannelConfig) -> PartitionPlan:
         ell2 *= ncx2_cdf(2.0 * g, Ncx2Params(2 * size, 2.0 * delta * delta))
         bounds.append(compute_m_ell(float(seg[0]), size, g))
         start += size
-    if ell2 == 0.0:
-        raise _underflow(f"ell2 underflows to 0 at gamma_th={g!r}")
+    if ell2 < np.finfo(float).tiny:
+        raise _underflow(f"ell2 underflows to {ell2!r} at gamma_th={g!r}")
     return PartitionPlan(blocks=tuple(blocks), ell2=float(ell2), bounds=tuple(bounds))
 
 
@@ -168,6 +168,12 @@ def _run_blocks(kernel, head, total, rng: RngStream, workers: int,
 def _outage(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
     """Row mask of the outage event H(x) <= gamma_th."""
     return gsc_statistic_rows(x, config.m) <= config.gamma_th
+
+
+def _branch_cdfs(config: ChannelConfig) -> np.ndarray:
+    """k_j = P(X_j <= gamma_th), branch j's CDF at the threshold."""
+    return np.array([ncx2_cdf(2.0 * config.gamma_th, Ncx2Params(2, 2.0 * mu * mu))
+                     for mu in config.mu])
 
 
 def _underflow(what: str) -> TruncationUnderflowError:
@@ -262,12 +268,11 @@ def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
     if S < 1:
         raise ValueError("S must be >= 1")
     t0 = time.perf_counter()
-    k = [ncx2_cdf(2.0 * config.gamma_th, Ncx2Params(2, 2.0 * mu * mu))
-         for mu in config.mu]
-    if min(k) <= 0.0:
-        raise _underflow("a branch CDF at the threshold is 0")
-    ell1 = math.prod(k)
-    hits = sum(_run_blocks(_uis_block, (config, np.array(k)), S, rng, workers))
+    k = _branch_cdfs(config)
+    ell1 = math.prod(k.tolist())
+    if ell1 < np.finfo(float).tiny:
+        raise _underflow(f"ell1 underflows to {ell1!r}")
+    hits = sum(_run_blocks(_uis_block, (config, k), S, rng, workers))
     p, var = _selection(ell1, hits, S)
     return EstimateResult(p_hat=p, var_hat=var, samples=S,
                           wall_time_s=time.perf_counter() - t0, method="uis",
@@ -510,27 +515,31 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
 # multilevel splitting
 
 
-def _mls_advance(config: ChannelConfig, gen, g_surv, dt: float, s: int):
+def _mls_advance(config: ChannelConfig, k, gen, g_surv, dt: float, s: int):
     """s paths advanced by dt from survivors picked uniformly (fresh if None).
 
     Returns the gamma-process coordinates G and the outage mask of the
-    channel point X = F^{-1}(1 - e^{-G}).
+    channel point X = F^{-1}(1 - e^{-G}).  Rows with some 1 - e^{-G_j} above
+    k_j = F_j(gamma_th) have X_j > gamma_th, so they skip the inversion.
     """
     if g_surv is None:
         g_mat = gen.gamma(dt, size=(s, config.M))
     else:
         pick = gen.integers(0, g_surv.shape[0], size=s)
         g_mat = g_surv[pick] + gen.gamma(dt, size=(s, config.M))
-    return g_mat, _outage(config, _inverse_rows(-np.expm1(-g_mat), config.mu_array))
+    p = -np.expm1(-g_mat)
+    mask = ~(p > k).any(axis=1)
+    mask[mask] = _outage(config, _inverse_rows(p[mask], config.mu_array))
+    return g_mat, mask
 
 
 def _mls_replication(task):
-    config, levels, stream, s = task
+    config, k, levels, stream, s = task
     gen = stream.generator()
     estimate = 1.0
     g_surv = None
     for idx in range(1, len(levels)):
-        g_mat, mask = _mls_advance(config, gen, g_surv,
+        g_mat, mask = _mls_advance(config, k, gen, g_surv,
                                    levels[idx] - levels[idx - 1], s)
         count = int(np.count_nonzero(mask))
         estimate *= count / s
@@ -554,12 +563,13 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
     if pilot_samples < 100:
         raise ValueError("pilot_samples must be >= 100")
     gen = rng.generator()
+    k = _branch_cdfs(config)
     work = 0
 
     def cond_fraction(t_from, t_to, g_surv):
         nonlocal work
         work += pilot_samples
-        g_mat, mask = _mls_advance(config, gen, g_surv, t_to - t_from,
+        g_mat, mask = _mls_advance(config, k, gen, g_surv, t_to - t_from,
                                    pilot_samples)
         return float(np.mean(mask)), g_mat[mask]
 
@@ -621,7 +631,8 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
     elif not isinstance(schedule, MlsSchedule):
         raise ValueError("schedule must be an MlsSchedule or 'auto'")
     # one block of s chains per replication
-    parts = _run_blocks(_mls_replication, (config, schedule.levels),
+    parts = _run_blocks(_mls_replication,
+                        (config, _branch_cdfs(config), schedule.levels),
                         s * replications, rng, workers, first=1, block=s)
     estimates = np.array([p[0] for p in parts])
     dead = [i for i, p in enumerate(parts) if p[1]]

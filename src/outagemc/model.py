@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .samplers import TruncationUnderflowError
 from .specfun import Ncx2Params, ncx2_cdf
 
 
@@ -138,14 +139,17 @@ def closed_form_outage(config: ChannelConfig) -> Optional[float]:
 
     m=1: the outage event is every branch below threshold, so the
     probability factorizes over branches.  m=M: the combined statistic is
-    the full sum, itself half a noncentral chi-square with 2M dof.
+    the full sum, itself half a noncentral chi-square with 2M dof.  A
+    probability below the smallest normal double raises, not returns 0.
     """
     g2 = 2.0 * config.gamma_th
     if config.m == 1:
-        p = 1.0
-        for mu in config.mu:
-            p *= ncx2_cdf(g2, Ncx2Params(2, 2.0 * mu * mu))
-        return float(p)
-    if config.m == config.M:
-        return float(ncx2_cdf(g2, Ncx2Params(2 * config.M, 2.0 * config.mu_norm_sq)))
-    return None
+        p = math.prod(ncx2_cdf(g2, Ncx2Params(2, 2.0 * mu * mu)) for mu in config.mu)
+    elif config.m == config.M:
+        p = ncx2_cdf(g2, Ncx2Params(2 * config.M, 2.0 * config.mu_norm_sq))
+    else:
+        return None
+    if p < np.finfo(float).tiny:
+        raise TruncationUnderflowError(
+            f"threshold too extreme for double precision: exact p={p!r}")
+    return float(p)

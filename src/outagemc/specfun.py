@@ -11,6 +11,10 @@ obtained from a single anchored ``gammainc`` evaluation via the stable
 downward recurrence P(a+1, y) = P(a, y) - y^a e^{-y} / Gamma(a+1), which
 keeps the cost per extra mixture term at a few vector operations.
 
+The quantile is one certified Newton step from a monotone cubic Hermite
+start (Fritsch & Carlson, SIAM J. Numer. Anal. 1980) read off a cached
+table of ln x against logit p: one mixture evaluation per point.
+
 Everything that can underflow (densities, mixture weights, the CDF for
 very large noncentralities) also has a log-space path.
 """
@@ -25,12 +29,12 @@ import numpy as np
 from scipy import special
 
 _POISSON_TAIL = 1e-15
-# Newton refinement is seeded from a cached coarse quantile grid when the
-# request is large enough to amortize building it.
-_GRID_SEED_MIN = 8192
-_GRID_POINTS = 8192
-_GRID_LOGP_LO = math.log(1e-250)
-_GRID_LOGP_HI = math.log1p(-5e-13)
+# The quantile table's grid: 8192 points uniform in logit p, which is ln p
+# deep in the left tail and -ln(1 - p) deep in the right.  A Newton step
+# from residual r leaves about r^2 / (2 min(p, 1 - p)), so the certificate
+# r^2 <= 1e-15 p min(p, 1 - p) keeps it below bracketed Newton's 4e-15 p.
+_TABLE_LOGIT = (math.log(1e-250), -math.log(5e-13), 8192)
+_NEWTON_CERT = 1e-15
 
 
 @dataclass(frozen=True)
@@ -241,11 +245,18 @@ def ncx2_logcdf(x: float, params: Ncx2Params) -> float:
 
 
 @lru_cache(maxsize=64)
-def _quantile_seed_grid(dof: int, lam: float):
-    """Coarse (log p -> log x) table used to initialize Newton for big batches."""
-    logp = np.linspace(_GRID_LOGP_LO, _GRID_LOGP_HI, _GRID_POINTS)
-    x = _quantile_newton(np.exp(logp), dof, lam, seed_grid=None)
-    return logp, np.log(x)
+def _quantile_table(dof: int, lam: float):
+    """(s_0, h, ln x, d ln x / ds) at the grid points s_0 + i h of s = logit p.
+
+    The exact slopes p (1 - p) / (x f(x)) reuse the solver's density; they
+    meet Fritsch & Carlson's monotonicity condition on this grid.
+    """
+    s = np.linspace(*_TABLE_LOGIT)
+    p = special.expit(s)
+    x, pdf = _quantile_newton(p, dof, lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = p * special.expit(-s) / (x * pdf)
+    return s[0], s[1] - s[0], np.log(x), slope
 
 
 def _quantile_init(p, dof, lam):
@@ -264,21 +275,19 @@ def _quantile_init(p, dof, lam):
     return x0
 
 
-def _quantile_newton(p, dof, lam, seed_grid):
-    """Bracketed, safeguarded Newton solve of F(x) = p on an array of p."""
+def _quantile_newton(p, dof, lam, x=math.nan):
+    """Bracketed, safeguarded Newton solve of F(x) = p on an array of p.
+
+    Starts from x where finite and positive, else from _quantile_init;
+    returns the roots and the density there (NaN past the iteration cap).
+    """
     pc = p
     n = pc.shape[0]
-    if seed_grid is not None:
-        logp_g, logx_g = seed_grid
-        x = np.exp(np.interp(np.log(pc), logp_g, logx_g))
-        inside = (np.log(pc) > logp_g[0]) & (np.log(pc) < logp_g[-1])
-        if not inside.all():
-            x[~inside] = _quantile_init(pc[~inside], dof, lam)
-    else:
-        x = _quantile_init(pc, dof, lam)
+    x = np.where((x > 0.0) & (x < np.inf), x, _quantile_init(pc, dof, lam))
     lo = np.zeros(n)
     hi = np.full(n, np.inf)
     out = x.copy()
+    dens = np.full(n, np.nan)
     idx = np.arange(n)
     for _ in range(120):
         cdf, pdf = _cdf_pdf_raw(x, dof, lam, want_pdf=True)
@@ -286,9 +295,10 @@ def _quantile_newton(p, dof, lam, seed_grid):
         done = (np.abs(err) <= 4e-15 * pc) | ((hi - lo) <= 4e-16 * np.maximum(x, 1e-300))
         if done.any():
             out[idx[done]] = x[done]
+            dens[idx[done]] = pdf[done]
             keep = ~done
             if not keep.any():
-                return out
+                return out, dens
             idx, x, pc, lo, hi = idx[keep], x[keep], pc[keep], lo[keep], hi[keep]
             err, pdf = err[keep], pdf[keep]
         lo = np.where(err < 0.0, np.maximum(lo, x), lo)
@@ -304,26 +314,41 @@ def _quantile_newton(p, dof, lam, seed_grid):
             xn = np.where(bad, mid, xn)
         x = xn
     out[idx] = x
-    return out
+    return out, dens
 
 
 def ncx2_quantile(p, params: Ncx2Params):
     """Inverse CDF for p in (0, 1); |cdf(quantile(p)) - p| stays below 1e-12.
 
     p is clipped to 1 - 1e-14 on the right before solving (the mixture CDF
-    saturates to 1 at the Poisson tail-truncation level anyway).
+    saturates to 1 at the Poisson tail-truncation level anyway).  Points off
+    the table or uncertified get bracketed Newton; batch size never matters.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("ncx2_quantile requires p in the open interval (0, 1)")
-    scalar = np.isscalar(p) or arr.ndim == 0
-    pc = np.clip(np.atleast_1d(arr).astype(float), 5e-324, 1.0 - 1e-14)
-    seed = None
-    if pc.size >= _GRID_SEED_MIN:
-        seed = _quantile_seed_grid(params.dof, params.noncentrality)
-    out = _quantile_newton(pc.ravel(), params.dof, params.noncentrality, seed)
-    out = out.reshape(pc.shape)
-    return float(out[0]) if scalar else out
+    dof, lam = params.dof, params.noncentrality
+    s0, h, g, d = _quantile_table(dof, lam)
+    q = np.clip(arr.ravel(), 5e-324, 1.0 - 1e-14)
+    u = (np.log(q) - np.log1p(-q) - s0) / h
+    on = (u >= 0.0) & (u < g.size - 1)
+    i = u[on].astype(np.intp)
+    t, q_on = u[on] - i, q[on]
+    tm = 1.0 - t  # cubic Hermite basis on [s_i, s_i + h]
+    x0 = np.exp(tm * tm * ((1.0 + 2.0 * t) * g[i] + t * h * d[i])
+                + t * t * ((3.0 - 2.0 * t) * g[i + 1] - tm * h * d[i + 1]))
+    cdf, pdf = _cdf_pdf_raw(x0, dof, lam, want_pdf=True)
+    r = cdf - q_on
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x1 = x0 - r / pdf
+    out = np.full_like(q, np.nan)
+    out[on] = x1  # where uncertified, still the rescue's start
+    rescue = ~on
+    rescue[on] = ~((r * r <= _NEWTON_CERT * q_on * np.minimum(q_on, 1.0 - q_on))
+                   & (x1 > 0.0))
+    if rescue.any():
+        out[rescue] = _quantile_newton(q[rescue], dof, lam, out[rescue])[0]
+    return float(out[0]) if np.isscalar(p) or arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def marcum_q(order: int, a, b):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from outagemc import estimators
 from outagemc.estimators import (
     ESTIMATORS,
     CEParams,
@@ -25,7 +26,12 @@ from outagemc.estimators import (
     mls_pilot_levels,
 )
 from outagemc.model import ChannelConfig, closed_form_outage
-from outagemc.samplers import RngStream, TruncationUnderflowError, _scaled_ncx2_rows
+from outagemc.samplers import (
+    RngStream,
+    TruncationUnderflowError,
+    _inverse_rows,
+    _scaled_ncx2_rows,
+)
 from outagemc.specfun import Ncx2Params, log_bessel_i0, ncx2_cdf
 
 
@@ -312,6 +318,28 @@ class TestMls:
         assert abs(r.p_hat - exact) < 4.0 * combined_se(r)
 
 
+class TestMlsRowSkip:
+    """Rows with a branch above its threshold CDF are never inverted; the
+    mask must equal the outage mask of the full inverse transform."""
+
+    @pytest.mark.parametrize("cfg", [
+        ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1),
+        ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0),
+    ], ids=["subset", "los"])
+    def test_mask_matches_full_inversion(self, cfg):
+        gen = np.random.default_rng(11)
+        # survivors spread from tiny G to G = 33, where 1 - e^{-G} is
+        # clipped at 1 - 1e-14 by the quantile (it rounds to 1 past G ~ 36.7)
+        g_surv = gen.gamma(0.05, size=(5000, cfg.M)) * 10.0 ** gen.uniform(-3, 0, (5000, 1))
+        g_surv[:50, 0] = 33.0
+        k = estimators._branch_cdfs(cfg)
+        g_mat, mask = estimators._mls_advance(cfg, k, gen, g_surv, 0.01, 100_000)
+        p = -np.expm1(-g_mat)
+        assert np.any(p >= 1.0 - 1e-14) and np.any(p > k) and np.any(mask)
+        full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
+        assert np.array_equal(mask, full)
+
+
 class TestScvSampleSizeInvariance:
     def test_et_scv_stable_under_sample_count(self):
         # the squared coefficient of variation estimates a per-sample
@@ -410,7 +438,7 @@ class TestUnderflow:
 
     @pytest.mark.parametrize("gamma_th", [1e-20, 1e-40])
     def test_uis(self, gamma_th):
-        # 3 hits: ell1 * p underflows at 1e-20, ell1 * hits / S at 1e-40
+        # 3 hits: ell1 * p underflows at 1e-20; at 1e-40 ell1 is subnormal
         with pytest.raises(TruncationUnderflowError, match="too extreme"):
             estimate_uis(self.config(gamma_th), 200_000, RngStream(1))
 
@@ -419,6 +447,20 @@ class TestUnderflow:
             build_partition_plan(self.config(1e-40))
         with pytest.raises(TruncationUnderflowError):
             estimate_pis(self.config(1e-40), 1000, RngStream(1))
+
+    def test_fails_before_sampling(self, monkeypatch):
+        # ell1 and ell2 are subnormal at 1e-40: raise at set-up, draw nothing
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled although the set-up underflowed")
+
+        monkeypatch.setattr(estimators, "_run_blocks", no_sampling)
+        with pytest.raises(TruncationUnderflowError, match="ell1 underflows"):
+            estimate_uis(self.config(1e-40), 200_000, RngStream(1))
+        with pytest.raises(TruncationUnderflowError, match="ell2 underflows"):
+            estimate_pis(self.config(1e-40), 1000, RngStream(1))
+        cfg = self.config(1e-40).replace(m=1)
+        with pytest.raises(TruncationUnderflowError, match="ell2 underflows"):
+            build_partition_plan(cfg)
 
     def test_pis_every_sample_hits(self):
         # at m = M every partition sample is an outage: exact, zero variance

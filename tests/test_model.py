@@ -10,6 +10,7 @@ from outagemc.model import (
     gsc_statistic,
     gsc_statistic_rows,
 )
+from outagemc.samplers import TruncationUnderflowError
 from outagemc.specfun import Ncx2Params, ncx2_cdf
 
 
@@ -130,3 +131,11 @@ class TestClosedFormOutage:
         assert closed_form_outage(cfg) == pytest.approx(0.025180869256957065, rel=1e-11)
         cfg = ChannelConfig(M=4, m=4, mu=0.6, gamma_th=2.0)
         assert closed_form_outage(cfg) == pytest.approx(0.056468338958359542, rel=1e-11)
+
+    @pytest.mark.parametrize("m", [8, 1])
+    def test_underflow_raises(self, m):
+        # at 1e-40 the exact p is 0.0 in double (m = 8) or the subnormal
+        # 1.354e-321 (m = 1); neither is a usable reference
+        cfg = ChannelConfig(M=8, m=m, mu=0.5, gamma_th=1e-40)
+        with pytest.raises(TruncationUnderflowError, match="too extreme"):
+            closed_form_outage(cfg)

@@ -11,6 +11,7 @@ kept next to each constant so the numbers can be re-derived.
 import numpy as np
 import pytest
 
+from outagemc import specfun
 from outagemc.specfun import (
     Ncx2Params,
     log_bessel_i0,
@@ -212,12 +213,14 @@ class TestNcx2Quantile:
             with pytest.raises(ValueError):
                 ncx2_quantile(p, params)
 
-    @pytest.mark.parametrize("k,lam", [(2, 0.5), (8, 4.0), (2, 0.0), (8, 42.32)])
+    @pytest.mark.parametrize("k,lam", [(2, 0.5), (8, 4.0), (2, 0.0), (8, 42.32),
+                                       (2, 10.58), (2, 42.32)])
     def test_round_trip(self, k, lam):
         params = Ncx2Params(k, lam)
         rng = np.random.default_rng(0)
-        p = np.concatenate([[1e-10, 1e-8, 1e-4, 0.5, 1 - 1e-8, 1 - 1e-10],
-                            rng.random(4000)])
+        # 1e-260 lies below the quantile table, 1 - 1e-14 at the clip
+        p = np.concatenate([[1e-260, 1e-10, 1e-8, 1e-4, 0.5, 1 - 1e-8, 1 - 1e-10,
+                             1 - 1e-14], rng.random(4000)])
         x = ncx2_quantile(p, params)
         back = ncx2_cdf(x, params)
         target = np.clip(p, 0.0, 1.0 - 1e-14)
@@ -231,14 +234,50 @@ class TestNcx2Quantile:
         x = ncx2_quantile(p, params)
         assert np.max(np.abs(ncx2_cdf(x, params) / p - 1.0)) < 1e-9
 
-    def test_grid_seeded_path_matches_direct(self):
-        # large requests use the cached seed grid; must agree with small calls
+    def test_batch_size_independent(self):
+        # every call starts from the same cached table, so scalar, small and
+        # large calls agree bit for bit, on and off the table
         params = Ncx2Params(2, 0.98)
         rng = np.random.default_rng(2)
-        p = rng.random(20000) * 0.999
+        p = rng.permutation(np.concatenate([10.0 ** rng.uniform(-300, -1, 50_000),
+                                            rng.random(50_000)]))
         big = ncx2_quantile(p, params)
-        small = np.array([ncx2_quantile(float(v), params) for v in p[:64]])
-        assert np.allclose(big[:64], small, rtol=1e-10, atol=0.0)
+        mid = ncx2_quantile(p[:2400], params)
+        small = np.array([ncx2_quantile(float(v), params) for v in p[:200]])
+        assert np.array_equal(big[:2400], mid)
+        assert np.array_equal(big[:200], small)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 10.58, 42.32])
+    def test_table_monotone(self, lam):
+        # Fritsch & Carlson: alpha^2 + beta^2 <= 9 keeps each Hermite piece
+        # monotone; the exact slopes meet it without limiting
+        _, h, g, d = specfun._quantile_table(2, lam)
+        secant = np.diff(g) / h
+        assert np.all(secant > 0.0)
+        assert np.all((d[:-1] / secant) ** 2 + (d[1:] / secant) ** 2 <= 9.0)
+
+    @pytest.mark.parametrize("lam,x_th", [(0.5, 0.2), (10.58, 34.0)])
+    def test_one_cdf_evaluation_per_point(self, lam, x_th, monkeypatch):
+        # a count, not a timing: mixture-CDF points per requested point on
+        # uis-style (k u, k the CDF at a threshold) and mls-style (1 - e^{-G})
+        # inputs; the bracketed solver spends about 3
+        params = Ncx2Params(2, lam)
+        ncx2_quantile(0.5, params)  # build the table outside the count
+        raw = specfun._cdf_pdf_raw
+        points = []
+
+        def counting(x, *args, **kwargs):
+            points.append(np.size(x))
+            return raw(x, *args, **kwargs)
+
+        monkeypatch.setattr(specfun, "_cdf_pdf_raw", counting)
+        rng = np.random.default_rng(3)
+        uis = ncx2_cdf(x_th, params) * rng.random(100_000)
+        mls = -np.expm1(-rng.gamma(rng.uniform(1e-3, 1.0, 100_000)))
+        for p in (uis, mls):
+            points.clear()
+            ncx2_quantile(np.maximum(p, 5e-324), params)
+            assert sum(points) <= 1.2 * p.size
 
 
 class TestAdditivity:
