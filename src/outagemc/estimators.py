@@ -27,10 +27,10 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from .model import ChannelConfig, EstimateResult, gsc_statistic_rows
 from .samplers import (
@@ -63,8 +63,6 @@ class CEParams:
 
     v1: float
     v2: float
-    iteration: int = 0
-    gamma_t: float = math.inf
 
     def __post_init__(self):
         if self.v1 <= 0.0:
@@ -375,78 +373,59 @@ def _ce_log_lr_rows(x: np.ndarray, nominal: CEParams, sampling: CEParams) -> np.
             - _ce_log_pdf_rows(x, sampling.v1, sampling.v2))
 
 
-def ce_update(x: np.ndarray, weights: np.ndarray, current: CEParams,
-              fix_v2: float = None) -> CEParams:
+def ce_update(x: np.ndarray, weights: np.ndarray) -> CEParams:
     """Weighted maximum likelihood over the scaled ncx2 family.
 
     Maximizes sum_s w_s * ln f(x_s; v) over v = (v1, v2) for the (S, M)
-    sample array x, seeded by moment matching and polished with Nelder-Mead
-    in (ln v1, sqrt v2) coordinates; never returns a point with a worse
-    objective than `current`.  With fix_v2 the noncentrality is pinned and
-    only the scale is fitted (the pure-scale fit has the closed form
-    v1 = weighted mean / (2 + v2)).
+    sample array x, pooling its coordinates z.  Each z is the squared
+    amplitude of a Rician variable with sigma^2 = v1 and nu^2 = v1 * v2, so
+    the fit solves the Rician likelihood equations (Sijbers et al., IEEE
+    TMI 1998).  With m1 = E_w[z] and m2 = E_w[z^2]:
+
+      m2 >= 2 m1^2  the maximum sits on the edge v2 = 0, where the
+                    exponential fit v1 = m1 / 2 is exact;
+      otherwise     v1 = (m1 - nu^2) / 2 and nu solves
+                    nu = E_w[sqrt(z) I1/I0(nu sqrt(z) / v1)] on (0, sqrt(m1)),
+                    whose only root is the global maximum.
+
+    Near nu = 0 the score behaves like nu^3 (1 - m2 / (2 m1^2)) / m1, so a
+    score that is not positive at the foot of the bracket means the edge.
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(weights, dtype=float)
     if x.ndim != 2 or w.shape != (x.shape[0],):
         raise ValueError("ce_update needs x of shape (S, M) and one weight per row")
-    pos = w > 0.0
-    if not np.any(pos):
-        raise ValueError("ce_update needs at least one positive weight")
-    z = x[pos].ravel()
-    wz = np.repeat(w[pos], x.shape[1])
-    wsum = wz.sum()
-    if not np.any(z > 0.0):
-        return CEParams(v1=1e-12, v2=0.0, iteration=current.iteration + 1,
-                        gamma_t=current.gamma_t)
-    m1 = float(np.dot(wz, z)) / wsum
+    if np.any(w < 0.0) or not np.any(w > 0.0):
+        raise ValueError("ce_update needs weights >= 0, at least one positive")
+    z = x.ravel()
+    wz = np.repeat(w / w.sum(), x.shape[1]) / x.shape[1]
+    rz = np.sqrt(z)
+    m1 = float(np.dot(wz, z))
+    m2 = float(np.dot(wz, z * z))
 
-    if fix_v2 is not None and fix_v2 == 0.0:
-        # exponential maximum likelihood: mean 2 v1 matched to the data
-        v1 = float(np.clip(m1 / 2.0, 1e-12, 1e12))
-        return CEParams(v1=v1, v2=0.0, iteration=current.iteration + 1,
-                        gamma_t=current.gamma_t)
+    def score(nu):
+        v1 = 0.5 * (m1 - nu * nu)
+        if v1 <= 0.0:  # the limit I1/I0 -> 1 at the end of the bracket
+            return float(np.dot(wz, rz)) - nu
+        arg = nu * rz / v1
+        return float(np.dot(wz, rz * special.i1e(arg) / special.i0e(arg))) - nu
 
-    def neg_obj(theta):
-        v1 = math.exp(min(theta[0], 700.0))
-        v2 = fix_v2 if fix_v2 is not None else theta[1] * theta[1]
-        arg = np.sqrt(v2 * z / v1)
-        t = -math.log(2.0 * v1) - v2 / 2.0 - z / (2.0 * v1) + log_bessel_i0(arg)
-        return -float(np.dot(wz, t))
-
-    m2c = float(np.dot(wz, (z - m1) ** 2)) / wsum
-    r = m2c / (m1 * m1) if m1 > 0 else 1.0
-    if r >= 1.0 or r <= 0.0:
-        v2_0, v1_0 = 0.0, m1 / 2.0
-    else:
-        root = math.sqrt(1.0 - r)
-        v2_0 = 2.0 * root * (root + 1.0) / r
-        v1_0 = m1 / (2.0 + v2_0)
-    if fix_v2 is not None:
-        v2_0 = fix_v2
-        v1_0 = m1 / (2.0 + v2_0)
-    theta0 = np.array([math.log(max(v1_0, 1e-12)), math.sqrt(max(v2_0, 0.0))])
-    f0 = neg_obj(theta0)
-    res = optimize.minimize(neg_obj, theta0, method="Nelder-Mead",
-                            options={"xatol": 1e-9, "fatol": 1e-8 * (1.0 + abs(f0)),
-                                     "maxiter": 4000, "maxfev": 4000})
-    best = res.x if res.fun <= f0 else theta0
-    # ascent guard relative to the incoming parameters
-    cur_theta = np.array([math.log(current.v1), math.sqrt(current.v2)])
-    if fix_v2 is None and neg_obj(cur_theta) < min(res.fun, f0):
-        best = cur_theta
-    v1 = float(np.clip(math.exp(min(best[0], 700.0)), 1e-12, 1e12))
-    v2 = fix_v2 if fix_v2 is not None else float(np.clip(best[1] * best[1], 0.0, 1e12))
-    return CEParams(v1=v1, v2=v2, iteration=current.iteration + 1,
-                    gamma_t=current.gamma_t)
+    hi = math.sqrt(m1)
+    lo = 1e-4 * hi
+    if m2 >= 2.0 * m1 * m1 or score(lo) <= 0.0:
+        return CEParams(v1=0.5 * m1, v2=0.0)
+    nu = optimize.brentq(score, lo, hi, xtol=1e-15 * hi)
+    v1 = 0.5 * (m1 - nu * nu)
+    return CEParams(v1=v1, v2=nu * nu / v1)
 
 
-def _elite_weights(x, h, level, nominal: CEParams, v: CEParams) -> np.ndarray:
-    """Likelihood ratios to the nominal law on rows with H <= level, else 0."""
-    w = np.where(h <= level, np.exp(_ce_log_lr_rows(x, nominal, v)), 0.0)
+def _elite_weights(x, h, level, nominal: CEParams, v: CEParams):
+    """The rows with H <= level and their likelihood ratios to the nominal law."""
+    elite = x[h <= level]
+    w = np.exp(_ce_log_lr_rows(elite, nominal, v))
     if not np.any(w > 0.0):
         raise CeAdaptationError("CE elite set empty")
-    return w
+    return elite, w
 
 
 def _ce_final_block(task):
@@ -493,11 +472,10 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
             break
         if len(trace) > CE_MAX_ITER:
             raise CeAdaptationError("CE failed to reach target threshold")
-        v = ce_update(x, _elite_weights(x, h, gamma_hat, nominal, v),
-                      replace(v, gamma_t=gamma_hat))
+        v = ce_update(*_elite_weights(x, h, gamma_hat, nominal, v))
     pilot_work = S0 * len(trace)
     # final update at the true threshold, then the estimation run
-    vfin = ce_update(x, _elite_weights(x, h, g, nominal, v), replace(v, gamma_t=g))
+    vfin = ce_update(*_elite_weights(x, h, g, nominal, v))
     trace.append({"iteration": len(trace), "gamma_t": g,
                   "v1": vfin.v1, "v2": vfin.v2})
 
@@ -640,9 +618,9 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
     var_repl = float(estimates.var(ddof=1))
     wall = time.perf_counter() - t0
     chain_steps = s * schedule.n_levels * replications
-    warnings = []
+    notes = []
     if dead:
-        warnings.append(f"{len(dead)} replication(s) died with zero survivors")
+        notes.append(f"{len(dead)} replication(s) died with zero survivors")
     return EstimateResult(
         p_hat=p, var_hat=var_repl * s * schedule.n_levels, samples=chain_steps,
         wall_time_s=wall, method="mls", seed=rng.seed,
@@ -651,7 +629,7 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
                      "pilot_fractions": list(schedule.survivor_fractions),
                      "replications": replications, "per_level_samples": s,
                      "replication_estimates": estimates.tolist(),
-                     "warnings": warnings})
+                     "warnings": notes})
 
 
 ESTIMATORS = {

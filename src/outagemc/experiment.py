@@ -206,8 +206,9 @@ def _fmt_mu(config: ChannelConfig) -> str:
     return ";".join(f"{v:.10g}" for v in config.mu)
 
 
-def _row_from_result(result: EstimateResult, config: ChannelConfig) -> dict:
-    rep = metrics.efficiency_report(result) if result.p_hat > 0 else None
+def _row_from_result(result: EstimateResult, config: ChannelConfig,
+                     rep: metrics.EfficiencyReport | None) -> dict:
+    """One CSV row; rep is the result's efficiency report, None when p_hat = 0."""
     notes = list(result.warnings)
     if result.p_hat <= 0.0:
         notes.append("zero hits at this sample count; derived metrics undefined")
@@ -270,7 +271,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1, seed: int = None):
                 rows.append(_error_row(method, config, S, base_seed, str(exc)))
                 hard_failure = True
                 continue
-            rows.append(_row_from_result(result, config))
+            rep = metrics.efficiency_report(result) if result.p_hat > 0 else None
+            rows.append(_row_from_result(result, config, rep))
             sidecar["results"].append({
                 "method": method,
                 "axis_value": axis_value,
@@ -280,9 +282,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1, seed: int = None):
                 "stream_id": rng.stream_id,
                 "p_hat": result.p_hat,
                 "var_hat": result.var_hat,
-                "re": metrics.relative_error(result) if result.p_hat > 0 else None,
-                "scv": metrics.scv(result) if result.p_hat > 0 else None,
-                "wnrv_work": metrics.wnrv_work(result) if result.p_hat > 0 else None,
+                "re": rep.re if rep else None,
+                "scv": rep.scv if rep else None,
+                "wnrv_work": rep.wnrv_work if rep else None,
                 "wall_time_s": result.wall_time_s,
                 "work_units": result.work_units,
                 "diagnostics": result.diagnostics,

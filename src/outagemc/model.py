@@ -53,16 +53,6 @@ class ChannelConfig:
         return np.asarray(self.mu, dtype=float)
 
     @property
-    def k_factors(self) -> np.ndarray:
-        """Per-branch Rice K-factor, |mu_i|^2."""
-        return self.mu_array ** 2
-
-    @property
-    def total_powers(self) -> np.ndarray:
-        """Per-branch mean squared gain, |mu_i|^2 + 1."""
-        return self.mu_array ** 2 + 1.0
-
-    @property
     def mu_norm_sq(self) -> float:
         return float(np.sum(self.mu_array ** 2))
 

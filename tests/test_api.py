@@ -1,5 +1,9 @@
 """The public API, pinned: adding or removing a public name is a reviewed diff."""
 
+import inspect
+
+import pytest
+
 import outagemc
 
 PUBLIC = [
@@ -15,6 +19,20 @@ PUBLIC = [
     "regularized_lower_gamma", "relative_error", "scv", "wnrv", "wnrv_work",
 ]
 
+_HEAD = "config: 'ChannelConfig', S: 'int', rng: 'RngStream'"
+_TAIL = "workers: 'int' = 1) -> 'EstimateResult'"
+SIGNATURES = {
+    "estimate_nmc": f"({_HEAD}, {_TAIL}",
+    "estimate_uis": f"({_HEAD}, {_TAIL}",
+    "estimate_pis": f"({_HEAD}, {_TAIL}",
+    "estimate_et": f"({_HEAD}, {_TAIL}",
+    "estimate_ce": f"({_HEAD}, S0: 'int' = 100000, rho: 'float' = 0.1, {_TAIL}",
+    "estimate_mls": ("(config: 'ChannelConfig', s: 'int', rng: 'RngStream', "
+                     "schedule='auto', replications: 'int' = 50, "
+                     "target_cond_prob: 'float' = 0.2, pilot_samples: 'int' = 10000, "
+                     f"{_TAIL}"),
+}
+
 
 def test_every_public_name_resolves():
     for name in outagemc.__all__:
@@ -24,3 +42,8 @@ def test_every_public_name_resolves():
 def test_public_names_pinned():
     assert sorted(outagemc.__all__) == PUBLIC
     assert len(set(outagemc.__all__)) == len(outagemc.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_estimator_signatures_pinned(name):
+    assert str(inspect.signature(getattr(outagemc, name))) == SIGNATURES[name]

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from outagemc import estimators
 from outagemc.estimators import (
@@ -25,7 +26,7 @@ from outagemc.estimators import (
     estimate_uis,
     mls_pilot_levels,
 )
-from outagemc.model import ChannelConfig, closed_form_outage
+from outagemc.model import ChannelConfig, closed_form_outage, gsc_statistic_rows
 from outagemc.samplers import (
     RngStream,
     TruncationUnderflowError,
@@ -183,48 +184,84 @@ class TestEt:
         assert abs(r.p_hat - ref.p_hat) < 4.0 * se
 
 
+def _ce_objective(x, w, v1, v2):
+    """Weighted log-likelihood sum_s w_s ln f(x_s; v1, v2) that ce_update maximizes."""
+    arg = np.sqrt(v2 * x / v1)
+    t = -np.log(2 * v1) - v2 / 2 - x / (2 * v1) + log_bessel_i0(arg)
+    return float(w @ t.sum(axis=1))
+
+
+def _subset_pilot():
+    """A SUBSET pilot stage drawn from v = (0.2, 4), its statistic H and the
+    10% quantile of H, with the nominal law (0.5, 0.5) to weight towards."""
+    cfg = ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1)
+    nominal, v = CEParams(0.5, 0.5), CEParams(0.2, 4.0)
+    x = _scaled_ncx2_rows(v.v1, v.v2, RngStream(34).generator(), (5000, cfg.M))
+    h = gsc_statistic_rows(x, cfg.m)
+    return x, h, np.quantile(h, 0.1), nominal, v
+
+
+def _subset_elite_set():
+    """An elite set with unequal weights."""
+    return estimators._elite_weights(*_subset_pilot())
+
+
+def _boundary_set():
+    """Coordinates with m2 >= 2 m1^2 (a gamma law of shape 1/2 has m2 = 3 m1^2)."""
+    x = RngStream(35).generator().gamma(0.5, 0.4, size=(2000, 4))
+    return x, np.ones(x.shape[0])
+
+
 class TestCeUpdate:
     def test_ml_recovery(self):
         v1_true, v2_true = 0.35, 1.8
         x = _scaled_ncx2_rows(v1_true, v2_true, RngStream(15).generator(),
                               (250_000, 4))
-        got = ce_update(x, np.ones(x.shape[0]), CEParams(0.5, 0.5))
+        got = ce_update(x, np.ones(x.shape[0]))
         assert got.v1 == pytest.approx(v1_true, rel=0.02)
         assert got.v2 == pytest.approx(v2_true, rel=0.02)
 
-    def test_exponential_closed_form_with_v2_pinned(self):
-        # all coordinates equal to c with the noncentrality pinned at zero
-        # reduces to the exponential maximum likelihood fit, v1 = c / 2
-        c = 0.8
-        x = np.full((500, 3), c)
-        got = ce_update(x, np.ones(500), CEParams(0.5, 0.0), fix_v2=0.0)
+    def test_boundary_is_exponential_fit(self):
+        x, w = _boundary_set()
+        m1, m2 = np.mean(x), np.mean(x * x)
+        assert m2 >= 2.0 * m1 * m1
+        got = ce_update(x, w)
         assert got.v2 == 0.0
-        assert got.v1 == pytest.approx(c / 2.0, rel=1e-6)
+        assert got.v1 == pytest.approx(m1 / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("data", [_subset_elite_set, _boundary_set],
+                             ids=["subset-pilot", "boundary"])
+    def test_matches_direct_maximisation(self, data):
+        x, w = data()
+        got = ce_update(x, w)
+        # reference: Nelder-Mead in (ln v1, sqrt v2) from the exponential fit
+        m1 = float(w @ x.mean(axis=1)) / w.sum()
+        res = optimize.minimize(
+            lambda t: -_ce_objective(x, w, math.exp(t[0]), t[1] * t[1]),
+            [math.log(m1 / 2.0), 1.0], method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-10})
+        assert res.success
+        best = -res.fun
+        assert _ce_objective(x, w, got.v1, got.v2) >= best - 1e-9 * abs(best)
 
     def test_ascent(self):
         x = _scaled_ncx2_rows(0.5, 0.5, RngStream(16).generator(), (20_000, 4))
         w = (x.sum(axis=1) < 2.0).astype(float)
         current = CEParams(0.5, 0.5)
-
-        def objective(p):
-            arg = np.sqrt(p.v2 * x / p.v1)
-            t = (-np.log(2 * p.v1) - p.v2 / 2 - x / (2 * p.v1)
-                 + log_bessel_i0(arg))
-            return float(w @ t.sum(axis=1))
-
-        got = ce_update(x, w, current)
-        assert objective(got) >= objective(current) - 1e-9
+        got = ce_update(x, w)
+        assert (_ce_objective(x, w, got.v1, got.v2)
+                >= _ce_objective(x, w, current.v1, current.v2) - 1e-9)
 
     def test_all_zero_weights_rejected(self):
         x = np.ones((10, 2))
         with pytest.raises(ValueError):
-            ce_update(x, np.zeros(10), CEParams(1, 1))
+            ce_update(x, np.zeros(10))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="one weight per row"):
-            ce_update(np.ones((10, 2)), np.ones(9), CEParams(1, 1))
+            ce_update(np.ones((10, 2)), np.ones(9))
         with pytest.raises(ValueError, match="one weight per row"):
-            ce_update(np.ones(10), np.ones(10), CEParams(1, 1))
+            ce_update(np.ones(10), np.ones(10))
 
 
 class TestCe:
@@ -250,6 +287,18 @@ class TestCe:
         assert all(b < a for a, b in zip(gammas[:-1], gammas[1:-1]))
         assert gammas[-2] < cfg.gamma_th
         assert gammas[-1] == cfg.gamma_th
+
+    def test_elite_weights_are_the_nonzero_full_array_weights(self):
+        # the likelihood ratio is evaluated on elite rows only; it must equal,
+        # bit for bit, the nonzero entries of the ratio over every row
+        x, h, level, nominal, v = _subset_pilot()
+        full = np.where(h <= level,
+                        np.exp(estimators._ce_log_lr_rows(x, nominal, v)), 0.0)
+        elite, w = estimators._elite_weights(x, h, level, nominal, v)
+        assert np.array_equal(w, full[full != 0.0])
+        assert np.array_equal(elite, x[full != 0.0])
+        with pytest.raises(estimators.CeAdaptationError, match="elite set empty"):
+            estimators._elite_weights(x, h, -1.0, nominal, v)
 
     def test_agrees_with_reference(self, small_reference):
         r = estimate_ce(SMALL, 200_000, RngStream(21), S0=20_000)
@@ -405,8 +454,8 @@ class TestReproducibility:
          {"work_units": 20_000, "hits": 11223, "proposals": 49711}),
         ("et", 20_000, {}, 0.010683266318179318, 0.0001518257629254988,
          {"work_units": 20_000, "hits": 13166}),
-        ("ce", 20_000, {"S0": 2_000}, 0.010650028887467243,
-         0.00011109147506878174,
+        ("ce", 20_000, {"S0": 2_000}, 0.010650029016097228,
+         0.00011109147690091719,
          {"work_units": 24_000, "hits": 16316, "ce_stages": 3}),
         ("mls", 200, {"replications": 4, "pilot_samples": 1_000},
          0.0113750625, 0.003297175759375001,
