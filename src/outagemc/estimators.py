@@ -28,6 +28,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import optimize, special
@@ -41,6 +42,7 @@ from .samplers import (
     _nominal_rows,
     _pis_block_rows,
     _scaled_ncx2_rows,
+    _table_rows,
     compute_m_ell,
 )
 from .specfun import Ncx2Params, log_bessel_i0, ncx2_cdf
@@ -168,10 +170,31 @@ def _outage(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
     return gsc_statistic_rows(x, config.m) <= config.gamma_th
 
 
+def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
+    """_outage at x_j = F_j^{-1}(p[:, j]), decided from the quantile tables.
+
+    H is monotone and positively homogeneous, so table values within
+    relative error eps of x give H(x~)/(1+eps) <= H(x) <= H(x~)/(1-eps).
+    Rows with H(x~) within eps (plus a few ulps per summand for rounding) of
+    gamma_th, or NaN, are inverted exactly.
+    """
+    x, eps = _table_rows(p, config.mu_array)
+    tol = eps + 4.0 * (config.m + 2) * np.finfo(float).eps
+    h = gsc_statistic_rows(x, config.m)
+    mask = h <= config.gamma_th * (1.0 - tol)
+    band = ~mask & ~(h > config.gamma_th * (1.0 + tol))
+    if band.any():
+        mask[band] = _outage(config, _inverse_rows(p[band], config.mu_array))
+    return mask
+
+
+@lru_cache(maxsize=64)
 def _branch_cdfs(config: ChannelConfig) -> np.ndarray:
-    """k_j = P(X_j <= gamma_th), branch j's CDF at the threshold."""
-    return np.array([ncx2_cdf(2.0 * config.gamma_th, Ncx2Params(2, 2.0 * mu * mu))
-                     for mu in config.mu])
+    """k_j = P(X_j <= gamma_th), branch j's CDF at the threshold (read-only)."""
+    k = np.array([ncx2_cdf(2.0 * config.gamma_th, Ncx2Params(2, 2.0 * mu * mu))
+                  for mu in config.mu])
+    k.setflags(write=False)
+    return k
 
 
 def _underflow(what: str) -> TruncationUnderflowError:
@@ -250,8 +273,7 @@ def estimate_nmc(config: ChannelConfig, S: int, rng: RngStream,
 def _uis_block(task):
     config, k, stream, n = task
     u = stream.generator().random((n, config.M))
-    x = _inverse_rows(k * u, config.mu_array)
-    return int(np.count_nonzero(_outage(config, x)))
+    return int(np.count_nonzero(_outage_at(config, k * u)))
 
 
 def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
@@ -498,7 +520,7 @@ def _mls_advance(config: ChannelConfig, k, gen, g_surv, dt: float, s: int):
 
     Returns the gamma-process coordinates G and the outage mask of the
     channel point X = F^{-1}(1 - e^{-G}).  Rows with some 1 - e^{-G_j} above
-    k_j = F_j(gamma_th) have X_j > gamma_th, so they skip the inversion.
+    k_j = F_j(gamma_th) have X_j > gamma_th, so they skip the decision.
     """
     if g_surv is None:
         g_mat = gen.gamma(dt, size=(s, config.M))
@@ -507,7 +529,7 @@ def _mls_advance(config: ChannelConfig, k, gen, g_surv, dt: float, s: int):
         g_mat = g_surv[pick] + gen.gamma(dt, size=(s, config.M))
     p = -np.expm1(-g_mat)
     mask = ~(p > k).any(axis=1)
-    mask[mask] = _outage(config, _inverse_rows(p[mask], config.mu_array))
+    mask[mask] = _outage_at(config, p[mask])
     return g_mat, mask
 
 

@@ -17,6 +17,8 @@ from scipy import special
 
 from .specfun import (
     Ncx2Params,
+    _quantile_table,
+    _table_value,
     log_bessel_i0,
     ncx2_logcdf,
     ncx2_logpdf,
@@ -93,10 +95,11 @@ def _nominal_rows(mu: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarra
 def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """x[:, j] = (1/2) Q(p[:, j]; ncx2(2, 2 mu_j^2)), the branch-j inverse CDF.
 
-    The one truncated inverse transform: uis passes k_j u with k_j the
-    branch CDF at the threshold, mls passes 1 - e^{-G} for the gamma-process
-    coordinate G.  Columns sharing a mean share one quantile call; p is
-    floored at the smallest subnormal so the quantile stays finite.
+    The one truncated inverse transform, exact for the rows _table_rows
+    leaves in doubt: uis passes k_j u with k_j the branch CDF at the
+    threshold, mls passes 1 - e^{-G} for the gamma-process coordinate G.
+    Columns sharing a mean share one quantile call; p is floored at the
+    smallest subnormal so the quantile stays finite.
     """
     x = np.empty_like(p)
     for val in sorted(set(mu.tolist())):
@@ -105,6 +108,20 @@ def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
         x[:, cols] = 0.5 * ncx2_quantile(
             q.ravel(), Ncx2Params(2, 2.0 * val * val)).reshape(q.shape)
     return x
+
+
+def _table_rows(p: np.ndarray, mu: np.ndarray):
+    """(x, eps): _inverse_rows read off the quantile tables, no CDF evaluated.
+
+    |x / _inverse_rows(p, mu) - 1| <= eps wherever x is not NaN.
+    """
+    x, eps = np.empty_like(p), 0.0
+    for val in sorted(set(mu.tolist())):
+        cols = np.nonzero(mu == val)[0]
+        tab = _quantile_table(2, 2.0 * val * val)
+        x[:, cols] = 0.5 * _table_value(tab, p[:, cols], tab.n_cert)
+        eps = max(eps, tab.eps)
+    return x, eps
 
 
 def _simplex_rows(n: int, gamma_th: float, gen, rows: int) -> np.ndarray:

@@ -13,7 +13,8 @@ keeps the cost per extra mixture term at a few vector operations.
 
 The quantile is one certified Newton step from a monotone cubic Hermite
 start (Fritsch & Carlson, SIAM J. Numer. Anal. 1980) read off a cached
-table of ln x against logit p: one mixture evaluation per point.
+table of ln x against logit p: one mixture evaluation per point, or none
+for a caller that only needs the table's value within its certified eps.
 
 Everything that can underflow (densities, mixture weights, the CDF for
 very large noncentralities) also has a log-space path.
@@ -22,6 +23,7 @@ very large noncentralities) also has a log-space path.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +37,7 @@ _POISSON_TAIL = 1e-15
 # r^2 <= 1e-15 p min(p, 1 - p) keeps it below bracketed Newton's 4e-15 p.
 _TABLE_LOGIT = (math.log(1e-250), -math.log(5e-13), 8192)
 _NEWTON_CERT = 1e-15
+_QuantileTable = namedtuple("_QuantileTable", "s0 h log_x slope eps n_cert")
 
 
 @dataclass(frozen=True)
@@ -244,19 +247,44 @@ def ncx2_logcdf(x: float, params: Ncx2Params) -> float:
     return float(special.logsumexp(np.array(terms)))
 
 
+def _table_value(tab: _QuantileTable, q: np.ndarray, n: int) -> np.ndarray:
+    """The table's quantile at q where q lies in its first n intervals, else NaN."""
+    with np.errstate(divide="ignore"):
+        u = (np.log(q) - np.log1p(-q) - tab.s0) / tab.h
+    on = (u >= 0.0) & (u < n)
+    i = u[on].astype(np.intp)
+    t = u[on] - i
+    g, d, h = tab.log_x, tab.slope, tab.h
+    tm = 1.0 - t  # cubic Hermite basis on [s_i, s_i + h]
+    x = np.full(q.shape, np.nan)
+    x[on] = np.exp(tm * tm * ((1.0 + 2.0 * t) * g[i] + t * h * d[i])
+                   + t * t * ((3.0 - 2.0 * t) * g[i + 1] - tm * h * d[i + 1]))
+    return x
+
+
 @lru_cache(maxsize=64)
-def _quantile_table(dof: int, lam: float):
-    """(s_0, h, ln x, d ln x / ds) at the grid points s_0 + i h of s = logit p.
+def _quantile_table(dof: int, lam: float) -> _QuantileTable:
+    """ln x and d ln x / ds at the grid points s0 + i h of s = logit p.
 
     The exact slopes p (1 - p) / (x f(x)) reuse the solver's density; they
-    meet Fritsch & Carlson's monotonicity condition on this grid.
+    meet Fritsch & Carlson's monotonicity condition on this grid.  eps bounds
+    the relative error on the n_cert intervals below logit p = 15, past which
+    the CDF's rounding makes the solved quantile too noisy to check against:
+    8 times the worst error at the midpoints, where the Hermite error peaks,
+    plus 1e-12 for the one-step quantile's own error; inf if not finite.
     """
     s = np.linspace(*_TABLE_LOGIT)
     p = special.expit(s)
     x, pdf = _quantile_newton(p, dof, lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = p * special.expit(-s) / (x * pdf)
-    return s[0], s[1] - s[0], np.log(x), slope
+    tab = _QuantileTable(s[0], s[1] - s[0], np.log(x), slope, math.inf, 0)
+    n = int((15.0 - s[0]) // tab.h)
+    p_mid = special.expit(s[:n] + 0.5 * tab.h)
+    x_tab = _table_value(tab, p_mid, n)
+    x_mid, _ = _quantile_newton(p_mid, dof, lam, x_tab)
+    eps = 8.0 * float(np.max(np.abs(x_tab / x_mid - 1.0))) + 1e-12
+    return tab._replace(eps=eps, n_cert=n) if math.isfinite(eps) else tab
 
 
 def _quantile_init(p, dof, lam):
@@ -323,20 +351,17 @@ def ncx2_quantile(p, params: Ncx2Params):
     p is clipped to 1 - 1e-14 on the right before solving (the mixture CDF
     saturates to 1 at the Poisson tail-truncation level anyway).  Points off
     the table or uncertified get bracketed Newton; batch size never matters.
+    For 1e-250 <= p and logit p < 15 the start is within the table's eps.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("ncx2_quantile requires p in the open interval (0, 1)")
     dof, lam = params.dof, params.noncentrality
-    s0, h, g, d = _quantile_table(dof, lam)
+    tab = _quantile_table(dof, lam)
     q = np.clip(arr.ravel(), 5e-324, 1.0 - 1e-14)
-    u = (np.log(q) - np.log1p(-q) - s0) / h
-    on = (u >= 0.0) & (u < g.size - 1)
-    i = u[on].astype(np.intp)
-    t, q_on = u[on] - i, q[on]
-    tm = 1.0 - t  # cubic Hermite basis on [s_i, s_i + h]
-    x0 = np.exp(tm * tm * ((1.0 + 2.0 * t) * g[i] + t * h * d[i])
-                + t * t * ((3.0 - 2.0 * t) * g[i + 1] - tm * h * d[i + 1]))
+    x0 = _table_value(tab, q, tab.log_x.size - 1)
+    on = ~np.isnan(x0)
+    q_on, x0 = q[on], x0[on]
     cdf, pdf = _cdf_pdf_raw(x0, dof, lam, want_pdf=True)
     r = cdf - q_on
     with np.errstate(divide="ignore", invalid="ignore"):

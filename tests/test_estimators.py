@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from outagemc import estimators
+from outagemc import estimators, samplers, specfun
 from outagemc.estimators import (
     ESTIMATORS,
     CEParams,
@@ -387,6 +387,93 @@ class TestMlsRowSkip:
         assert np.any(p >= 1.0 - 1e-14) and np.any(p > k) and np.any(mask)
         full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
         assert np.array_equal(mask, full)
+
+
+class TestTableDecision:
+    """The outage decision read off the quantile tables equals the outage
+    mask of the exact inverse transform, row for row."""
+
+    CONFIGS = [
+        ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1),
+        ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0),
+        SMALL,
+        ChannelConfig(M=8, m=4, mu=0.5, gamma_th=1.0),
+        ChannelConfig(M=8, m=2, mu=3.0, gamma_th=20.0),  # lambda = 18
+        ChannelConfig(M=8, m=2, mu=5.0, gamma_th=50.0),  # lambda = 50, uncertified
+    ]
+    IDS = ["subset", "los", "small", "dense", "mu3", "mu5"]
+
+    @staticmethod
+    def rows(cfg, style):
+        gen = np.random.default_rng(17)
+        k = estimators._branch_cdfs(cfg)
+        if style == "uis":
+            return k * gen.random((100_000, cfg.M))
+        # gamma-process points over a spread of path lengths, pre-skipped by k
+        g = gen.gamma(0.3, size=(100_000, cfg.M)) * 10.0 ** gen.uniform(-3, 1, (100_000, 1))
+        p = -np.expm1(-g)
+        return p[~(p > k).any(axis=1)]
+
+    @staticmethod
+    def band_sizes(monkeypatch):
+        sizes = []
+        exact = estimators._inverse_rows
+
+        def recording(p, mu):
+            sizes.append(p.shape[0])
+            return exact(p, mu)
+
+        monkeypatch.setattr(estimators, "_inverse_rows", recording)
+        return sizes
+
+    @pytest.mark.parametrize("style", ["uis", "mls"])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+    def test_matches_exact_inversion(self, cfg, style, monkeypatch):
+        p = self.rows(cfg, style)
+        full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
+        band = self.band_sizes(monkeypatch)
+        mask = estimators._outage_at(cfg, p)
+        assert p.shape[0] > 1000 and full.any() and not full.all()
+        assert np.array_equal(mask, full)
+        if cfg.mu[0] == 5.0:  # no certificate: every row is inverted exactly
+            assert band == [p.shape[0]]
+
+    @pytest.mark.parametrize("cfg", CONFIGS[:2], ids=IDS[:2])
+    def test_forced_band(self, cfg, monkeypatch):
+        table = samplers._quantile_table
+        monkeypatch.setattr(samplers, "_quantile_table",
+                            lambda dof, lam: table(dof, lam)._replace(eps=1e-2))
+        p = self.rows(cfg, "uis")
+        band = self.band_sizes(monkeypatch)
+        mask = estimators._outage_at(cfg, p)
+        assert 0 < sum(band) < p.shape[0]
+        assert np.array_equal(mask, estimators._outage(cfg, _inverse_rows(p, cfg.mu_array)))
+
+    def test_few_coordinates_reach_the_cdf(self, monkeypatch):
+        # a count, not a timing: mixture-CDF points per coordinate whose
+        # outage is decided, after tables and threshold CDFs are cached
+        cfg = ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0)
+        estimate_uis(cfg, 1000, RngStream(5))
+        estimate_mls(cfg, 300, RngStream(5), replications=5)
+        decided, points = [], []
+        decide, raw = estimators._outage_at, specfun._cdf_pdf_raw
+
+        def deciding(config, p):
+            decided.append(p.size)
+            return decide(config, p)
+
+        def counting(x, *args, **kwargs):
+            points.append(np.size(x))
+            return raw(x, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_outage_at", deciding)
+        monkeypatch.setattr(specfun, "_cdf_pdf_raw", counting)
+        estimate_uis(cfg, 100_000, RngStream(6))
+        assert sum(decided) == 800_000 and sum(points) <= 0.01 * sum(decided)
+        decided.clear()
+        points.clear()
+        estimate_mls(cfg, 300, RngStream(6), replications=5)
+        assert sum(decided) > 100_000 and sum(points) <= 0.01 * sum(decided)
 
 
 class TestScvSampleSizeInvariance:

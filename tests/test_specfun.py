@@ -10,6 +10,7 @@ kept next to each constant so the numbers can be re-derived.
 
 import numpy as np
 import pytest
+from scipy import special
 
 from outagemc import specfun
 from outagemc.specfun import (
@@ -251,10 +252,31 @@ class TestNcx2Quantile:
     def test_table_monotone(self, lam):
         # Fritsch & Carlson: alpha^2 + beta^2 <= 9 keeps each Hermite piece
         # monotone; the exact slopes meet it without limiting
-        _, h, g, d = specfun._quantile_table(2, lam)
-        secant = np.diff(g) / h
+        tab = specfun._quantile_table(2, lam)
+        d = tab.slope
+        secant = np.diff(tab.log_x) / tab.h
         assert np.all(secant > 0.0)
         assert np.all((d[:-1] / secant) ** 2 + (d[1:] / secant) ** 2 <= 9.0)
+
+    @pytest.mark.parametrize("lam", [0.5, 10.58, 18.0, 42.32])
+    def test_table_error_certified(self, lam):
+        # the bound comes from one midpoint per interval; check it at 15
+        # interior points of every certified interval against the quantile
+        params = Ncx2Params(2, lam)
+        tab = specfun._quantile_table(2, lam)
+        assert 0.0 < tab.eps < 1e-5 and tab.n_cert > 8000
+        u = (np.arange(tab.n_cert)[:, None] + np.arange(1, 16) / 16.0).ravel()
+        p = special.expit(tab.s0 + u * tab.h)
+        x = specfun._table_value(tab, p, tab.n_cert)
+        assert not np.isnan(x).any()
+        assert np.max(np.abs(x / ncx2_quantile(p, params) - 1.0)) <= tab.eps
+
+    def test_table_error_uncertified(self):
+        # the table of lambda = 50 has a NaN slope and NaN midpoints, so no
+        # point may be read off it (TestTableDecision inverts every row)
+        tab = specfun._quantile_table(2, 50.0)
+        assert np.isnan(tab.slope).any()
+        assert tab.eps == np.inf and tab.n_cert == 0
 
     @pytest.mark.parametrize("lam,x_th", [(0.5, 0.2), (10.58, 34.0)])
     def test_one_cdf_evaluation_per_point(self, lam, x_th, monkeypatch):
