@@ -19,13 +19,12 @@ from .metrics import (
     EfficiencyReport,
     confidence_interval,
     efficiency_report,
-    m_ell_asymptotic,
     relative_error,
     scv,
     wnrv,
     wnrv_work,
 )
-from .model import ChannelConfig, EstimateResult, closed_form_outage, gsc_statistic
+from .model import ChannelConfig, EstimateResult, closed_form_outage
 from .samplers import (
     MellBound,
     RejectionStalledError,
@@ -33,28 +32,18 @@ from .samplers import (
     TruncationUnderflowError,
     compute_m_ell,
 )
-from .specfun import (
-    Ncx2Params,
-    log_bessel_i0,
-    marcum_q,
-    ncx2_cdf,
-    ncx2_logcdf,
-    ncx2_pdf,
-    ncx2_quantile,
-    regularized_lower_gamma,
-)
+from .specfun import Ncx2Params, log_bessel_i0, ncx2_cdf, ncx2_logcdf, ncx2_quantile
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelConfig", "EstimateResult", "closed_form_outage", "gsc_statistic",
-    "Ncx2Params", "log_bessel_i0", "marcum_q", "ncx2_cdf", "ncx2_logcdf",
-    "ncx2_pdf", "ncx2_quantile", "regularized_lower_gamma",
+    "ChannelConfig", "EstimateResult", "closed_form_outage",
+    "Ncx2Params", "log_bessel_i0", "ncx2_cdf", "ncx2_logcdf", "ncx2_quantile",
     "RngStream", "MellBound", "compute_m_ell", "RejectionStalledError",
     "TruncationUnderflowError",
     "CEParams", "MlsSchedule", "PartitionPlan", "CeAdaptationError",
     "build_partition_plan", "ce_update", "estimate_nmc", "estimate_uis",
     "estimate_pis", "estimate_et", "estimate_ce", "estimate_mls",
     "mls_pilot_levels", "EfficiencyReport", "relative_error", "scv", "wnrv",
-    "wnrv_work", "confidence_interval", "m_ell_asymptotic", "efficiency_report",
+    "wnrv_work", "confidence_interval", "efficiency_report",
 ]

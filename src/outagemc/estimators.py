@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,7 +46,7 @@ from .samplers import (
     _table_rows,
     compute_m_ell,
 )
-from .specfun import Ncx2Params, log_bessel_i0, ncx2_cdf
+from .specfun import Ncx2Params, _quantile_table, log_bessel_i0, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
@@ -170,31 +171,84 @@ def _outage(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
     return gsc_statistic_rows(x, config.m) <= config.gamma_th
 
 
-def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
-    """_outage at x_j = F_j^{-1}(p[:, j]), decided from the quantile tables.
+def _tolerance(m: int, eps: float) -> float:
+    """Relative band of the table decision: eps plus a few ulps per summand of H."""
+    return eps + 4.0 * (m + 2) * np.finfo(float).eps
 
-    H is monotone and positively homogeneous, so table values within
-    relative error eps of x give H(x~)/(1+eps) <= H(x) <= H(x~)/(1-eps).
-    Rows with H(x~) within eps (plus a few ulps per summand for rounding) of
-    gamma_th, or NaN, are inverted exactly.
-    """
-    x, eps = _table_rows(p, config.mu_array)
-    tol = eps + 4.0 * (config.m + 2) * np.finfo(float).eps
-    h = gsc_statistic_rows(x, config.m)
-    mask = h <= config.gamma_th * (1.0 - tol)
-    band = ~mask & ~(h > config.gamma_th * (1.0 + tol))
-    if band.any():
-        mask[band] = _outage(config, _inverse_rows(p[band], config.mu_array))
-    return mask
+
+_Screen = namedtuple("_Screen", "k levels weights")
 
 
 @lru_cache(maxsize=64)
-def _branch_cdfs(config: ChannelConfig) -> np.ndarray:
-    """k_j = P(X_j <= gamma_th), branch j's CDF at the threshold (read-only)."""
-    k = np.array([ncx2_cdf(2.0 * config.gamma_th, Ncx2Params(2, 2.0 * mu * mu))
-                  for mu in config.mu])
-    k.setflags(write=False)
-    return k
+def _screen(config: ChannelConfig) -> _Screen:
+    """Branch CDFs at the threshold and the levels of the p-space screen.
+
+    k_j = F_j(gamma_th) is uis's truncation point.  The three rows of
+    levels are F_j at gamma_th/m (1 - tol), gamma_th/m (1 + tol) and
+    gamma_th (1 + tol), with tol the table decision's band; an upper level
+    past the quantile's clip at 1 - 1e-14, or any level of an uncertified
+    table, is made one that decides nothing.  weights turn a row's
+    comparisons into _outage_at's count s; their dtype is the smallest
+    unsigned one that holds the largest s, so the row-sum casts the
+    comparisons to at most that width.  All arrays are read-only.
+    """
+    M, m, g = config.M, config.m, config.gamma_th
+    mu = config.mu_array
+    tol = _tolerance(m, max(_quantile_table(2, 2.0 * v * v).eps for v in config.mu))
+    x = 2.0 * g * np.array([max(1.0 - tol, 0.0) / m, (1.0 + tol) / m, 1.0 + tol])
+    k = np.empty(M)
+    levels = np.array([[-np.inf], [np.inf], [np.inf]]).repeat(M, axis=1)
+    for val in set(config.mu):
+        params = Ncx2Params(2, 2.0 * val * val)
+        k[mu == val] = ncx2_cdf(2.0 * g, params)
+        if math.isfinite(tol):
+            levels[:, mu == val] = ncx2_cdf(x, params)[:, None]
+    levels[1:][levels[1:] > 1.0 - 1e-14] = np.inf
+    weights = np.repeat([1, M + 1, m * (M + 1)], M)
+    weights = weights.astype(np.min_scalar_type(weights.sum()))
+    for a in (k, levels, weights):
+        a.setflags(write=False)
+    return _Screen(k, levels, weights)
+
+
+def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
+    """_outage at x_j = F_j^{-1}(p[:, j]), decided in p-space where it can be.
+
+    F_j^{-1} increases, so p_j against F_j at a level places x_j against
+    that level.  No x_j above gamma_th/m puts H at most gamma_th; m of them
+    above gamma_th/m, or one above gamma_th, puts H above.  One comparison
+    and one weighted row-sum give s = #(p_j > level 0) + (M + 1) #(p_j >
+    level 1) + m (M + 1) #(p_j > level 2), so s = 0 means outage and
+    s >= m (M + 1) means none.
+
+    The levels sit a relative tol, the table band, outside gamma_th/m and
+    gamma_th.  The exact inverse solves the same mixture CDF that gives the
+    levels, and eps is 8 times the worst gap between that solver and the
+    smooth table, so the CDF's rounding noise moves a solved x by far less
+    than tol: a p past a level solves to an x past it, and the ulps in tol
+    cover the rounding of H.  Rows with a p_j inside that margin, or with 1
+    to m - 1 coordinates past gamma_th/m, are left in doubt and read off
+    the quantile tables: H is monotone and positively homogeneous, so table
+    values within relative error eps of x give H(x~)/(1+eps) <= H(x) <=
+    H(x~)/(1-eps), and rows with H(x~) within tol of gamma_th, or NaN, are
+    inverted exactly.
+    """
+    scr = _screen(config)
+    n, M = p.shape
+    s = (p[:, None, :] > scr.levels).reshape(n, 3 * M).view(np.uint8) @ scr.weights
+    mask = s == 0
+    doubt = ~mask & (s < config.m * (M + 1))
+    if doubt.any():
+        q = p[doubt]
+        x, eps = _table_rows(q, config.mu_array)
+        tol = _tolerance(config.m, eps)
+        h = gsc_statistic_rows(x, config.m)
+        hit = h <= config.gamma_th * (1.0 - tol)
+        band = ~hit & ~(h > config.gamma_th * (1.0 + tol))
+        if band.any():
+            hit[band] = _outage(config, _inverse_rows(q[band], config.mu_array))
+        mask[doubt] = hit
+    return mask
 
 
 def _underflow(what: str) -> TruncationUnderflowError:
@@ -288,7 +342,7 @@ def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
     if S < 1:
         raise ValueError("S must be >= 1")
     t0 = time.perf_counter()
-    k = _branch_cdfs(config)
+    k = _screen(config).k
     ell1 = math.prod(k.tolist())
     if ell1 < np.finfo(float).tiny:
         raise _underflow(f"ell1 underflows to {ell1!r}")
@@ -515,31 +569,29 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
 # multilevel splitting
 
 
-def _mls_advance(config: ChannelConfig, k, gen, g_surv, dt: float, s: int):
+def _mls_advance(config: ChannelConfig, gen, g_surv, dt: float, s: int):
     """s paths advanced by dt from survivors picked uniformly (fresh if None).
 
     Returns the gamma-process coordinates G and the outage mask of the
-    channel point X = F^{-1}(1 - e^{-G}).  Rows with some 1 - e^{-G_j} above
-    k_j = F_j(gamma_th) have X_j > gamma_th, so they skip the decision.
+    channel point X = F^{-1}(1 - e^{-G}), decided by _outage_at: rows with
+    all X_j below gamma_th/m, m of them above it or one above gamma_th
+    never reach the quantile tables.
     """
     if g_surv is None:
         g_mat = gen.gamma(dt, size=(s, config.M))
     else:
         pick = gen.integers(0, g_surv.shape[0], size=s)
         g_mat = g_surv[pick] + gen.gamma(dt, size=(s, config.M))
-    p = -np.expm1(-g_mat)
-    mask = ~(p > k).any(axis=1)
-    mask[mask] = _outage_at(config, p[mask])
-    return g_mat, mask
+    return g_mat, _outage_at(config, -np.expm1(-g_mat))
 
 
 def _mls_replication(task):
-    config, k, levels, stream, s = task
+    config, levels, stream, s = task
     gen = stream.generator()
     estimate = 1.0
     g_surv = None
     for idx in range(1, len(levels)):
-        g_mat, mask = _mls_advance(config, k, gen, g_surv,
+        g_mat, mask = _mls_advance(config, gen, g_surv,
                                    levels[idx] - levels[idx - 1], s)
         count = int(np.count_nonzero(mask))
         estimate *= count / s
@@ -563,13 +615,12 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
     if pilot_samples < 100:
         raise ValueError("pilot_samples must be >= 100")
     gen = rng.generator()
-    k = _branch_cdfs(config)
     work = 0
 
     def cond_fraction(t_from, t_to, g_surv):
         nonlocal work
         work += pilot_samples
-        g_mat, mask = _mls_advance(config, k, gen, g_surv, t_to - t_from,
+        g_mat, mask = _mls_advance(config, gen, g_surv, t_to - t_from,
                                    pilot_samples)
         return float(np.mean(mask)), g_mat[mask]
 
@@ -632,7 +683,7 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
         raise ValueError("schedule must be an MlsSchedule or 'auto'")
     # one block of s chains per replication
     parts = _run_blocks(_mls_replication,
-                        (config, _branch_cdfs(config), schedule.levels),
+                        (config, schedule.levels),
                         s * replications, rng, workers, first=1, block=s)
     estimates = np.array([p[0] for p in parts])
     dead = [i for i, p in enumerate(parts) if p[1]]

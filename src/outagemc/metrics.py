@@ -77,38 +77,6 @@ def confidence_interval(result: EstimateResult, level: float,
     return (lo, hi)
 
 
-def log_m_ell_asymptotic(mu: float, n: int, gamma_th: float) -> float:
-    """Large-mean log-asymptote of the partition rejection constant.
-
-    ln M ~ ln[ n^{(2n+1)/4} g^{(n+1)/4} / (2^{n-1} n! pi^{(n-1)/2}
-    e^{(n-1)g}) ] + (n+1)/2 ln mu + 2 sqrt(g) (n - sqrt(n)) mu, valid for
-    mu > 1 with the threshold below the density mode, i.e. in the
-    increasing-density branch of compute_m_ell (2 g <= 2 mu^2 - 2).
-    """
-    if mu <= 1.0:
-        raise ValueError("asymptotic regime needs mu > 1")
-    if 2.0 * gamma_th > 2.0 * mu * mu - 2.0:
-        raise ValueError("asymptotic regime needs 2 gamma_th <= 2 mu^2 - 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return ((2 * n + 1) / 4.0 * math.log(n)
-            + (n + 1) / 4.0 * math.log(gamma_th)
-            - (n - 1) * math.log(2.0)
-            - float(special.gammaln(n + 1))
-            - (n - 1) / 2.0 * math.log(math.pi)
-            - (n - 1) * gamma_th
-            + (n + 1) / 2.0 * math.log(mu)
-            + 2.0 * math.sqrt(gamma_th) * (n - math.sqrt(n)) * mu)
-
-
-def m_ell_asymptotic(mu: float, n: int, gamma_th: float) -> float:
-    """Large-mean asymptote of the rejection constant (exp of the log form)."""
-    try:
-        return math.exp(log_m_ell_asymptotic(mu, n, gamma_th))
-    except OverflowError:
-        return math.inf
-
-
 def efficiency_report(result: EstimateResult, level: float = 0.95) -> EfficiencyReport:
     return EfficiencyReport(
         re=relative_error(result),

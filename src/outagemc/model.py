@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -101,23 +101,8 @@ class EstimateResult:
         return self.diagnostics.get("warnings", [])
 
 
-def gsc_statistic(x: Sequence[float], m: int) -> float:
-    """Sum of the m largest entries of x (partial selection, no full sort)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("gsc_statistic expects a 1-D vector")
-    M = arr.shape[0]
-    if not 1 <= m <= M:
-        raise ValueError(f"m must satisfy 1 <= m <= len(x), got m={m}, len={M}")
-    if np.any(arr < 0.0):
-        raise ValueError("gsc_statistic requires nonnegative entries")
-    if m == M:
-        return float(arr.sum())
-    return float(np.partition(arr, M - m)[M - m:].sum())
-
-
 def gsc_statistic_rows(x: np.ndarray, m: int) -> np.ndarray:
-    """Row-wise gsc_statistic for an (n, M) sample block."""
+    """Sum of the m largest entries of each row of an (n, M) sample block."""
     M = x.shape[1]
     if m == M:
         return x.sum(axis=1)

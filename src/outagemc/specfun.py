@@ -66,17 +66,6 @@ def log_bessel_i0(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def regularized_lower_gamma(a, x):
-    """P(a, x) = gamma(a, x) / Gamma(a) for a > 0, x >= 0."""
-    if np.any(np.asarray(a, dtype=float) <= 0.0):
-        raise ValueError("regularized_lower_gamma requires a > 0")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("regularized_lower_gamma requires x >= 0")
-    out = special.gammainc(a, arr)
-    return float(out) if np.isscalar(x) and np.isscalar(a) else out
-
-
 def log_regularized_lower_gamma(a: float, x: float) -> float:
     """ln P(a, x), accurate deep in the left tail where P underflows.
 
@@ -202,15 +191,6 @@ def ncx2_logpdf(x, params: Ncx2Params):
     if k == 2:
         out = np.where(arr == 0.0, -math.log(2.0) - lam / 2.0, out)
     return float(out) if scalar else out
-
-
-def ncx2_pdf(x, params: Ncx2Params):
-    """Noncentral chi-square density (computed in log space, then exponentiated)."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("ncx2_pdf requires x >= 0")
-    out = np.exp(ncx2_logpdf(arr, params))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def ncx2_logcdf(x: float, params: Ncx2Params) -> float:
@@ -374,34 +354,3 @@ def ncx2_quantile(p, params: Ncx2Params):
     if rescue.any():
         out[rescue] = _quantile_newton(q[rescue], dof, lam, out[rescue])[0]
     return float(out[0]) if np.isscalar(p) or arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def marcum_q(order: int, a, b):
-    """Marcum Q_m(a, b), via the complementary (upper-tail) Poisson mixture.
-
-    Independent of ncx2_cdf's lower-tail path: anchored on gammaincc with the
-    additive upward recurrence Q(a+1, y) = Q(a, y) + y^a e^{-y} / Gamma(a+1),
-    so Q_m(sqrt(lam), sqrt(x)) + F(x; 2m, lam) = 1 is a genuine cross-check.
-    """
-    if order < 1 or order != int(order):
-        raise ValueError("marcum_q requires integer order >= 1")
-    a_val = float(a)
-    b_arr = np.asarray(b, dtype=float)
-    if a_val < 0.0 or np.any(b_arr < 0.0):
-        raise ValueError("marcum_q requires a >= 0 and b >= 0")
-    y = b_arr * b_arr / 2.0
-    j_lo, w = _mixture_window(a_val * a_val / 2.0)
-    s = int(order) + j_lo
-    q_term = special.gammaincc(s, y)
-    with np.errstate(divide="ignore"):
-        t = np.exp(s * np.log(y) - y - special.gammaln(s + 1.0))
-    out = w[0] * q_term
-    aa = float(s)
-    for i in range(1, len(w)):
-        q_term = q_term + t
-        t = t * (y / (aa + 1.0))
-        aa += 1.0
-        out = out + w[i] * q_term
-    out = np.clip(out, 0.0, 1.0)
-    scalar = np.isscalar(b) or b_arr.ndim == 0
-    return float(out) if scalar else out

@@ -1,10 +1,19 @@
-"""Shared test references computed with scipy alone."""
+"""Shared test references and oracles.
+
+The references are computed with scipy alone.  The oracles below them are
+small functions the package itself does not call: the scalar top-m sum,
+P(a, x), the density, Marcum Q (the upper-tail cross-check of ncx2_cdf)
+and the paper's large-mean asymptote of the rejection constant.  Test
+modules import them with ``from conftest import ...``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 from scipy import optimize, special, stats
+
+from outagemc.specfun import Ncx2Params, _mixture_window, ncx2_logpdf
 
 
 def _log_branch_density(x, mu):
@@ -54,3 +63,170 @@ def _log_sup_density_ratio_fixture():
 @pytest.fixture(name="log_best_simplex_density_ratio", scope="session")
 def _log_best_simplex_density_ratio_fixture():
     return log_best_simplex_density_ratio
+"""Shared test references and oracles.
+
+The references are computed with scipy alone.  The oracles below them are
+small functions the package itself does not call: the scalar top-m sum,
+P(a, x), the density, Marcum Q (the upper-tail cross-check of ncx2_cdf)
+and the paper's large-mean asymptote of the rejection constant.  Test
+modules import them with ``from conftest import ...``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import optimize, special, stats
+
+from outagemc.specfun import Ncx2Params, _mixture_window, ncx2_logpdf
+
+
+def _log_branch_density(x, mu):
+    """ln f_X(x) for X = (1/2) ncx2(2, 2 mu^2): -x - mu^2 + ln I0(2 mu sqrt x)."""
+    z = 2.0 * mu * np.sqrt(x)
+    return -x - mu * mu + np.log(special.i0e(z)) + z
+
+
+def log_sup_density_ratio(mu, n, gamma):
+    """ln sup f/g over the solid simplex {x >= 0, sum x <= gamma}.
+
+    f is the joint density of n iid branches conditioned on their sum being
+    at most gamma, g = n! / gamma^n the uniform-simplex proposal.  f_X is
+    log-concave, so the product of n copies peaks at equal coordinates
+    x* = min(mode of f_X, gamma / n).  The normalizer is scipy's ncx2 CDF,
+    which underflows to zero far in the lower tail, so keep gamma moderate.
+    """
+    if mu <= 1.0:
+        mode = 0.0
+    else:
+        mode = optimize.minimize_scalar(
+            lambda x: -_log_branch_density(x, mu), bounds=(0.0, mu * mu),
+            method="bounded", options={"xatol": 1e-10}).x
+    x_star = min(mode, gamma / n)
+    log_cdf = stats.ncx2.logcdf(2.0 * gamma, 2 * n, 2.0 * n * mu * mu)
+    return float(n * (math.log(gamma) + _log_branch_density(x_star, mu))
+                 - special.gammaln(n + 1) - log_cdf)
+
+
+def log_best_simplex_density_ratio(mu, n, gamma, rows, seed):
+    """Largest ln f/g over `rows` uniform draws from the solid simplex."""
+    gen = np.random.default_rng(seed)
+    log_cdf = stats.ncx2.logcdf(2.0 * gamma, 2 * n, 2.0 * n * mu * mu)
+    best = -math.inf
+    for chunk in range(0, rows, 200_000):
+        e = gen.standard_exponential((min(200_000, rows - chunk), n + 1))
+        x = gamma * e[:, :n] / e.sum(axis=1, keepdims=True)
+        best = max(best, float(_log_branch_density(x, mu).sum(axis=1).max()))
+    return n * math.log(gamma) + best - special.gammaln(n + 1) - log_cdf
+
+
+@pytest.fixture(name="log_sup_density_ratio", scope="session")
+def _log_sup_density_ratio_fixture():
+    return log_sup_density_ratio
+
+
+@pytest.fixture(name="log_best_simplex_density_ratio", scope="session")
+def _log_best_simplex_density_ratio_fixture():
+    return log_best_simplex_density_ratio
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def gsc_statistic(x, m: int) -> float:
+    """Sum of the m largest entries of x (partial selection, no full sort)."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("gsc_statistic expects a 1-D vector")
+    M = arr.shape[0]
+    if not 1 <= m <= M:
+        raise ValueError(f"m must satisfy 1 <= m <= len(x), got m={m}, len={M}")
+    if np.any(arr < 0.0):
+        raise ValueError("gsc_statistic requires nonnegative entries")
+    if m == M:
+        return float(arr.sum())
+    return float(np.partition(arr, M - m)[M - m:].sum())
+
+
+def regularized_lower_gamma(a, x):
+    """P(a, x) = gamma(a, x) / Gamma(a) for a > 0, x >= 0."""
+    if np.any(np.asarray(a, dtype=float) <= 0.0):
+        raise ValueError("regularized_lower_gamma requires a > 0")
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0.0):
+        raise ValueError("regularized_lower_gamma requires x >= 0")
+    out = special.gammainc(a, arr)
+    return float(out) if np.isscalar(x) and np.isscalar(a) else out
+
+
+def ncx2_pdf(x, params: Ncx2Params):
+    """Noncentral chi-square density (computed in log space, then exponentiated)."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0.0):
+        raise ValueError("ncx2_pdf requires x >= 0")
+    out = np.exp(ncx2_logpdf(arr, params))
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def marcum_q(order: int, a, b):
+    """Marcum Q_m(a, b), via the complementary (upper-tail) Poisson mixture.
+
+    Independent of ncx2_cdf's lower-tail path: anchored on gammaincc with the
+    additive upward recurrence Q(a+1, y) = Q(a, y) + y^a e^{-y} / Gamma(a+1),
+    so Q_m(sqrt(lam), sqrt(x)) + F(x; 2m, lam) = 1 is a genuine cross-check.
+    """
+    if order < 1 or order != int(order):
+        raise ValueError("marcum_q requires integer order >= 1")
+    a_val = float(a)
+    b_arr = np.asarray(b, dtype=float)
+    if a_val < 0.0 or np.any(b_arr < 0.0):
+        raise ValueError("marcum_q requires a >= 0 and b >= 0")
+    y = b_arr * b_arr / 2.0
+    j_lo, w = _mixture_window(a_val * a_val / 2.0)
+    s = int(order) + j_lo
+    q_term = special.gammaincc(s, y)
+    with np.errstate(divide="ignore"):
+        t = np.exp(s * np.log(y) - y - special.gammaln(s + 1.0))
+    out = w[0] * q_term
+    aa = float(s)
+    for i in range(1, len(w)):
+        q_term = q_term + t
+        t = t * (y / (aa + 1.0))
+        aa += 1.0
+        out = out + w[i] * q_term
+    out = np.clip(out, 0.0, 1.0)
+    scalar = np.isscalar(b) or b_arr.ndim == 0
+    return float(out) if scalar else out
+
+
+def log_m_ell_asymptotic(mu: float, n: int, gamma_th: float) -> float:
+    """Large-mean log-asymptote of the partition rejection constant.
+
+    ln M ~ ln[ n^{(2n+1)/4} g^{(n+1)/4} / (2^{n-1} n! pi^{(n-1)/2}
+    e^{(n-1)g}) ] + (n+1)/2 ln mu + 2 sqrt(g) (n - sqrt(n)) mu, valid for
+    mu > 1 with the threshold below the density mode, i.e. in the
+    increasing-density branch of compute_m_ell (2 g <= 2 mu^2 - 2).
+    """
+    if mu <= 1.0:
+        raise ValueError("asymptotic regime needs mu > 1")
+    if 2.0 * gamma_th > 2.0 * mu * mu - 2.0:
+        raise ValueError("asymptotic regime needs 2 gamma_th <= 2 mu^2 - 2")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return ((2 * n + 1) / 4.0 * math.log(n)
+            + (n + 1) / 4.0 * math.log(gamma_th)
+            - (n - 1) * math.log(2.0)
+            - float(special.gammaln(n + 1))
+            - (n - 1) / 2.0 * math.log(math.pi)
+            - (n - 1) * gamma_th
+            + (n + 1) / 2.0 * math.log(mu)
+            + 2.0 * math.sqrt(gamma_th) * (n - math.sqrt(n)) * mu)
+
+
+def m_ell_asymptotic(mu: float, n: int, gamma_th: float) -> float:
+    """Large-mean asymptote of the rejection constant (exp of the log form)."""
+    try:
+        return math.exp(log_m_ell_asymptotic(mu, n, gamma_th))
+    except OverflowError:
+        return math.inf

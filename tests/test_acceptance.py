@@ -42,8 +42,9 @@ from outagemc.estimators import (
     estimate_pis,
     estimate_uis,
 )
+from conftest import log_m_ell_asymptotic
 from outagemc.experiment import run_method
-from outagemc.metrics import log_m_ell_asymptotic, relative_error, scv
+from outagemc.metrics import relative_error, scv
 from outagemc.model import ChannelConfig, closed_form_outage
 from outagemc.samplers import (
     REJECTION_C,

@@ -13,10 +13,9 @@ PUBLIC = [
     "TruncationUnderflowError", "build_partition_plan", "ce_update",
     "closed_form_outage", "compute_m_ell", "confidence_interval",
     "efficiency_report", "estimate_ce", "estimate_et", "estimate_mls",
-    "estimate_nmc", "estimate_pis", "estimate_uis", "gsc_statistic",
-    "log_bessel_i0", "m_ell_asymptotic", "marcum_q", "mls_pilot_levels",
-    "ncx2_cdf", "ncx2_logcdf", "ncx2_pdf", "ncx2_quantile",
-    "regularized_lower_gamma", "relative_error", "scv", "wnrv", "wnrv_work",
+    "estimate_nmc", "estimate_pis", "estimate_uis", "log_bessel_i0",
+    "mls_pilot_levels", "ncx2_cdf", "ncx2_logcdf", "ncx2_quantile",
+    "relative_error", "scv", "wnrv", "wnrv_work",
 ]
 
 _HEAD = "config: 'ChannelConfig', S: 'int', rng: 'RngStream'"

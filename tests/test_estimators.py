@@ -368,8 +368,8 @@ class TestMls:
 
 
 class TestMlsRowSkip:
-    """Rows with a branch above its threshold CDF are never inverted; the
-    mask must equal the outage mask of the full inverse transform."""
+    """Rows with a branch above its threshold CDF are decided by the screen
+    alone; the mask must equal the outage mask of the full inverse transform."""
 
     @pytest.mark.parametrize("cfg", [
         ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1),
@@ -381,8 +381,8 @@ class TestMlsRowSkip:
         # clipped at 1 - 1e-14 by the quantile (it rounds to 1 past G ~ 36.7)
         g_surv = gen.gamma(0.05, size=(5000, cfg.M)) * 10.0 ** gen.uniform(-3, 0, (5000, 1))
         g_surv[:50, 0] = 33.0
-        k = estimators._branch_cdfs(cfg)
-        g_mat, mask = estimators._mls_advance(cfg, k, gen, g_surv, 0.01, 100_000)
+        k = estimators._screen(cfg).k
+        g_mat, mask = estimators._mls_advance(cfg, gen, g_surv, 0.01, 100_000)
         p = -np.expm1(-g_mat)
         assert np.any(p >= 1.0 - 1e-14) and np.any(p > k) and np.any(mask)
         full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
@@ -406,7 +406,7 @@ class TestTableDecision:
     @staticmethod
     def rows(cfg, style):
         gen = np.random.default_rng(17)
-        k = estimators._branch_cdfs(cfg)
+        k = estimators._screen(cfg).k
         if style == "uis":
             return k * gen.random((100_000, cfg.M))
         # gamma-process points over a spread of path lengths, pre-skipped by k
@@ -415,15 +415,16 @@ class TestTableDecision:
         return p[~(p > k).any(axis=1)]
 
     @staticmethod
-    def band_sizes(monkeypatch):
+    def band_sizes(monkeypatch, name="_inverse_rows"):
+        """Row counts of every call _outage_at makes to estimators.<name>."""
         sizes = []
-        exact = estimators._inverse_rows
+        wrapped = getattr(estimators, name)
 
         def recording(p, mu):
             sizes.append(p.shape[0])
-            return exact(p, mu)
+            return wrapped(p, mu)
 
-        monkeypatch.setattr(estimators, "_inverse_rows", recording)
+        monkeypatch.setattr(estimators, name, recording)
         return sizes
 
     @pytest.mark.parametrize("style", ["uis", "mls"])
@@ -432,11 +433,12 @@ class TestTableDecision:
         p = self.rows(cfg, style)
         full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
         band = self.band_sizes(monkeypatch)
+        doubt = self.band_sizes(monkeypatch, "_table_rows")
         mask = estimators._outage_at(cfg, p)
         assert p.shape[0] > 1000 and full.any() and not full.all()
         assert np.array_equal(mask, full)
-        if cfg.mu[0] == 5.0:  # no certificate: every row is inverted exactly
-            assert band == [p.shape[0]]
+        if cfg.mu[0] == 5.0:  # no certificate: every row the screen passes on is exact
+            assert band == doubt
 
     @pytest.mark.parametrize("cfg", CONFIGS[:2], ids=IDS[:2])
     def test_forced_band(self, cfg, monkeypatch):
@@ -474,6 +476,89 @@ class TestTableDecision:
         points.clear()
         estimate_mls(cfg, 300, RngStream(6), replications=5)
         assert sum(decided) > 100_000 and sum(points) <= 0.01 * sum(decided)
+
+
+class TestOutageScreen:
+    """The p-space screen in _outage_at decides most rows from the branch
+    CDFs at gamma_th/m and gamma_th; its mask must still equal the outage
+    mask of the full inverse transform, row for row."""
+
+    CONFIGS = [
+        ChannelConfig(M=4, m=2, mu=(0.5, 0.5, 2.3, 2.3), gamma_th=3.0),
+        ChannelConfig(M=4, m=4, mu=0.6, gamma_th=2.0),
+        ChannelConfig(M=4, m=1, mu=0.7, gamma_th=0.8),
+        ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1),
+        ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0),
+        ChannelConfig(M=2, m=1, mu=0.0, gamma_th=34.0),  # k = 1 - 1.7e-15
+    ]
+    IDS = ["mixed", "m_eq_M", "m1", "subset", "los", "clip"]
+
+    @staticmethod
+    def level_cdfs(cfg):
+        """(c, k): each branch's CDF at gamma_th/m and at gamma_th."""
+        mu = cfg.mu_array
+        c, k = (np.array([ncx2_cdf(2.0 * x, Ncx2Params(2, 2.0 * v * v)) for v in mu])
+                for x in (cfg.gamma_th / cfg.m, cfg.gamma_th))
+        return c, k
+
+    @staticmethod
+    def check(cfg, p):
+        full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
+        assert np.array_equal(estimators._outage_at(cfg, p), full)
+        return full
+
+    @pytest.mark.parametrize("cfg", CONFIGS[:3], ids=IDS[:3])
+    def test_matches_exact_inversion(self, cfg, monkeypatch):
+        gen = np.random.default_rng(23)
+        k = estimators._screen(cfg).k
+        uis = k * gen.random((50_000, cfg.M))
+        g = gen.gamma(0.3, size=(50_000, cfg.M)) * 10.0 ** gen.uniform(-3, 1, (50_000, 1))
+        mls = -np.expm1(-np.minimum(g, 33.0))  # it rounds to 1 past G ~ 36.7
+        doubt = TestTableDecision.band_sizes(monkeypatch, "_table_rows")
+        full = [self.check(cfg, p) for p in (uis, mls)]
+        assert full[0].any() and full[1].any() and not full[1].all()
+        # m = 1 leaves no row in doubt; otherwise the screen passes some on,
+        # but never one with a branch clearly past gamma_th
+        assert (sum(doubt) == 0) == (cfg.m == 1)
+        doubt.clear()
+        past = mls[(mls > k * (1.0 + 1e-6)).any(axis=1)]
+        assert past.shape[0] > 1000 and not estimators._outage_at(cfg, past).any()
+        assert doubt == []
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+    def test_rows_on_the_levels(self, cfg):
+        c, k = self.level_cdfs(cfg)
+        M, m = cfg.M, cfg.m
+        rows = []
+        for level in (c, k, np.nextafter(c, 0.0), np.nextafter(c, 1.0),
+                      np.nextafter(k, 0.0), np.nextafter(k, 1.0)):
+            for n_on in range(1, M + 1):
+                for rest in (0.0, 1e-3, 0.5):
+                    row = np.full(M, rest * c.min())
+                    row[:n_on] = level[:n_on]
+                    rows.append(row)
+                    rows.append(row[::-1].copy())
+        # one coordinate on k, the others on c; one past the quantile's clip
+        for j in range(M):
+            row = c.copy()
+            row[j] = k[j]
+            rows.append(row)
+            row = np.full(M, 0.5 * c.min())
+            row[j] = np.nextafter(1.0, 0.0)
+            rows.append(row)
+        full = self.check(cfg, np.array(rows))
+        if m > 1:
+            assert full.any() and not full.all()
+
+    def test_few_rows_reach_the_table(self, monkeypatch):
+        # a count, not a timing: rows _outage_at reads off the quantile tables
+        subset, m1 = self.CONFIGS[3], self.CONFIGS[2]
+        doubt = TestTableDecision.band_sizes(monkeypatch, "_table_rows")
+        estimate_uis(subset, 100_000, RngStream(8))
+        assert 0 < sum(doubt) <= 10_000
+        doubt.clear()
+        estimate_uis(m1, 100_000, RngStream(8))
+        assert doubt == []
 
 
 class TestScvSampleSizeInvariance:

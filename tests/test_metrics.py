@@ -4,11 +4,10 @@ import math
 
 import pytest
 
+from conftest import log_m_ell_asymptotic, m_ell_asymptotic
 from outagemc.metrics import (
     confidence_interval,
     efficiency_report,
-    log_m_ell_asymptotic,
-    m_ell_asymptotic,
     relative_error,
     scv,
     wnrv,

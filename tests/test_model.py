@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import gsc_statistic
 from outagemc.model import (
     ChannelConfig,
     EstimateResult,
     closed_form_outage,
-    gsc_statistic,
     gsc_statistic_rows,
 )
 from outagemc.samplers import TruncationUnderflowError

@@ -12,18 +12,16 @@ import numpy as np
 import pytest
 from scipy import special
 
+from conftest import marcum_q, ncx2_pdf, regularized_lower_gamma
 from outagemc import specfun
 from outagemc.specfun import (
     Ncx2Params,
     log_bessel_i0,
     log_regularized_lower_gamma,
-    marcum_q,
     ncx2_cdf,
     ncx2_logcdf,
     ncx2_logpdf,
-    ncx2_pdf,
     ncx2_quantile,
-    regularized_lower_gamma,
 )
 
 
