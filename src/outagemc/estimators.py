@@ -112,13 +112,15 @@ class PartitionPlan:
             raise ValueError("ell2 must lie in (0, 1]")
 
 
+@lru_cache(maxsize=64)
 def build_partition_plan(config: ChannelConfig) -> PartitionPlan:
     """Split M = q*m + r branches into q blocks of m and one of r.
 
     The rejection bound assumes one common mean per block, so the means must
     be blockwise identical.  ell2 multiplies each block-sum CDF at the
-    threshold; the block noncentrality is twice the block's summed squared
-    means.
+    threshold, read from the block's bound (the log-space CDF, accurate far
+    into the left tail where the mixture sum cancels to zero).  The plan is
+    frozen and cached per configuration.
     """
     M, m, g = config.M, config.m, config.gamma_th
     mu = config.mu_array
@@ -126,17 +128,15 @@ def build_partition_plan(config: ChannelConfig) -> PartitionPlan:
     sizes = [m] * q + ([r] if r else [])
     blocks = []
     bounds = []
-    ell2 = 1.0
     start = 0
     for size in sizes:
         seg = mu[start:start + size]
         if np.ptp(seg) != 0.0:
             raise ValueError("PIS requires blockwise-identical means")
-        delta = float(np.sqrt(np.sum(seg ** 2)))
-        blocks.append((start, size, delta))
-        ell2 *= ncx2_cdf(2.0 * g, Ncx2Params(2 * size, 2.0 * delta * delta))
+        blocks.append((start, size, float(np.sqrt(np.sum(seg ** 2)))))
         bounds.append(compute_m_ell(float(seg[0]), size, g))
         start += size
+    ell2 = math.prod(math.exp(b.log_block_cdf) for b in bounds)
     if ell2 < np.finfo(float).tiny:
         raise _underflow(f"ell2 underflows to {ell2!r} at gamma_th={g!r}")
     return PartitionPlan(blocks=tuple(blocks), ell2=float(ell2), bounds=tuple(bounds))
@@ -376,8 +376,8 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
     """Selection sampling on the partition event (every block sum below threshold).
 
     Tighter than the per-branch event, so ell2 <= ell1 and the variance
-    ell2 * p - p^2 shrinks accordingly; blocks are sampled by
-    acceptance-rejection with the per-block constants from compute_m_ell.
+    ell2 * p - p^2 shrinks accordingly; each block is sampled by the
+    cheaper exact rejection that compute_m_ell picks for it.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
@@ -395,7 +395,7 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
             "ell2": plan.ell2,
             "hit_fraction": hits / S,
             "m_ell": [b.value for b in plan.bounds],
-            "m_ell_case": [b.case for b in plan.bounds],
+            "proposal": [b.proposal for b in plan.bounds],
             "proposals": proposals,
             "acceptance_rate": (S * n_blocks / proposals) if proposals else 1.0,
         })

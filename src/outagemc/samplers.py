@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from .specfun import (
     Ncx2Params,
@@ -21,16 +22,9 @@ from .specfun import (
     _table_value,
     log_bessel_i0,
     ncx2_logcdf,
-    ncx2_logpdf,
     ncx2_quantile,
 )
 
-# Envelope factor for the near-mode density bound: C * max(f(0), f(A_mu))
-# dominates the ncx2(2, 2 mu^2) density for every mu > 1 (numerically, the
-# worst max f / max(f(0), f(A_mu)) is 1.0195, at mu ~ 1.073).  f(A_mu) alone
-# is not enough below mu ~ 1.041: as mu -> 1+ the mode falls to 0 while A_mu
-# stays near 1, and max f / f(A_mu) reaches 1.053.
-REJECTION_C = 1.031
 # f <= M_ell * g must hold on every proposal; anything above rounding noise
 # signals a bound-formula bug
 _LOG_RATIO_SLACK = 1e-9
@@ -69,11 +63,11 @@ class RngStream:
 
 @dataclass(frozen=True)
 class MellBound:
-    """Rejection constant for one equal-mean block of the partition sampler."""
+    """Rejection constant and proposal for one equal-mean partition block."""
 
     value: float
     log_value: float
-    case: str
+    proposal: str  # "simplex" or "nominal", see _pis_block_rows
     block_mu: float
     block_size: int
     log_block_cdf: float  # ln P(sum of block <= gamma_th), the f-normalizer
@@ -89,7 +83,13 @@ def _nominal_rows(mu: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarra
     root_lam = math.sqrt(2.0) * mu  # sqrt of per-branch noncentrality
     z1 = gen.standard_normal((n, mu.shape[0]))
     z2 = gen.standard_normal((n, mu.shape[0]))
-    return 0.5 * ((z1 + root_lam) ** 2 + z2 ** 2)
+    # 0.5 * ((z1 + root_lam) ** 2 + z2 ** 2) without temporaries
+    z1 += root_lam
+    z1 *= z1
+    z2 *= z2
+    z1 += z2
+    z1 *= 0.5
+    return z1
 
 
 def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -98,13 +98,14 @@ def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     The one truncated inverse transform, exact for the rows _table_rows
     leaves in doubt: uis passes k_j u with k_j the branch CDF at the
     threshold, mls passes 1 - e^{-G} for the gamma-process coordinate G.
-    Columns sharing a mean share one quantile call; p is floored at the
-    smallest subnormal so the quantile stays finite.
+    Columns sharing a mean share one quantile call; p is clipped to
+    [5e-324, 1 - 1e-14], the quantile's own clip, so the quantile stays
+    finite and p = 1 (mls rounds 1 - e^{-G} to 1 past G ~ 36.7) is valid.
     """
     x = np.empty_like(p)
     for val in sorted(set(mu.tolist())):
         cols = np.nonzero(mu == val)[0]
-        q = np.maximum(p[:, cols], 5e-324)
+        q = np.clip(p[:, cols], 5e-324, 1.0 - 1e-14)
         x[:, cols] = 0.5 * ncx2_quantile(
             q.ravel(), Ncx2Params(2, 2.0 * val * val)).reshape(q.shape)
     return x
@@ -130,24 +131,37 @@ def _simplex_rows(n: int, gamma_th: float, gen, rows: int) -> np.ndarray:
     return gamma_th * e[:, :n] / e.sum(axis=1, keepdims=True)
 
 
+@lru_cache(maxsize=64)
+def _branch_mode(mu: float) -> float:
+    """Mode of the branch density f_X, X = (1/2) ncx2(2, 2 mu^2); 0 when mu <= 1.
+
+    d ln f_X / dx = -1 + mu I1(z) / (sqrt(x) I0(z)) with z = 2 mu sqrt(x)
+    vanishes where I1(z) / (z I0(z)) = 1 / (2 mu^2).  The left side falls
+    from 1/2 at z = 0 and lies below 1 / z, so the root is in (0, 2 mu^2).
+    """
+    if mu <= 1.0:
+        return 0.0
+    c = 0.5 / (mu * mu)
+    z = optimize.brentq(lambda z: special.i1e(z) / (z * special.i0e(z)) - c,
+                        1e-300, 2.0 * mu * mu)
+    return (0.5 * z / mu) ** 2
+
+
 def compute_m_ell(mu: float, n: int, gamma_th: float) -> MellBound:
-    """Rejection constant for a block of n equal-mean coordinates.
+    """Rejection constant and proposal for a block of n equal-mean coordinates.
 
-    Bounds the ratio of the threshold-conditioned joint density to the
-    uniform-simplex proposal.  Three branches, all in log space:
+    M_ell = sup f/g, with f the joint density of the block conditioned on
+    its sum being at most gamma_th and g = n! / gamma_th^n the
+    uniform-simplex proposal.  f_X(x) = e^{-x - mu^2} I0(2 mu sqrt x) is
+    log-concave, so the supremum sits at equal coordinates
+    x* = min(mode, gamma_th / n):
 
-      mu <= 1             : the one-dimensional density peaks at zero, so
-                            the bound is gamma^n e^{-n mu^2} / (n! F)
-      2 gamma <= 2mu^2 - 2: density increasing up to the threshold, bound
-                            [2 gamma f(2 gamma)]^n / (n! F)
-      otherwise           : near-mode envelope C * max(f(0), f(A_mu)) with
-                            A_mu = 2 mu^2 - 2 + 2/(2 mu^2), bound
-                            [2 gamma C max(f(0), f(A_mu))]^n / (n! F)
+      ln M_ell = n ln(gamma_th f_X(x*)) - ln n! - ln F
 
-    where f is the ncx2(2, 2 mu^2) density and F the CDF of the block sum's
-    ncx2(2n, 2n mu^2) at 2 gamma.  A coordinate x of the block is half an
-    ncx2 variate, so its density at x is 2 f(2x); the second branch needs
-    2 gamma below the ncx2 mode, which is never below 2 mu^2 - 2.
+    with F the CDF of the block sum's ncx2(2n, 2n mu^2) at 2 gamma_th.
+    The proposal is "nominal" (n channel draws, accepted when their sum is
+    at most gamma_th; acceptance F) when 2 F M_ell >= 1, else "simplex"
+    (acceptance 1 / M_ell).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -158,25 +172,16 @@ def compute_m_ell(mu: float, n: int, gamma_th: float) -> MellBound:
     lam = 2.0 * mu * mu
     log_f = ncx2_logcdf(2.0 * gamma_th, Ncx2Params(2 * n, n * lam))
     log_nfact = float(special.gammaln(n + 1))
-    if mu <= 1.0:
-        case = "small_mean"
-        log_m = n * math.log(gamma_th) - n * mu * mu - log_nfact - log_f
-    elif 2.0 * gamma_th <= lam - 2.0:
-        case = "large_mean_small_gamma"
-        log_pdf = ncx2_logpdf(2.0 * gamma_th, Ncx2Params(2, lam))
-        log_m = n * (math.log(2.0 * gamma_th) + log_pdf) - log_nfact - log_f
-    else:
-        case = "large_mean_large_gamma"
-        a_mu = lam - 2.0 + 2.0 / lam
-        params = Ncx2Params(2, lam)
-        log_pdf = max(ncx2_logpdf(a_mu, params), ncx2_logpdf(0.0, params))
-        log_m = (n * (math.log(2.0 * gamma_th) + math.log(REJECTION_C) + log_pdf)
-                 - log_nfact - log_f)
+    x = min(_branch_mode(mu), gamma_th / n)
+    log_m = (n * math.log(gamma_th) - n * mu * mu
+             + n * (log_bessel_i0(2.0 * mu * math.sqrt(x)) - x) - log_nfact - log_f)
+    # one simplex proposal costs about two nominal ones (2.0-2.5 measured, n = 1-8)
+    proposal = "nominal" if math.log(2.0) + log_f + log_m >= 0.0 else "simplex"
     try:
         value = math.exp(log_m)
     except OverflowError:
         value = math.inf
-    return MellBound(value=value, log_value=log_m, case=case,
+    return MellBound(value=value, log_value=log_m, proposal=proposal,
                      block_mu=mu, block_size=n, log_block_cdf=log_f)
 
 
@@ -185,33 +190,42 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     """count accepted blocks from the threshold-conditioned joint density.
 
     Returns (samples, proposals): samples has shape (count, n); proposals is
-    the total number of uniform-simplex trials consumed.  Proposals are
-    generated in batches sized to the expected need (about M_ell per
+    the total number of trials consumed.  bound.proposal picks the exact
+    rejection: "simplex" draws uniformly from the solid simplex and accepts
+    with probability f / (M_ell g), "nominal" draws n channel coordinates
+    and accepts when their sum is at most gamma_th.  Proposals are
+    generated in batches sized to the expected need (M_ell or 1 / F per
     acceptance).  Raises if the density ratio ever exceeds the bound or if
-    the trial budget of 1e4 * M_ell per sample is exhausted.
+    the trial budget of 1e4 trials per expected acceptance is exhausted.
     """
     if bound is None:
         bound = compute_m_ell(mu, n, gamma_th)
+    nominal = bound.proposal == "nominal"
+    per_sample = math.exp(-bound.log_block_cdf) if nominal else bound.value
     log_g = float(special.gammaln(n + 1)) - n * math.log(gamma_th)
     out = np.empty((count, n))
     filled = 0
     proposals = 0
-    budget = 1e4 * max(bound.value, 1.0) * count + 1e4
+    budget = 1e4 * max(per_sample, 1.0) * count + 1e4
     while filled < count:
         want = count - filled
-        rows = min(max(256, int(math.ceil(want * bound.value * 1.15))),
+        rows = min(max(256, int(math.ceil(want * per_sample * 1.15))),
                    _MAX_PROPOSAL_ROWS)
-        u = _simplex_rows(n, gamma_th, gen, rows)
-        log_f = (-n * mu * mu - u.sum(axis=1)
-                 + log_bessel_i0(2.0 * mu * np.sqrt(u)).sum(axis=1)
-                 - bound.log_block_cdf)
-        log_ratio = log_f - log_g - bound.log_value
-        worst = float(log_ratio.max())
-        if worst > _LOG_RATIO_SLACK:
-            raise RejectionStalledError(
-                f"rejection bound violated: log f/(M g) = {worst:.3e} > 0 "
-                f"(mu={mu}, n={n}, gamma_th={gamma_th}, case={bound.case})")
-        accept = gen.random(rows) <= np.exp(log_ratio)
+        if nominal:
+            u = _nominal_rows(np.full(n, mu), gen, rows)
+            accept = u.sum(axis=1) <= gamma_th
+        else:
+            u = _simplex_rows(n, gamma_th, gen, rows)
+            log_f = (-n * mu * mu - u.sum(axis=1)
+                     + log_bessel_i0(2.0 * mu * np.sqrt(u)).sum(axis=1)
+                     - bound.log_block_cdf)
+            log_ratio = log_f - log_g - bound.log_value
+            worst = float(log_ratio.max())
+            if worst > _LOG_RATIO_SLACK:
+                raise RejectionStalledError(
+                    f"rejection bound violated: log f/(M g) = {worst:.3e} > 0 "
+                    f"(mu={mu}, n={n}, gamma_th={gamma_th})")
+            accept = gen.random(rows) <= np.exp(log_ratio)
         acc_rows = u[accept]
         take = min(acc_rows.shape[0], want)
         if take:

@@ -2,9 +2,9 @@
 
 The references are computed with scipy alone.  The oracles below them are
 small functions the package itself does not call: the scalar top-m sum,
-P(a, x), the density, Marcum Q (the upper-tail cross-check of ncx2_cdf)
-and the paper's large-mean asymptote of the rejection constant.  Test
-modules import them with ``from conftest import ...``.
+P(a, x), the density, Marcum Q (the upper-tail cross-check of ncx2_cdf),
+the paper's three-branch rejection constant and its large-mean asymptote.
+Test modules import them with ``from conftest import ...``.
 """
 
 import math
@@ -13,72 +13,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special, stats
 
-from outagemc.specfun import Ncx2Params, _mixture_window, ncx2_logpdf
-
-
-def _log_branch_density(x, mu):
-    """ln f_X(x) for X = (1/2) ncx2(2, 2 mu^2): -x - mu^2 + ln I0(2 mu sqrt x)."""
-    z = 2.0 * mu * np.sqrt(x)
-    return -x - mu * mu + np.log(special.i0e(z)) + z
-
-
-def log_sup_density_ratio(mu, n, gamma):
-    """ln sup f/g over the solid simplex {x >= 0, sum x <= gamma}.
-
-    f is the joint density of n iid branches conditioned on their sum being
-    at most gamma, g = n! / gamma^n the uniform-simplex proposal.  f_X is
-    log-concave, so the product of n copies peaks at equal coordinates
-    x* = min(mode of f_X, gamma / n).  The normalizer is scipy's ncx2 CDF,
-    which underflows to zero far in the lower tail, so keep gamma moderate.
-    """
-    if mu <= 1.0:
-        mode = 0.0
-    else:
-        mode = optimize.minimize_scalar(
-            lambda x: -_log_branch_density(x, mu), bounds=(0.0, mu * mu),
-            method="bounded", options={"xatol": 1e-10}).x
-    x_star = min(mode, gamma / n)
-    log_cdf = stats.ncx2.logcdf(2.0 * gamma, 2 * n, 2.0 * n * mu * mu)
-    return float(n * (math.log(gamma) + _log_branch_density(x_star, mu))
-                 - special.gammaln(n + 1) - log_cdf)
-
-
-def log_best_simplex_density_ratio(mu, n, gamma, rows, seed):
-    """Largest ln f/g over `rows` uniform draws from the solid simplex."""
-    gen = np.random.default_rng(seed)
-    log_cdf = stats.ncx2.logcdf(2.0 * gamma, 2 * n, 2.0 * n * mu * mu)
-    best = -math.inf
-    for chunk in range(0, rows, 200_000):
-        e = gen.standard_exponential((min(200_000, rows - chunk), n + 1))
-        x = gamma * e[:, :n] / e.sum(axis=1, keepdims=True)
-        best = max(best, float(_log_branch_density(x, mu).sum(axis=1).max()))
-    return n * math.log(gamma) + best - special.gammaln(n + 1) - log_cdf
-
-
-@pytest.fixture(name="log_sup_density_ratio", scope="session")
-def _log_sup_density_ratio_fixture():
-    return log_sup_density_ratio
-
-
-@pytest.fixture(name="log_best_simplex_density_ratio", scope="session")
-def _log_best_simplex_density_ratio_fixture():
-    return log_best_simplex_density_ratio
-"""Shared test references and oracles.
-
-The references are computed with scipy alone.  The oracles below them are
-small functions the package itself does not call: the scalar top-m sum,
-P(a, x), the density, Marcum Q (the upper-tail cross-check of ncx2_cdf)
-and the paper's large-mean asymptote of the rejection constant.  Test
-modules import them with ``from conftest import ...``.
-"""
-
-import math
-
-import numpy as np
-import pytest
-from scipy import optimize, special, stats
-
-from outagemc.specfun import Ncx2Params, _mixture_window, ncx2_logpdf
+from outagemc.specfun import Ncx2Params, _mixture_window, ncx2_logcdf, ncx2_logpdf
 
 
 def _log_branch_density(x, mu):
@@ -200,13 +135,51 @@ def marcum_q(order: int, a, b):
     return float(out) if scalar else out
 
 
+# Envelope factor of the paper's near-mode bound C * max(f(0), f(A_mu)); it
+# dominates the ncx2(2, 2 mu^2) density for every mu > 1 (the worst
+# max f / max(f(0), f(A_mu)) is 1.0195, at mu ~ 1.073).
+PAPER_REJECTION_C = 1.031
+
+
+def log_m_ell_paper(mu: float, n: int, gamma_th: float):
+    """(ln M, case): the paper's three-branch rejection constant.
+
+      mu <= 1             : gamma^n e^{-n mu^2} / (n! F)
+      2 gamma <= 2mu^2 - 2: [2 gamma f(2 gamma)]^n / (n! F)
+      otherwise           : [2 gamma C max(f(0), f(A_mu))]^n / (n! F),
+                            A_mu = 2 mu^2 - 2 + 2 / (2 mu^2)
+
+    with f the ncx2(2, 2 mu^2) density and F the CDF of the block sum's
+    ncx2(2n, 2n mu^2) at 2 gamma.  It bounds sup f/g but is loose for
+    mu > 1, by a factor growing like e^mu; compute_m_ell is the supremum.
+    """
+    lam = 2.0 * mu * mu
+    log_f = ncx2_logcdf(2.0 * gamma_th, Ncx2Params(2 * n, n * lam))
+    log_nfact = float(special.gammaln(n + 1))
+    if mu <= 1.0:
+        return (n * math.log(gamma_th) - n * mu * mu - log_nfact - log_f,
+                "small_mean")
+    params = Ncx2Params(2, lam)
+    if 2.0 * gamma_th <= lam - 2.0:
+        log_pdf = ncx2_logpdf(2.0 * gamma_th, params)
+        case = "large_mean_small_gamma"
+        log_c = 0.0
+    else:
+        log_pdf = max(ncx2_logpdf(lam - 2.0 + 2.0 / lam, params),
+                      ncx2_logpdf(0.0, params))
+        case = "large_mean_large_gamma"
+        log_c = math.log(PAPER_REJECTION_C)
+    return (n * (math.log(2.0 * gamma_th) + log_c + log_pdf) - log_nfact - log_f,
+            case)
+
+
 def log_m_ell_asymptotic(mu: float, n: int, gamma_th: float) -> float:
     """Large-mean log-asymptote of the partition rejection constant.
 
     ln M ~ ln[ n^{(2n+1)/4} g^{(n+1)/4} / (2^{n-1} n! pi^{(n-1)/2}
     e^{(n-1)g}) ] + (n+1)/2 ln mu + 2 sqrt(g) (n - sqrt(n)) mu, valid for
     mu > 1 with the threshold below the density mode, i.e. in the
-    increasing-density branch of compute_m_ell (2 g <= 2 mu^2 - 2).
+    increasing-density branch of log_m_ell_paper (2 g <= 2 mu^2 - 2).
     """
     if mu <= 1.0:
         raise ValueError("asymptotic regime needs mu > 1")

@@ -1,5 +1,6 @@
 """The public API, pinned: adding or removing a public name is a reviewed diff."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -32,6 +33,9 @@ SIGNATURES = {
                      f"{_TAIL}"),
 }
 
+MELL_BOUND_FIELDS = ["value", "log_value", "proposal", "block_mu", "block_size",
+                     "log_block_cdf"]
+
 
 def test_every_public_name_resolves():
     for name in outagemc.__all__:
@@ -46,3 +50,8 @@ def test_public_names_pinned():
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
 def test_estimator_signatures_pinned(name):
     assert str(inspect.signature(getattr(outagemc, name))) == SIGNATURES[name]
+
+
+def test_mell_bound_fields_pinned():
+    fields = [f.name for f in dataclasses.fields(outagemc.MellBound)]
+    assert fields == MELL_BOUND_FIELDS

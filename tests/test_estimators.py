@@ -134,11 +134,11 @@ class TestPis:
         assert abs(r.p_hat - ref.p_hat) <= 3.0 * se + 1e-12
 
     @pytest.mark.parametrize("cfg,s_pis,s_nmc,seed", [
-        # threshold above half the ncx2 mode: not the increasing branch
+        # threshold above half the ncx2 mode: not the paper's increasing branch
         (ChannelConfig(M=4, m=2, mu=2.3, gamma_th=8.0), 50_000, 500_000, 34),
         (ChannelConfig(M=3, m=1, mu=3.0, gamma_th=12.0), 20_000, 500_000, 36),
         (ChannelConfig(M=5, m=4, mu=2.3, gamma_th=8.0), 20_000, 2_000_000, 38),
-        # mu just above 1: the density mode sits between 0 and A_mu
+        # mu just above 1: the density mode sits between 0 and the paper's A_mu
         (ChannelConfig(M=2, m=1, mu=1.01, gamma_th=1.0), 20_000, 500_000, 40),
         (ChannelConfig(M=4, m=4, mu=1.02, gamma_th=4.0), 20_000, 500_000, 42),
     ])
@@ -147,6 +147,26 @@ class TestPis:
         r = estimate_pis(cfg, s_pis, RngStream(seed))
         ref = estimate_nmc(cfg, s_nmc, RngStream(seed + 1))
         se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
+        assert abs(r.p_hat - ref.p_hat) < 4.0 * se
+
+    def test_proposal_choice(self):
+        # the simplex on the subset benchmark, the nominal law on los
+        subset = ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1)
+        los = ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0)
+        assert [b.proposal for b in build_partition_plan(subset).bounds] == ["simplex"] * 4
+        assert [b.proposal for b in build_partition_plan(los).bounds] == ["nominal"] * 2
+        r = estimate_pis(los, 1000, RngStream(12))
+        assert r.diagnostics["proposal"] == ["nominal", "nominal"]
+
+    @pytest.mark.parametrize("mu,seed", [(4.0, 61), (5.0, 63)])
+    def test_large_mean_against_ce(self, mu, seed):
+        # the paper's constant made these stall (mu 4) or the plan's linear
+        # block CDF underflow (mu 5); p is 8e-21 and 3e-39
+        cfg = ChannelConfig(M=8, m=4, mu=mu, gamma_th=17.0)
+        r = estimate_pis(cfg, 20_000, RngStream(seed))
+        ref = estimate_ce(cfg, 50_000, RngStream(seed + 1), S0=20_000)
+        se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
+        assert r.diagnostics["hit_fraction"] > 0.0
         assert abs(r.p_hat - ref.p_hat) < 4.0 * se
 
     def test_m_equals_M_zero_variance(self):
@@ -512,8 +532,9 @@ class TestOutageScreen:
         gen = np.random.default_rng(23)
         k = estimators._screen(cfg).k
         uis = k * gen.random((50_000, cfg.M))
-        g = gen.gamma(0.3, size=(50_000, cfg.M)) * 10.0 ** gen.uniform(-3, 1, (50_000, 1))
-        mls = -np.expm1(-np.minimum(g, 33.0))  # it rounds to 1 past G ~ 36.7
+        g = gen.gamma(0.3, size=(50_000, cfg.M)) * 10.0 ** gen.uniform(-3, 1.5, (50_000, 1))
+        mls = -np.expm1(-g)  # it rounds to 1 past G ~ 36.7
+        assert (mls == 1.0).any()
         doubt = TestTableDecision.band_sizes(monkeypatch, "_table_rows")
         full = [self.check(cfg, p) for p in (uis, mls)]
         assert full[0].any() and full[1].any() and not full[1].all()
@@ -583,6 +604,18 @@ class TestWorkerDeterminism:
         cfg = ChannelConfig(M=4, m=2, mu=0.5, gamma_th=0.8)
         a = runner(cfg, 300_000, RngStream(29), workers=1, **kwargs)
         b = runner(cfg, 300_000, RngStream(29), workers=3, **kwargs)
+        assert a.p_hat == b.p_hat
+        assert a.var_hat == b.var_hat
+        assert a.diagnostics == b.diagnostics
+
+    def test_pis_with_a_nominal_block(self):
+        # the size-4 block draws from the simplex, the size-1 block from the
+        # nominal law
+        cfg = ChannelConfig(M=5, m=4, mu=2.3, gamma_th=8.0)
+        assert ([b.proposal for b in build_partition_plan(cfg).bounds]
+                == ["simplex", "nominal"])
+        a = estimate_pis(cfg, 300_000, RngStream(29), workers=1)
+        b = estimate_pis(cfg, 300_000, RngStream(29), workers=3)
         assert a.p_hat == b.p_hat
         assert a.var_hat == b.var_hat
         assert a.diagnostics == b.diagnostics

@@ -1,12 +1,15 @@
 """Distributional tests for every row sampler, plus the rejection bound."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import log_m_ell_paper
 from outagemc.model import ChannelConfig
 from outagemc.samplers import (
-    MellBound,
     RejectionStalledError,
     RngStream,
     compute_m_ell,
@@ -153,13 +156,14 @@ class TestUniformSimplex:
 class TestComputeMell:
     def test_central_single(self):
         b = compute_m_ell(0.0, 1, 1.0)
-        assert b.case == "small_mean"
+        assert log_m_ell_paper(0.0, 1, 1.0)[1] == "small_mean"
         assert b.value == pytest.approx(1.0 / (1.0 - np.exp(-1.0)), rel=1e-12)
 
     def test_branch_selection(self):
-        assert compute_m_ell(0.5, 4, 1.0).case == "small_mean"
-        assert compute_m_ell(1.6, 2, 1.0).case == "large_mean_small_gamma"
-        assert compute_m_ell(2.3, 4, 17.0).case == "large_mean_large_gamma"
+        # the paper's constant switches formula on mu and the threshold
+        assert log_m_ell_paper(0.5, 4, 1.0)[1] == "small_mean"
+        assert log_m_ell_paper(1.6, 2, 1.0)[1] == "large_mean_small_gamma"
+        assert log_m_ell_paper(2.3, 4, 17.0)[1] == "large_mean_large_gamma"
 
     def test_value_at_least_one(self):
         for mu, n, g in [(0.0, 1, 1.0), (0.5, 4, 1.0), (0.5, 4, 0.2),
@@ -175,19 +179,22 @@ class TestComputeMell:
     ])
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_dominates_supremum(self, mu, gammas, n, log_sup_density_ratio):
-        # a rejection constant must bound f/g everywhere on the simplex; for
-        # mu > 1 the thresholds sit on each side of the branch-2 edge
-        # gamma = mu^2 - 1
+        # a rejection constant must bound f/g everywhere on the simplex, and
+        # this one is the supremum itself; for mu > 1 the thresholds sit on
+        # each side of the paper's branch-2 edge gamma = mu^2 - 1
         for gamma in gammas:
             log_sup = log_sup_density_ratio(mu, n, gamma)
             assert np.isfinite(log_sup)
-            assert compute_m_ell(mu, n, gamma).log_value >= log_sup - 1e-9
+            assert compute_m_ell(mu, n, gamma).log_value == pytest.approx(
+                log_sup, abs=1e-9)
 
     def test_log_value_large_mean(self):
-        # the linear value overflows long after the log stays useful
+        # the paper's linear value overflows long after the log stays
+        # useful; the supremum grows only polynomially in mu
+        log_paper = log_m_ell_paper(40.0, 4, 1.0)[0]
+        assert log_paper == pytest.approx(162.410, abs=0.01)
         b = compute_m_ell(40.0, 4, 1.0)
-        assert np.isfinite(b.log_value)
-        assert b.log_value == pytest.approx(162.410, abs=0.01)
+        assert np.isfinite(b.value) and 1.0 <= b.log_value < log_paper
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -214,10 +221,11 @@ class TestPisBlockSampler:
     @pytest.mark.parametrize("mu,n,gamma", [
         (0.5, 4, 1.0),           # small_mean
         (1.6, 2, 1.0),           # large_mean_small_gamma
-        (2.3, 4, 17.0),          # large_mean_large_gamma
+        (2.3, 4, 17.0),          # large_mean_large_gamma, nominal by default
     ])
     def test_geometric_trials(self, mu, n, gamma):
-        bound = compute_m_ell(mu, n, gamma)
+        # the simplex proposal accepts 1 / M_ell of its trials
+        bound = replace(compute_m_ell(mu, n, gamma), proposal="simplex")
         count = 30000
         _, proposals = _pis_block_rows(mu, n, gamma, RngStream(17).generator(),
                                        count, bound=bound)
@@ -237,37 +245,61 @@ class TestPisBlockSampler:
             se = np.sqrt(exact * (1 - exact) / total.shape[0])
             assert abs(emp - exact) < 4.0 * se
 
+    def test_nominal_proposal(self):
+        # at mu 2.3, n 4, gamma 17 the nominal law accepted on the block sum
+        # is cheaper: its trials are geometric with mean 1 / F, and the
+        # accepted sums follow the conditioned block-sum law
+        mu, n, gamma, count = 2.3, 4, 17.0, 100_000
+        bound = compute_m_ell(mu, n, gamma)
+        assert bound.proposal == "nominal"
+        rows, proposals = _pis_block_rows(mu, n, gamma, RngStream(57).generator(),
+                                          count, bound=bound)
+        assert np.all(rows >= 0.0) and np.all(rows.sum(axis=1) <= gamma)
+        assert proposals / count == pytest.approx(math.exp(-bound.log_block_cdf),
+                                                  rel=0.05)
+        total = rows.sum(axis=1)
+        params = Ncx2Params(2 * n, 2 * n * mu * mu)
+        for t in (10.0, 13.0, 15.5):
+            exact = ncx2_cdf(2 * t, params) / math.exp(bound.log_block_cdf)
+            emp = np.mean(total <= t)
+            se = np.sqrt(exact * (1 - exact) / count)
+            assert abs(emp - exact) < 4.0 * se
+
+    def test_exact_constant_trials(self):
+        # a count, not a timing: at mu 3 the paper's constant spent ~392
+        # simplex trials per block, the supremum spends 21.8
+        bound = compute_m_ell(3.0, 4, 17.0)
+        assert bound.proposal == "simplex"
+        _, proposals = _pis_block_rows(3.0, 4, 17.0, RngStream(58).generator(),
+                                       10_000, bound=bound)
+        assert math.exp(log_m_ell_paper(3.0, 4, 17.0)[0]) > 390.0
+        assert proposals / 10_000 == pytest.approx(21.8, rel=0.05)
+
     def test_forged_bound_raises(self):
         # an understated constant (still >= 1) must trip the pointwise guard
         good = compute_m_ell(0.5, 4, 1.0)
-        forged = MellBound(value=good.value / 1.5,
-                           log_value=good.log_value - np.log(1.5),
-                           case=good.case, block_mu=good.block_mu,
-                           block_size=good.block_size,
-                           log_block_cdf=good.log_block_cdf)
+        forged = replace(good, value=good.value / 1.5,
+                         log_value=good.log_value - np.log(1.5))
         with pytest.raises(RejectionStalledError):
             _pis_block_rows(0.5, 4, 1.0, RngStream(19).generator(), 5000,
                             bound=forged)
 
-    def test_corrupted_envelope_constant_trips_guard(self, monkeypatch):
-        # with the near-mode envelope factor knocked down to 1.0 the bound
-        # undershoots wherever the simplex can reach the density mode in
-        # every coordinate at once (here 2 * mode < gamma), and the
-        # pointwise guard must abort the run
-        import outagemc.samplers as smp
-        monkeypatch.setattr(smp, "REJECTION_C", 1.0)
-        bound = compute_m_ell(1.8, 2, 6.0)
-        assert bound.case == "large_mean_large_gamma"
+    def test_forged_large_mean_bound_trips_guard(self):
+        # 1% below the supremum, where the simplex reaches the density mode
+        # in every coordinate at once (2 * mode < gamma), the pointwise
+        # guard must abort the run
+        good = compute_m_ell(1.8, 2, 6.0)
+        forged = replace(good, value=good.value / 1.01,
+                         log_value=good.log_value - math.log(1.01),
+                         proposal="simplex")
         with pytest.raises(RejectionStalledError, match="bound violated"):
             _pis_block_rows(1.8, 2, 6.0, RngStream(56).generator(), 30000,
-                            bound=bound)
+                            bound=forged)
 
     def test_bound_below_one_rejected_at_construction(self):
         good = compute_m_ell(0.5, 4, 1.0)
         with pytest.raises(ValueError):
-            MellBound(value=0.9, log_value=np.log(0.9), case=good.case,
-                      block_mu=good.block_mu, block_size=good.block_size,
-                      log_block_cdf=good.log_block_cdf)
+            replace(good, value=0.9, log_value=np.log(0.9))
 
 
 class TestSampleExponential:
