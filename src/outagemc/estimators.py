@@ -119,7 +119,7 @@ def build_partition_plan(config: ChannelConfig) -> PartitionPlan:
     The rejection bound assumes one common mean per block, so the means must
     be blockwise identical.  ell2 multiplies each block-sum CDF at the
     threshold, read from the block's bound (the log-space CDF, accurate far
-    into the left tail where the mixture sum cancels to zero).  The plan is
+    into the left tail where the linear CDF reads zero).  The plan is
     frozen and cached per configuration.
     """
     M, m, g = config.M, config.m, config.gamma_th
@@ -222,7 +222,7 @@ def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
     s >= m (M + 1) means none.
 
     The levels sit a relative tol, the table band, outside gamma_th/m and
-    gamma_th.  The exact inverse solves the same mixture CDF that gives the
+    gamma_th.  The exact inverse solves the same CDF that gives the
     levels, and eps is 8 times the worst gap between that solver and the
     smooth table, so the CDF's rounding noise moves a solved x by far less
     than tol: a p past a level solves to an x past it, and the ulps in tol

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special, stats
 
-from outagemc.specfun import Ncx2Params, _mixture_window, ncx2_logcdf, ncx2_logpdf
+from outagemc.specfun import Ncx2Params, ncx2_logcdf, ncx2_logpdf
 
 
 def _log_branch_density(x, mu):
@@ -107,9 +107,10 @@ def ncx2_pdf(x, params: Ncx2Params):
 def marcum_q(order: int, a, b):
     """Marcum Q_m(a, b), via the complementary (upper-tail) Poisson mixture.
 
-    Independent of ncx2_cdf's lower-tail path: anchored on gammaincc with the
-    additive upward recurrence Q(a+1, y) = Q(a, y) + y^a e^{-y} / Gamma(a+1),
-    so Q_m(sqrt(lam), sqrt(x)) + F(x; 2m, lam) = 1 is a genuine cross-check.
+    Independent of ncx2_cdf: scipy.stats Poisson weights over j < lam/2 +
+    40 sqrt(lam/2) + 40 (the mass past it is below 1e-100), each times a
+    direct gammaincc(m + j, b^2 / 2), so Q_m(sqrt(lam), sqrt(x)) +
+    F(x; 2m, lam) = 1 is a genuine cross-check.
     """
     if order < 1 or order != int(order):
         raise ValueError("marcum_q requires integer order >= 1")
@@ -117,20 +118,12 @@ def marcum_q(order: int, a, b):
     b_arr = np.asarray(b, dtype=float)
     if a_val < 0.0 or np.any(b_arr < 0.0):
         raise ValueError("marcum_q requires a >= 0 and b >= 0")
+    lam_half = a_val * a_val / 2.0
+    j = np.arange(int(lam_half + 40.0 * math.sqrt(lam_half) + 40.0))
+    w = stats.poisson.pmf(j, lam_half)
     y = b_arr * b_arr / 2.0
-    j_lo, w = _mixture_window(a_val * a_val / 2.0)
-    s = int(order) + j_lo
-    q_term = special.gammaincc(s, y)
-    with np.errstate(divide="ignore"):
-        t = np.exp(s * np.log(y) - y - special.gammaln(s + 1.0))
-    out = w[0] * q_term
-    aa = float(s)
-    for i in range(1, len(w)):
-        q_term = q_term + t
-        t = t * (y / (aa + 1.0))
-        aa += 1.0
-        out = out + w[i] * q_term
-    out = np.clip(out, 0.0, 1.0)
+    q = special.gammaincc(int(order) + j.reshape((-1,) + (1,) * y.ndim), y)
+    out = np.tensordot(w, q, axes=1)
     scalar = np.isscalar(b) or b_arr.ndim == 0
     return float(out) if scalar else out
 

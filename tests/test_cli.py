@@ -71,9 +71,11 @@ class TestLoadSpec:
         (lambda t: t.replace("gamma_th = 0.8", "gamma_th = -1"), "channel"),
         (lambda t: t.replace("[run]", "[run]\nbogus ="), "bogus"),
         (lambda t: t.replace("pis, et", "pis, zzz"), "zzz"),
+        (lambda t: t + "\n[samples]\nqmc = 1000\n", "qmc"),
+        (lambda t: t.replace("s0 = 10000", "s0 = 10000\ntau = 2"), "tau"),
     ])
     def test_invalid_specs(self, tmp_path, mangle, fragment):
-        with pytest.raises(SpecError, match=re.escape(fragment) if fragment == "zzz" else None):
+        with pytest.raises(SpecError, match=re.escape(fragment)):
             load_spec(write(tmp_path, mangle(GOOD_SPEC)))
 
     def test_missing_file(self, tmp_path):

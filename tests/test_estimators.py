@@ -5,6 +5,7 @@ references (closed forms where they exist, otherwise a large naive MC run),
 so they are deterministic for the fixed seeds used here.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -419,7 +420,7 @@ class TestTableDecision:
         SMALL,
         ChannelConfig(M=8, m=4, mu=0.5, gamma_th=1.0),
         ChannelConfig(M=8, m=2, mu=3.0, gamma_th=20.0),  # lambda = 18
-        ChannelConfig(M=8, m=2, mu=5.0, gamma_th=50.0),  # lambda = 50, uncertified
+        ChannelConfig(M=8, m=2, mu=5.0, gamma_th=50.0),  # lambda = 50, served uncertified
     ]
     IDS = ["subset", "los", "small", "dense", "mu3", "mu5"]
 
@@ -447,9 +448,25 @@ class TestTableDecision:
         monkeypatch.setattr(estimators, name, recording)
         return sizes
 
+    @staticmethod
+    def uncertified(monkeypatch):
+        """Serve eps = inf, n_cert = 0 tables to the screen and the table
+        decision, with a _screen cache of this test's own."""
+        table = samplers._quantile_table
+
+        def void(dof, lam):
+            return table(dof, lam)._replace(eps=math.inf, n_cert=0)
+
+        monkeypatch.setattr(samplers, "_quantile_table", void)
+        monkeypatch.setattr(estimators, "_quantile_table", void)
+        monkeypatch.setattr(estimators, "_screen", functools.lru_cache(maxsize=64)(
+            estimators._screen.__wrapped__))
+
     @pytest.mark.parametrize("style", ["uis", "mls"])
     @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
     def test_matches_exact_inversion(self, cfg, style, monkeypatch):
+        if cfg.mu[0] == 5.0:
+            self.uncertified(monkeypatch)
         p = self.rows(cfg, style)
         full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
         band = self.band_sizes(monkeypatch)
@@ -472,7 +489,7 @@ class TestTableDecision:
         assert np.array_equal(mask, estimators._outage(cfg, _inverse_rows(p, cfg.mu_array)))
 
     def test_few_coordinates_reach_the_cdf(self, monkeypatch):
-        # a count, not a timing: mixture-CDF points per coordinate whose
+        # a count, not a timing: CDF points per coordinate whose
         # outage is decided, after tables and threshold CDFs are cached
         cfg = ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0)
         estimate_uis(cfg, 1000, RngStream(5))

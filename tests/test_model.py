@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import gsc_statistic
 from outagemc.model import (
@@ -127,6 +128,18 @@ class TestClosedFormOutage:
         assert closed_form_outage(cfg) == pytest.approx(0.025180869256957065, rel=1e-11)
         cfg = ChannelConfig(M=4, m=4, mu=0.6, gamma_th=2.0)
         assert closed_form_outage(cfg) == pytest.approx(0.056468338958359542, rel=1e-11)
+
+    @pytest.mark.parametrize("mu,expected", [
+        # oracle: mpmath mixture of 2000 terms at 50 digits, F(34; 16, 16 mu^2)
+        (3.0, 8.8861610943165069e-13),
+        (4.0, 4.7777574105549123e-28),
+    ], ids=["mu3", "mu4"])
+    def test_large_means_left_tail(self, mu, expected):
+        # the full sum at 34, far left of its mean 16 + 16 mu^2
+        cfg = ChannelConfig(M=8, m=8, mu=mu, gamma_th=17.0)
+        p = closed_form_outage(cfg)
+        assert p == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert p == pytest.approx(stats.ncx2.cdf(34.0, 16, 16.0 * mu * mu), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("m", [8, 1])
     def test_underflow_raises(self, m):

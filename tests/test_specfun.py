@@ -152,6 +152,19 @@ class TestNcx2Cdf:
             assert got == pytest.approx(np.log(ncx2_cdf(x, Ncx2Params(k, lam))),
                                         rel=1e-11)
 
+    @pytest.mark.parametrize("k", [2, 8])
+    @pytest.mark.parametrize("lam", [0.5, 10.58, 42.32, 50.0])
+    def test_left_tail_matches_logcdf(self, k, lam):
+        # one point per decade, through the bands where an intermediate
+        # power of x in Boost's CDF is subnormal (1e-161 to 7e-156 at 2 dof,
+        # 2.5e-64 to 2.6e-62 at 8) and the j = 0 term stands in for it
+        params = Ncx2Params(k, lam)
+        x = np.logspace(-300, -1, 300)
+        ref = np.exp([ncx2_logcdf(v, params) for v in x])
+        normal = ref >= np.finfo(float).tiny
+        assert normal[x >= {2: 1e-161, 8: 2.5e-64}[k]].all()
+        assert np.max(np.abs(ncx2_cdf(x[normal], params) / ref[normal] - 1.0)) < 1e-13
+
     def test_logcdf_extreme_noncentrality(self):
         # oracle: mpmath mixture with 4000 terms -> ln F(2; 8, 3200)
         got = ncx2_logcdf(2.0, Ncx2Params(8, 3200.0))
@@ -256,29 +269,39 @@ class TestNcx2Quantile:
         assert np.all(secant > 0.0)
         assert np.all((d[:-1] / secant) ** 2 + (d[1:] / secant) ** 2 <= 9.0)
 
-    @pytest.mark.parametrize("lam", [0.5, 10.58, 18.0, 42.32])
+    @pytest.mark.parametrize("lam", [0.5, 10.58, 18.0, 42.32, 50.0])
     def test_table_error_certified(self, lam):
         # the bound comes from one midpoint per interval; check it at 15
         # interior points of every certified interval against the quantile
         params = Ncx2Params(2, lam)
         tab = specfun._quantile_table(2, lam)
-        assert 0.0 < tab.eps < 1e-5 and tab.n_cert > 8000
+        assert 0.0 < tab.eps < 1e-7 and tab.n_cert == 8010
         u = (np.arange(tab.n_cert)[:, None] + np.arange(1, 16) / 16.0).ravel()
         p = special.expit(tab.s0 + u * tab.h)
         x = specfun._table_value(tab, p, tab.n_cert)
         assert not np.isnan(x).any()
         assert np.max(np.abs(x / ncx2_quantile(p, params) - 1.0)) <= tab.eps
 
-    def test_table_error_uncertified(self):
-        # the table of lambda = 50 has a NaN slope and NaN midpoints, so no
-        # point may be read off it (TestTableDecision inverts every row)
-        tab = specfun._quantile_table(2, 50.0)
+    def test_table_error_uncertified(self, monkeypatch):
+        # a NaN density in mid-grid leaves NaN slopes and NaN midpoints, so
+        # no point may be read off the table (TestTableDecision's mu5 case
+        # serves such tables); built uncached, so no other test sees it
+        raw = specfun._cdf_pdf_raw
+
+        def nan_density(x, dof, lam, want_pdf):
+            cdf, pdf = raw(x, dof, lam, want_pdf)
+            if want_pdf:
+                pdf = np.where((cdf > 0.4) & (cdf < 0.6), np.nan, pdf)
+            return cdf, pdf
+
+        monkeypatch.setattr(specfun, "_cdf_pdf_raw", nan_density)
+        tab = specfun._quantile_table.__wrapped__(2, 10.58)
         assert np.isnan(tab.slope).any()
         assert tab.eps == np.inf and tab.n_cert == 0
 
-    @pytest.mark.parametrize("lam,x_th", [(0.5, 0.2), (10.58, 34.0)])
+    @pytest.mark.parametrize("lam,x_th", [(0.5, 0.2), (10.58, 34.0), (42.32, 34.0)])
     def test_one_cdf_evaluation_per_point(self, lam, x_th, monkeypatch):
-        # a count, not a timing: mixture-CDF points per requested point on
+        # a count, not a timing: CDF points per requested point on
         # uis-style (k u, k the CDF at a threshold) and mls-style (1 - e^{-G})
         # inputs; the bracketed solver spends about 3
         params = Ncx2Params(2, lam)
