@@ -103,7 +103,7 @@ class MlsSchedule:
 class PartitionPlan:
     """Equal-mean blocks covering all M branches, plus the conditioning probability."""
 
-    blocks: tuple  # (start, size, delta) per block
+    blocks: tuple  # (start, size) per block
     ell2: float
     bounds: tuple  # MellBound per block
 
@@ -133,7 +133,7 @@ def build_partition_plan(config: ChannelConfig) -> PartitionPlan:
         seg = mu[start:start + size]
         if np.ptp(seg) != 0.0:
             raise ValueError("PIS requires blockwise-identical means")
-        blocks.append((start, size, float(np.sqrt(np.sum(seg ** 2)))))
+        blocks.append((start, size))
         bounds.append(compute_m_ell(float(seg[0]), size, g))
         start += size
     ell2 = math.prod(math.exp(b.log_block_cdf) for b in bounds)
@@ -363,7 +363,7 @@ def _pis_block(task):
     gen = stream.generator()
     x = np.empty((n, config.M))
     proposals = 0
-    for (start, size, _), bnd in zip(plan.blocks, plan.bounds):
+    for (start, size), bnd in zip(plan.blocks, plan.bounds):
         rows, used = _pis_block_rows(bnd.block_mu, size, config.gamma_th,
                                      gen, n, bound=bnd)
         x[:, start:start + size] = rows

@@ -260,12 +260,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1, seed: int = None):
             try:
                 result = run_method(method, config, S, rng, spec.hyper,
                                     workers=workers)
-            except ValueError as exc:
+            except (ValueError, RuntimeError) as exc:
                 rows.append(_error_row(method, config, S, base_seed, str(exc)))
-                continue
-            except RuntimeError as exc:
-                rows.append(_error_row(method, config, S, base_seed, str(exc)))
-                hard_failure = True
+                hard_failure |= isinstance(exc, RuntimeError)
                 continue
             rep = metrics.efficiency_report(result) if result.p_hat > 0 else None
             rows.append(_row_from_result(result, config, rep))

@@ -58,31 +58,23 @@ def wnrv_work(result: EstimateResult) -> float:
     return scv(result) * result.work_units / result.samples
 
 
-def confidence_interval(result: EstimateResult, level: float,
-                        chebyshev: bool = False) -> tuple:
-    """Normal-approximation CI p_hat * (1 -+ z * RE), clipped to [0, 1].
-
-    With chebyshev=True the multiplier is the distribution-free
-    1 / sqrt(1 - level) (4.47 at 95%) instead of the normal quantile.
-    """
+def confidence_interval(result: EstimateResult, level: float) -> tuple:
+    """Normal-approximation CI p_hat * (1 -+ z * RE), clipped to [0, 1]."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     re = relative_error(result)
-    if chebyshev:
-        z = 1.0 / math.sqrt(1.0 - level)
-    else:
-        z = float(special.ndtri(0.5 * (1.0 + level)))
+    z = float(special.ndtri(0.5 * (1.0 + level)))
     lo = max(result.p_hat * (1.0 - z * re), 0.0)
     hi = min(result.p_hat * (1.0 + z * re), 1.0)
     return (lo, hi)
 
 
-def efficiency_report(result: EstimateResult, level: float = 0.95) -> EfficiencyReport:
+def efficiency_report(result: EstimateResult) -> EfficiencyReport:
     return EfficiencyReport(
         re=relative_error(result),
         scv=scv(result),
         wnrv=wnrv(result) if result.wall_time_s > 0.0 else 0.0,
         wnrv_work=wnrv_work(result),
-        ci95=confidence_interval(result, level),
+        ci95=confidence_interval(result, 0.95),
         work_units=result.work_units,
     )

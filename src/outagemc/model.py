@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .samplers import TruncationUnderflowError
-from .specfun import Ncx2Params, ncx2_cdf
+from .specfun import Ncx2Params, ncx2_logcdf
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,20 @@ def closed_form_outage(config: ChannelConfig) -> Optional[float]:
 
     m=1: the outage event is every branch below threshold, so the
     probability factorizes over branches.  m=M: the combined statistic is
-    the full sum, itself half a noncentral chi-square with 2M dof.  A
-    probability below the smallest normal double raises, not returns 0.
+    the full sum, itself half a noncentral chi-square with 2M dof.  Both
+    are summed in log space, which stays exact far in the left tail where
+    the linear CDF reads 0.  A probability below the smallest normal double
+    raises, not returns 0.
     """
     g2 = 2.0 * config.gamma_th
     if config.m == 1:
-        p = math.prod(ncx2_cdf(g2, Ncx2Params(2, 2.0 * mu * mu)) for mu in config.mu)
+        log_p = math.fsum(ncx2_logcdf(g2, Ncx2Params(2, 2.0 * mu * mu)) for mu in config.mu)
     elif config.m == config.M:
-        p = ncx2_cdf(g2, Ncx2Params(2 * config.M, 2.0 * config.mu_norm_sq))
+        log_p = ncx2_logcdf(g2, Ncx2Params(2 * config.M, 2.0 * config.mu_norm_sq))
     else:
         return None
+    p = math.exp(log_p)
     if p < np.finfo(float).tiny:
         raise TruncationUnderflowError(
             f"threshold too extreme for double precision: exact p={p!r}")
-    return float(p)
+    return p

@@ -5,13 +5,15 @@ The CDF is Boost's (scipy.special.chndtr; Benton & Krishnamoorthy, CSDA
 lam x < 1e-16 the mixture's leading term e^{-lam/2} P(k/2, x/2) is F to
 1e-16 relative and replaces it.  The density is the Bessel form.
 
-The quantile is one certified Newton step from a monotone cubic Hermite
-start (Fritsch & Carlson, SIAM J. Numer. Anal. 1980) read off a cached
-table of ln x against logit p: one CDF evaluation per point, or none
-for a caller that only needs the table's value within its certified eps.
+The quantile is one bracketed Newton solver started from a monotone cubic
+Hermite table (Fritsch & Carlson, SIAM J. Numer. Anal. 1980) of ln x
+against logit p.  Its first exit is a certified Newton step, so a point on
+the table costs one CDF evaluation; a caller that only needs the table's
+value within its certified eps costs none.
 
-Everything that can underflow (densities, mixture weights, the CDF for
-very large noncentralities) also has a log-space path.
+Everything that can underflow (densities, the CDF for very large
+noncentralities) also has a log-space path: ln P(a, x) from scipy's
+hyp1f1, and ln F as one logsumexp over the mixture.
 """
 
 from __future__ import annotations
@@ -59,61 +61,47 @@ def log_bessel_i0(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def log_regularized_lower_gamma(a: float, x: float) -> float:
-    """ln P(a, x), accurate deep in the left tail where P underflows.
+def log_regularized_lower_gamma(a, x: float):
+    """ln P(a, x) for x >= 0 and a > 0 (scalar or array), accurate where P underflows.
 
-    For x < a + 1 the Kummer series
-      P(a, x) = x^a e^{-x} / Gamma(a+1) * sum_k x^k / ((a+1)...(a+k))
-    has positive, geometrically decaying terms; otherwise P is large enough
-    to take the plain logarithm.
+    For x < a + 1, P(a, x) = x^a e^{-x} M(1, a + 1, x) / Gamma(a + 1)
+    (DLMF 8.5.1, M from scipy's hyp1f1); otherwise P is large enough to take
+    the plain logarithm.
     """
-    if a <= 0.0:
+    arr = np.asarray(a, dtype=float)
+    if np.any(arr <= 0.0):
         raise ValueError("log_regularized_lower_gamma requires a > 0")
     if x < 0.0:
         raise ValueError("log_regularized_lower_gamma requires x >= 0")
-    if x == 0.0:
-        return -math.inf
-    if x >= a + 1.0:
-        return math.log(special.gammainc(a, x))
-    s = 1.0
-    term = 1.0
-    denom = a
-    for _ in range(10000):
-        denom += 1.0
-        term *= x / denom
-        s += term
-        if term < 1e-18 * s:
-            break
-    return a * math.log(x) - x - special.gammaln(a + 1.0) + math.log(s)
+    out = np.full(arr.shape, -math.inf)
+    if x > 0.0:
+        series = x < arr + 1.0
+        out[~series] = np.log(special.gammainc(arr[~series], x))
+        a = arr[series]
+        out[series] = (a * math.log(x) - x - special.gammaln(a + 1.0)
+                       + np.log(special.hyp1f1(1.0, a + 1.0, x)))
+    return float(out) if arr.ndim == 0 else out
 
 
-def _cdf_pdf_raw(x, dof: int, lam: float, want_pdf: bool):
-    """CDF (and optionally density) at x >= 0, vectorized.
+def ncx2_cdf(x, params: Ncx2Params):
+    """CDF of a noncentral chi-square at x >= 0, vectorized.
 
     Boost's CDF, except where lam x < 1e-16: there the j = 0 mixture term
     e^{-lam/2} P(dof/2, x/2) is F to within 1e-16, and Boost is off by up
     to 58% where an intermediate power of x is subnormal.
     """
-    x = np.asarray(x, dtype=float)
-    cdf = np.asarray(special.chndtr(x, dof, lam))
-    near = lam * x < 1e-16
-    if near.any():
-        y = x[near] / 2.0
-        # gammainc(1, y) loses ~6e-14 relative near y = 1e-258
-        p0 = -np.expm1(-y) if dof == 2 else special.gammainc(dof / 2.0, y)
-        cdf[near] = math.exp(-lam / 2.0) * p0
-    if not want_pdf:
-        return cdf, None
-    return cdf, np.exp(ncx2_logpdf(x, Ncx2Params(dof, lam)))
-
-
-def ncx2_cdf(x, params: Ncx2Params):
-    """CDF of a noncentral chi-square at x >= 0."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("ncx2_cdf requires x >= 0")
-    out, _ = _cdf_pdf_raw(arr, params.dof, params.noncentrality, want_pdf=False)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    dof, lam = params.dof, params.noncentrality
+    cdf = np.asarray(special.chndtr(arr, dof, lam))
+    near = lam * arr < 1e-16
+    if near.any():
+        y = arr[near] / 2.0
+        # gammainc(1, y) loses ~6e-14 relative near y = 1e-258
+        p0 = -np.expm1(-y) if dof == 2 else special.gammainc(dof / 2.0, y)
+        cdf[near] = math.exp(-lam / 2.0) * p0
+    return float(cdf) if np.isscalar(x) or arr.ndim == 0 else cdf
 
 
 def ncx2_logpdf(x, params: Ncx2Params):
@@ -139,35 +127,22 @@ def ncx2_logpdf(x, params: Ncx2Params):
 def ncx2_logcdf(x: float, params: Ncx2Params) -> float:
     """ln F(x), usable where F underflows (e.g. noncentrality in the thousands).
 
-    Sums log-space mixture terms from j = 0 upward: for small x the gamma
-    factor decays so fast in j that the leading terms dominate even when the
-    Poisson weights peak much further out.
+    One logsumexp over the Poisson mixture's terms j < h + 10 sqrt(h) + 40,
+    h = lam/2, past which the weights are below e^{-50} of their mode and the
+    gamma factors only fall.  Capped at 500,001 terms; raises if the last is
+    within e^{-46} of the largest (x near the mean of lam above ~1e6).
     """
     if x < 0.0:
         raise ValueError("ncx2_logcdf requires x >= 0")
     if x == 0.0:
         return -math.inf
-    k, lam = params.dof, params.noncentrality
-    y = x / 2.0
-    lam_half = lam / 2.0
-    if lam_half == 0.0:
-        return log_regularized_lower_gamma(k / 2.0, y)
-    log_lh = math.log(lam_half)
-    terms = []
-    best = -math.inf
-    j = 0
-    while True:
-        logw = -lam_half + j * log_lh - special.gammaln(j + 1)
-        lt = logw + log_regularized_lower_gamma(k / 2.0 + j, y)
-        terms.append(lt)
-        best = max(best, lt)
-        # stop once past both the Poisson mode and the point of negligibility
-        if j > lam_half and lt < best - 46.0:
-            break
-        j += 1
-        if j > 500000:
-            break
-    return float(special.logsumexp(np.array(terms)))
+    h = params.noncentrality / 2.0
+    j = np.arange(min(h + 10.0 * math.sqrt(h) + 40.0, 500001.0))
+    log_t = (-h + special.xlogy(j, h) - special.gammaln(j + 1.0)
+             + log_regularized_lower_gamma(params.dof / 2.0 + j, x / 2.0))
+    if log_t[-1] > log_t.max() - 46.0:
+        raise ValueError(f"ncx2_logcdf needs over 500,001 terms at x={x!r}, lam={2 * h!r}")
+    return float(special.logsumexp(log_t))
 
 
 def _table_value(tab: _QuantileTable, q: np.ndarray, n: int) -> np.ndarray:
@@ -189,23 +164,25 @@ def _table_value(tab: _QuantileTable, q: np.ndarray, n: int) -> np.ndarray:
 def _quantile_table(dof: int, lam: float) -> _QuantileTable:
     """ln x and d ln x / ds at the grid points s0 + i h of s = logit p.
 
-    The exact slopes p (1 - p) / (x f(x)) reuse the solver's density; they
-    meet Fritsch & Carlson's monotonicity condition on this grid.  eps bounds
-    the relative error on the n_cert intervals below logit p = 15, past which
-    the CDF's rounding makes the solved quantile too noisy to check against:
-    8 times the worst error at the midpoints, where the Hermite error peaks,
-    plus 1e-12 for the one-step quantile's own error; inf if not finite.
+    The exact slopes p (1 - p) / (x f(x)) take the density at the solved
+    roots; they meet Fritsch & Carlson's monotonicity condition on this
+    grid.  eps bounds the relative error on the n_cert intervals below
+    logit p = 15, past which the CDF's rounding makes the solved quantile
+    too noisy to check against: 8 times the worst error at the midpoints,
+    where the Hermite error peaks, plus 1e-12 for the certified step's own
+    error; inf if not finite.
     """
+    params = Ncx2Params(dof, lam)
     s = np.linspace(*_TABLE_LOGIT)
     p = special.expit(s)
-    x, pdf = _quantile_newton(p, dof, lam)
+    x = _quantile_newton(p, params)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = p * special.expit(-s) / (x * pdf)
+        slope = p * special.expit(-s) / (x * np.exp(ncx2_logpdf(x, params)))
     tab = _QuantileTable(s[0], s[1] - s[0], np.log(x), slope, math.inf, 0)
     n = int((15.0 - s[0]) // tab.h)
     p_mid = special.expit(s[:n] + 0.5 * tab.h)
     x_tab = _table_value(tab, p_mid, n)
-    x_mid, _ = _quantile_newton(p_mid, dof, lam, x_tab)
+    x_mid = _quantile_newton(p_mid, params, x_tab)
     eps = 8.0 * float(np.max(np.abs(x_tab / x_mid - 1.0))) + 1e-12
     return tab._replace(eps=eps, n_cert=n) if math.isfinite(eps) else tab
 
@@ -226,74 +203,60 @@ def _quantile_init(p, dof, lam):
     return x0
 
 
-def _quantile_newton(p, dof, lam, x=math.nan):
+def _quantile_newton(p, params: Ncx2Params, x=math.nan):
     """Bracketed, safeguarded Newton solve of F(x) = p on an array of p.
 
-    Starts from x where finite and positive, else from _quantile_init;
-    returns the roots and the density there (NaN past the iteration cap).
+    Starts from x where finite and positive, else from _quantile_init.  A
+    point is done at its Newton step x - r/f once the residual r meets the
+    certificate r^2 <= _NEWTON_CERT p min(p, 1 - p) and the step stays in
+    the bracket; else at x once |r| <= 4e-15 p or the bracket collapses.
     """
-    pc = p
-    n = pc.shape[0]
-    x = np.where((x > 0.0) & (x < np.inf), x, _quantile_init(pc, dof, lam))
-    lo = np.zeros(n)
-    hi = np.full(n, np.inf)
+    x = np.full(p.shape, x)
+    cold = ~((x > 0.0) & (x < np.inf))
+    x[cold] = _quantile_init(p[cold], params.dof, params.noncentrality)
+    lo = np.zeros(x.shape)
+    hi = np.full(x.shape, np.inf)
     out = x.copy()
-    dens = np.full(n, np.nan)
-    idx = np.arange(n)
+    idx = np.arange(x.size)
     for _ in range(120):
-        cdf, pdf = _cdf_pdf_raw(x, dof, lam, want_pdf=True)
-        err = cdf - pc
-        done = (np.abs(err) <= 4e-15 * pc) | ((hi - lo) <= 4e-16 * np.maximum(x, 1e-300))
-        if done.any():
-            out[idx[done]] = x[done]
-            dens[idx[done]] = pdf[done]
-            keep = ~done
-            if not keep.any():
-                return out, dens
-            idx, x, pc, lo, hi = idx[keep], x[keep], pc[keep], lo[keep], hi[keep]
-            err, pdf = err[keep], pdf[keep]
+        err = ncx2_cdf(x, params) - p
+        done = (np.abs(err) <= 4e-15 * p) | ((hi - lo) <= 4e-16 * np.maximum(x, 1e-300))
         lo = np.where(err < 0.0, np.maximum(lo, x), lo)
         hi = np.where(err > 0.0, np.minimum(hi, x), hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - err / pdf
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        if bad.any():
-            mid = np.where(np.isfinite(hi), 0.5 * (lo + hi), np.maximum(2.0 * x, 1.0))
-            # geometric bisection keeps progress sane across tiny-quantile decades
-            geo = bad & (lo <= 0.0) & np.isfinite(hi)
-            mid = np.where(geo, np.sqrt(np.maximum(hi * np.maximum(x, 1e-320) * 0.25, 1e-320)), mid)
-            xn = np.where(bad, mid, xn)
-        x = xn
+            xn = x - err / np.exp(ncx2_logpdf(x, params))
+        inside = (xn > lo) & (xn < hi)
+        step = inside & (err * err <= _NEWTON_CERT * p * np.minimum(p, 1.0 - p))
+        done |= step
+        if done.any():
+            out[idx[done]] = np.where(step, xn, x)[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            idx, x, xn, p, lo, hi, inside = (
+                v[keep] for v in (idx, x, xn, p, lo, hi, inside))
+        mid = np.where(np.isfinite(hi), 0.5 * (lo + hi), np.maximum(2.0 * x, 1.0))
+        # geometric bisection keeps progress sane across tiny-quantile decades
+        geo = (lo <= 0.0) & np.isfinite(hi)
+        mid = np.where(geo, np.sqrt(np.maximum(hi * np.maximum(x, 1e-320) * 0.25, 1e-320)), mid)
+        x = np.where(inside, xn, mid)
     out[idx] = x
-    return out, dens
+    return out
 
 
 def ncx2_quantile(p, params: Ncx2Params):
     """Inverse CDF for p in (0, 1); |cdf(quantile(p)) - p| stays below 1e-12.
 
     p is clipped to 1 - 1e-14 on the right before solving (nearer 1, the
-    CDF's rounding leaves too few digits of 1 - p to solve for).  Points off
-    the table or uncertified get bracketed Newton; batch size never matters.
-    For 1e-250 <= p and logit p < 15 the start is within the table's eps.
+    CDF's rounding leaves too few digits of 1 - p to solve for).  Bracketed
+    Newton starts from the table where 1e-250 <= p and logit p < 15; there
+    the start is within the table's eps, and its first step is nearly always certified.
+    Batch size never matters.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("ncx2_quantile requires p in the open interval (0, 1)")
-    dof, lam = params.dof, params.noncentrality
-    tab = _quantile_table(dof, lam)
+    tab = _quantile_table(params.dof, params.noncentrality)
     q = np.clip(arr.ravel(), 5e-324, 1.0 - 1e-14)
-    x0 = _table_value(tab, q, tab.log_x.size - 1)
-    on = ~np.isnan(x0)
-    q_on, x0 = q[on], x0[on]
-    cdf, pdf = _cdf_pdf_raw(x0, dof, lam, want_pdf=True)
-    r = cdf - q_on
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x1 = x0 - r / pdf
-    out = np.full_like(q, np.nan)
-    out[on] = x1  # where uncertified, still the rescue's start
-    rescue = ~on
-    rescue[on] = ~((r * r <= _NEWTON_CERT * q_on * np.minimum(q_on, 1.0 - q_on))
-                   & (x1 > 0.0))
-    if rescue.any():
-        out[rescue] = _quantile_newton(q[rescue], dof, lam, out[rescue])[0]
+    out = _quantile_newton(q, params, _table_value(tab, q, tab.log_x.size - 1))
     return float(out[0]) if np.isscalar(p) or arr.ndim == 0 else out.reshape(arr.shape)

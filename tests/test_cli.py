@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from outagemc import estimators
 from outagemc.cli import main
 from outagemc.experiment import SpecError, load_spec
 
@@ -106,6 +107,22 @@ class TestEstimateCommand:
         assert "error:" in ce_row and "identical" in ce_row
         et_row = next(r for r in rows if r.startswith("et,"))
         assert "error:" not in et_row
+
+    def test_runtime_failure_sets_exit_code(self, tmp_path, monkeypatch):
+        # a method that fails at run time gets an error row, the others
+        # still run, and the run exits with the runtime code
+        def failing(*args, **kwargs):
+            raise estimators.CeAdaptationError("CE failed to reach target threshold")
+
+        monkeypatch.setattr(estimators, "estimate_ce", failing)
+        spec = write(tmp_path, GOOD_SPEC.replace("methods = pis, et", "methods = ce, et"))
+        out = tmp_path / "out"
+        assert main(["estimate", str(spec), "--out-dir", str(out)]) == 2
+        rows = (out / "results.csv").read_text().splitlines()
+        ce_row = next(r for r in rows if r.startswith("ce,"))
+        assert "error: CE failed" in ce_row
+        et_row = next(r for r in rows if r.startswith("et,"))
+        assert "error:" not in et_row and float(et_row.split(",")[6]) > 0
 
     def test_underflow_gets_error_row(self, tmp_path):
         # a threshold past double precision is reported, not returned as 0;

@@ -95,7 +95,6 @@ class TestPis:
         cfg = ChannelConfig(M=4, m=2, mu=(0.5, 0.5, 0.9, 0.9), gamma_th=0.8)
         plan = build_partition_plan(cfg)
         assert [b[1] for b in plan.blocks] == [2, 2]
-        assert plan.blocks[0][2] == pytest.approx(0.5 * math.sqrt(2))
         r = estimate_pis(cfg, 100_000, RngStream(7))
         ref = estimate_nmc(cfg, 2_000_000, RngStream(8))
         se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
@@ -495,7 +494,7 @@ class TestTableDecision:
         estimate_uis(cfg, 1000, RngStream(5))
         estimate_mls(cfg, 300, RngStream(5), replications=5)
         decided, points = [], []
-        decide, raw = estimators._outage_at, specfun._cdf_pdf_raw
+        decide, raw = estimators._outage_at, specfun.ncx2_cdf
 
         def deciding(config, p):
             decided.append(p.size)
@@ -506,7 +505,7 @@ class TestTableDecision:
             return raw(x, *args, **kwargs)
 
         monkeypatch.setattr(estimators, "_outage_at", deciding)
-        monkeypatch.setattr(specfun, "_cdf_pdf_raw", counting)
+        monkeypatch.setattr(specfun, "ncx2_cdf", counting)
         estimate_uis(cfg, 100_000, RngStream(6))
         assert sum(decided) == 800_000 and sum(points) <= 0.01 * sum(decided)
         decided.clear()

@@ -89,12 +89,6 @@ class TestConfidenceInterval:
         assert hi == pytest.approx(r.p_hat * (1 + 1.959964 * re), rel=1e-5)
         assert lo == pytest.approx(r.p_hat * (1 - 1.959964 * re), rel=1e-5)
 
-    def test_chebyshev_z(self):
-        r = make_result()
-        lo, hi = confidence_interval(r, 0.95, chebyshev=True)
-        re = relative_error(r)
-        assert hi == pytest.approx(r.p_hat * (1 + 4.47213595 * re), rel=1e-6)
-
     def test_degenerate_interval(self):
         r = make_result(var=0.0)
         assert confidence_interval(r, 0.95) == (r.p_hat, r.p_hat)

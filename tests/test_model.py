@@ -141,6 +141,12 @@ class TestClosedFormOutage:
         assert p == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert p == pytest.approx(stats.ncx2.cdf(34.0, 16, 16.0 * mu * mu), rel=1e-12, abs=0.0)
 
+    def test_left_tail_where_linear_cdf_reads_zero(self):
+        # oracle: mpmath mixture at 60 digits, F(0.2; 16, 256); Boost's
+        # CDF reads 0 there
+        cfg = ChannelConfig(M=8, m=8, mu=4.0, gamma_th=0.1)
+        assert closed_form_outage(cfg) == pytest.approx(2.2161190553249328e-68, rel=1e-12)
+
     @pytest.mark.parametrize("m", [8, 1])
     def test_underflow_raises(self, m):
         # at 1e-40 the exact p is 0.0 in double (m = 8) or the subnormal

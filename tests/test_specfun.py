@@ -170,6 +170,30 @@ class TestNcx2Cdf:
         got = ncx2_logcdf(2.0, Ncx2Params(8, 3200.0))
         assert got == pytest.approx(-1538.9406081550604, rel=1e-9)
 
+    @pytest.mark.parametrize("x,k,lam,expected", [
+        # oracle: mpmath mixture at 60 digits; Boost's CDF reads 0 at both
+        (1e-3, 2, 200.0, -107.57625781396002788),
+        (3.0, 8, 400.0, -179.48780467944646103),
+    ])
+    def test_logcdf_where_linear_cdf_reads_zero(self, x, k, lam, expected):
+        assert ncx2_logcdf(x, Ncx2Params(k, lam)) == pytest.approx(expected, rel=1e-13)
+
+    def test_logcdf_window_cap(self):
+        # at lam/2 = 4e8 the mixture window is capped at j = 500,000, the
+        # last term the earlier term-by-term loop reached; its value
+        got = ncx2_logcdf(34.0, Ncx2Params(8, 8e8))
+        assert got == pytest.approx(-399835133.6478996, rel=1e-15)
+        # at the mean of lam = 2e6 (F = 0.5) the mass lies past the cap
+        with pytest.raises(ValueError, match="500,001"):
+            ncx2_logcdf(2e6 + 2.0, Ncx2Params(2, 2e6))
+
+    def test_log_lower_gamma_vectorized(self):
+        a = np.array([0.5, 4.0, 50.0, 3000.0])
+        got = log_regularized_lower_gamma(a, 3.0)
+        want = [log_regularized_lower_gamma(v, 3.0) for v in a]
+        assert got.shape == a.shape and np.array_equal(got, want)
+        assert np.all(log_regularized_lower_gamma(a, 0.0) == -np.inf)
+
     def test_marcum_q_consistency(self):
         # complementary series must close to 1 - F at 1e-12
         cases = [(2.0, 2, 0.5), (0.81, 4, 2.25), (5.0, 6, 3.7), (34.0, 8, 42.32),
@@ -286,15 +310,12 @@ class TestNcx2Quantile:
         # a NaN density in mid-grid leaves NaN slopes and NaN midpoints, so
         # no point may be read off the table (TestTableDecision's mu5 case
         # serves such tables); built uncached, so no other test sees it
-        raw = specfun._cdf_pdf_raw
+        raw = specfun.ncx2_logpdf
 
-        def nan_density(x, dof, lam, want_pdf):
-            cdf, pdf = raw(x, dof, lam, want_pdf)
-            if want_pdf:
-                pdf = np.where((cdf > 0.4) & (cdf < 0.6), np.nan, pdf)
-            return cdf, pdf
+        def nan_density(x, params):
+            return np.where((x > 8.0) & (x < 12.0), np.nan, raw(x, params))
 
-        monkeypatch.setattr(specfun, "_cdf_pdf_raw", nan_density)
+        monkeypatch.setattr(specfun, "ncx2_logpdf", nan_density)
         tab = specfun._quantile_table.__wrapped__(2, 10.58)
         assert np.isnan(tab.slope).any()
         assert tab.eps == np.inf and tab.n_cert == 0
@@ -306,14 +327,14 @@ class TestNcx2Quantile:
         # inputs; the bracketed solver spends about 3
         params = Ncx2Params(2, lam)
         ncx2_quantile(0.5, params)  # build the table outside the count
-        raw = specfun._cdf_pdf_raw
+        raw = specfun.ncx2_cdf
         points = []
 
         def counting(x, *args, **kwargs):
             points.append(np.size(x))
             return raw(x, *args, **kwargs)
 
-        monkeypatch.setattr(specfun, "_cdf_pdf_raw", counting)
+        monkeypatch.setattr(specfun, "ncx2_cdf", counting)
         rng = np.random.default_rng(3)
         uis = ncx2_cdf(x_th, params) * rng.random(100_000)
         mls = -np.expm1(-rng.gamma(rng.uniform(1e-3, 1.0, 100_000)))
