@@ -171,12 +171,7 @@ def _outage(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
     return gsc_statistic_rows(x, config.m) <= config.gamma_th
 
 
-def _tolerance(m: int, eps: float) -> float:
-    """Relative band of the table decision: eps plus a few ulps per summand of H."""
-    return eps + 4.0 * (m + 2) * np.finfo(float).eps
-
-
-_Screen = namedtuple("_Screen", "k levels weights")
+_Screen = namedtuple("_Screen", "k levels weights tol")
 
 
 @lru_cache(maxsize=64)
@@ -185,7 +180,8 @@ def _screen(config: ChannelConfig) -> _Screen:
 
     k_j = F_j(gamma_th) is uis's truncation point.  The three rows of
     levels are F_j at gamma_th/m (1 - tol), gamma_th/m (1 + tol) and
-    gamma_th (1 + tol), with tol the table decision's band; an upper level
+    gamma_th (1 + tol), with tol the table decision's band (the largest
+    branch table eps plus a few ulps per summand of H); an upper level
     past the quantile's clip at 1 - 1e-14, or any level of an uncertified
     table, is made one that decides nothing.  weights turn a row's
     comparisons into _outage_at's count s; their dtype is the smallest
@@ -194,7 +190,8 @@ def _screen(config: ChannelConfig) -> _Screen:
     """
     M, m, g = config.M, config.m, config.gamma_th
     mu = config.mu_array
-    tol = _tolerance(m, max(_quantile_table(2, 2.0 * v * v).eps for v in config.mu))
+    tol = (max(_quantile_table(2, 2.0 * v * v).eps for v in config.mu)
+           + 4.0 * (m + 2) * np.finfo(float).eps)
     x = 2.0 * g * np.array([max(1.0 - tol, 0.0) / m, (1.0 + tol) / m, 1.0 + tol])
     k = np.empty(M)
     levels = np.array([[-np.inf], [np.inf], [np.inf]]).repeat(M, axis=1)
@@ -208,7 +205,7 @@ def _screen(config: ChannelConfig) -> _Screen:
     weights = weights.astype(np.min_scalar_type(weights.sum()))
     for a in (k, levels, weights):
         a.setflags(write=False)
-    return _Screen(k, levels, weights)
+    return _Screen(k, levels, weights, tol)
 
 
 def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
@@ -222,16 +219,18 @@ def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
     s >= m (M + 1) means none.
 
     The levels sit a relative tol, the table band, outside gamma_th/m and
-    gamma_th.  The exact inverse solves the same CDF that gives the
-    levels, and eps is 8 times the worst gap between that solver and the
-    smooth table, so the CDF's rounding noise moves a solved x by far less
-    than tol: a p past a level solves to an x past it, and the ulps in tol
-    cover the rounding of H.  Rows with a p_j inside that margin, or with 1
-    to m - 1 coordinates past gamma_th/m, are left in doubt and read off
-    the quantile tables: H is monotone and positively homogeneous, so table
-    values within relative error eps of x give H(x~)/(1+eps) <= H(x) <=
-    H(x~)/(1-eps), and rows with H(x~) within tol of gamma_th, or NaN, are
-    inverted exactly.
+    gamma_th.  The exact inverse inverts the same CDF that gives the levels:
+    its Newton step solves ncx2_cdf, Boost's chndtrix inverts Boost's
+    chndtr, and below ncx2_cdf's band edge the closed form inverts
+    ncx2_cdf's own j = 0 term.  eps is 8 times the worst gap between that
+    inverse and the smooth table, so the CDF's rounding noise moves x by far
+    less than tol: a p past a level solves to an x past it, and the ulps in
+    tol cover the rounding of H.  Rows with a p_j inside that margin, or
+    with 1 to m - 1 coordinates past gamma_th/m, are left in doubt and read
+    off the quantile tables: H is monotone and positively homogeneous, so
+    table values within relative error eps of x give H(x~)/(1+eps) <= H(x)
+    <= H(x~)/(1-eps), and rows with H(x~) within tol of gamma_th, or NaN,
+    are inverted exactly.
     """
     scr = _screen(config)
     n, M = p.shape
@@ -240,11 +239,9 @@ def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
     doubt = ~mask & (s < config.m * (M + 1))
     if doubt.any():
         q = p[doubt]
-        x, eps = _table_rows(q, config.mu_array)
-        tol = _tolerance(config.m, eps)
-        h = gsc_statistic_rows(x, config.m)
-        hit = h <= config.gamma_th * (1.0 - tol)
-        band = ~hit & ~(h > config.gamma_th * (1.0 + tol))
+        h = gsc_statistic_rows(_table_rows(q, config.mu_array), config.m)
+        hit = h <= config.gamma_th * (1.0 - scr.tol)
+        band = ~hit & ~(h > config.gamma_th * (1.0 + scr.tol))
         if band.any():
             hit[band] = _outage(config, _inverse_rows(q[band], config.mu_array))
         mask[doubt] = hit
@@ -629,7 +626,7 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
     g_surv = None
     t = 0.0
     for _ in range(200):
-        frac_end, surv_end = cond_fraction(t, 1.0, g_surv)
+        frac_end, _ = cond_fraction(t, 1.0, g_surv)
         if frac_end >= target_cond_prob:
             if t == 0.0:
                 warnings.warn("outage event is not rare: single-level schedule",

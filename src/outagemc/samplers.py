@@ -111,18 +111,13 @@ def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return x
 
 
-def _table_rows(p: np.ndarray, mu: np.ndarray):
-    """(x, eps): _inverse_rows read off the quantile tables, no CDF evaluated.
-
-    |x / _inverse_rows(p, mu) - 1| <= eps wherever x is not NaN.
-    """
-    x, eps = np.empty_like(p), 0.0
+def _table_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """_inverse_rows read off the quantile tables, within each table's eps where not NaN."""
+    x = np.empty_like(p)
     for val in sorted(set(mu.tolist())):
         cols = np.nonzero(mu == val)[0]
-        tab = _quantile_table(2, 2.0 * val * val)
-        x[:, cols] = 0.5 * _table_value(tab, p[:, cols], tab.n_cert)
-        eps = max(eps, tab.eps)
-    return x, eps
+        x[:, cols] = 0.5 * _table_value(_quantile_table(2, 2.0 * val * val), p[:, cols])
+    return x
 
 
 def _simplex_rows(n: int, gamma_th: float, gen, rows: int) -> np.ndarray:

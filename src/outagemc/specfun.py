@@ -5,11 +5,12 @@ The CDF is Boost's (scipy.special.chndtr; Benton & Krishnamoorthy, CSDA
 lam x < 1e-16 the mixture's leading term e^{-lam/2} P(k/2, x/2) is F to
 1e-16 relative and replaces it.  The density is the Bessel form.
 
-The quantile is one bracketed Newton solver started from a monotone cubic
-Hermite table (Fritsch & Carlson, SIAM J. Numer. Anal. 1980) of ln x
-against logit p.  Its first exit is a certified Newton step, so a point on
-the table costs one CDF evaluation; a caller that only needs the table's
-value within its certified eps costs none.
+The quantile is Boost's inverse of that CDF (scipy.special.chndtrix),
+read through a monotone cubic Hermite table (Fritsch & Carlson, SIAM J.
+Numer. Anal. 1980) of ln x against logit p built from it.  A point on the
+table takes one certified Newton step, so it costs one CDF evaluation; a
+caller that only needs the table's value within its certified eps costs
+none.
 
 Everything that can underflow (densities, the CDF for very large
 noncentralities) also has a log-space path: ln P(a, x) from scipy's
@@ -29,7 +30,7 @@ from scipy import special
 # The quantile table's grid: 8192 points uniform in logit p, which is ln p
 # deep in the left tail and -ln(1 - p) deep in the right.  A Newton step
 # from residual r leaves about r^2 / (2 min(p, 1 - p)), so the certificate
-# r^2 <= 1e-15 p min(p, 1 - p) keeps it below bracketed Newton's 4e-15 p.
+# r^2 <= 1e-15 p min(p, 1 - p) keeps that below 5e-16 p, the CDF's own rounding.
 _TABLE_LOGIT = (math.log(1e-250), -math.log(5e-13), 8192)
 _NEWTON_CERT = 1e-15
 _QuantileTable = namedtuple("_QuantileTable", "s0 h log_x slope eps n_cert")
@@ -127,29 +128,33 @@ def ncx2_logpdf(x, params: Ncx2Params):
 def ncx2_logcdf(x: float, params: Ncx2Params) -> float:
     """ln F(x), usable where F underflows (e.g. noncentrality in the thousands).
 
-    One logsumexp over the Poisson mixture's terms j < h + 10 sqrt(h) + 40,
-    h = lam/2, past which the weights are below e^{-50} of their mode and the
-    gamma factors only fall.  Capped at 500,001 terms; raises if the last is
-    within e^{-46} of the largest (x near the mean of lam above ~1e6).
+    One logsumexp over the mixture's terms within 10 sqrt(c) + 40 of its
+    largest, near c = min(h, sqrt(h x / 2)), h = lam/2, where the Poisson
+    weight's rise meets the fall of P(k/2 + j, x/2).  Raises past 500,001
+    terms, or if a term at either end is within e^{-46} of the largest.
     """
     if x < 0.0:
         raise ValueError("ncx2_logcdf requires x >= 0")
     if x == 0.0:
         return -math.inf
     h = params.noncentrality / 2.0
-    j = np.arange(min(h + 10.0 * math.sqrt(h) + 40.0, 500001.0))
+    c = min(h, math.sqrt(h * x / 2.0))
+    w = 10.0 * math.sqrt(c) + 40.0
+    if w > 250000.0:
+        raise ValueError(f"ncx2_logcdf needs over 500,001 terms at x={x!r}, lam={2 * h!r}")
+    j = np.arange(math.floor(max(c - w, 0.0)), c + w)
     log_t = (-h + special.xlogy(j, h) - special.gammaln(j + 1.0)
              + log_regularized_lower_gamma(params.dof / 2.0 + j, x / 2.0))
-    if log_t[-1] > log_t.max() - 46.0:
-        raise ValueError(f"ncx2_logcdf needs over 500,001 terms at x={x!r}, lam={2 * h!r}")
+    if max(log_t[-1], log_t[0] if j[0] else -math.inf) > log_t.max() - 46.0:
+        raise ValueError(f"ncx2_logcdf's window misses mass at x={x!r}, lam={2 * h!r}")
     return float(special.logsumexp(log_t))
 
 
-def _table_value(tab: _QuantileTable, q: np.ndarray, n: int) -> np.ndarray:
-    """The table's quantile at q where q lies in its first n intervals, else NaN."""
+def _table_value(tab: _QuantileTable, q: np.ndarray) -> np.ndarray:
+    """The table's quantile at q where q lies in its certified intervals, else NaN."""
     with np.errstate(divide="ignore"):
         u = (np.log(q) - np.log1p(-q) - tab.s0) / tab.h
-    on = (u >= 0.0) & (u < n)
+    on = (u >= 0.0) & (u < tab.n_cert)
     i = u[on].astype(np.intp)
     t = u[on] - i
     g, d, h = tab.log_x, tab.slope, tab.h
@@ -160,103 +165,71 @@ def _table_value(tab: _QuantileTable, q: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
+def _boost_quantile(q: np.ndarray, params: Ncx2Params) -> np.ndarray:
+    """Boost's inverse of its own CDF (scipy.special.chndtrix), with ncx2_cdf's band.
+
+    Below q_edge = ncx2_cdf(1e-16 / lam), where ncx2_cdf is its own j = 0
+    term, that term is inverted in closed form: chndtrix is up to 28% off
+    there (and NaN at subnormal q when lam = 0).
+    """
+    dof, lam = params.dof, params.noncentrality
+    band = q < (ncx2_cdf(1e-16 / lam, params) if lam > 0.0 else 1.0)
+    x = np.empty(q.shape)
+    x[~band] = special.chndtrix(q[~band], dof, lam)
+    if band.any():
+        t = q[band] * math.exp(lam / 2.0)
+        x[band] = -2.0 * np.log1p(-t) if dof == 2 else 2.0 * special.gammaincinv(dof / 2.0, t)
+    return x
+
+
 @lru_cache(maxsize=64)
 def _quantile_table(dof: int, lam: float) -> _QuantileTable:
     """ln x and d ln x / ds at the grid points s0 + i h of s = logit p.
 
-    The exact slopes p (1 - p) / (x f(x)) take the density at the solved
-    roots; they meet Fritsch & Carlson's monotonicity condition on this
-    grid.  eps bounds the relative error on the n_cert intervals below
-    logit p = 15, past which the CDF's rounding makes the solved quantile
-    too noisy to check against: 8 times the worst error at the midpoints,
-    where the Hermite error peaks, plus 1e-12 for the certified step's own
-    error; inf if not finite.
+    Nodes come from _boost_quantile; the exact slopes p (1 - p) / (x f(x))
+    meet Fritsch & Carlson's monotonicity condition on this grid.  eps
+    bounds the relative error on the n_cert intervals below logit p = 15,
+    past which the CDF's rounding makes the quantile too noisy to check
+    against: 8 times the worst error against _boost_quantile at the
+    midpoints, where the Hermite error peaks, plus 1e-12 for the certified
+    step's own error.  A non-finite eps gives eps = inf and n_cert = 0.
     """
     params = Ncx2Params(dof, lam)
     s = np.linspace(*_TABLE_LOGIT)
     p = special.expit(s)
-    x = _quantile_newton(p, params)
+    x = _boost_quantile(p, params)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = p * special.expit(-s) / (x * np.exp(ncx2_logpdf(x, params)))
-    tab = _QuantileTable(s[0], s[1] - s[0], np.log(x), slope, math.inf, 0)
-    n = int((15.0 - s[0]) // tab.h)
-    p_mid = special.expit(s[:n] + 0.5 * tab.h)
-    x_tab = _table_value(tab, p_mid, n)
-    x_mid = _quantile_newton(p_mid, params, x_tab)
-    eps = 8.0 * float(np.max(np.abs(x_tab / x_mid - 1.0))) + 1e-12
-    return tab._replace(eps=eps, n_cert=n) if math.isfinite(eps) else tab
-
-
-def _quantile_init(p, dof, lam):
-    """Patnaik two-moment start, switching to the leading mixture term deep left."""
-    h = dof + lam
-    f = h * h / (dof + 2.0 * lam)
-    c = (dof + 2.0 * lam) / h
-    z = special.ndtri(p)
-    x0 = c * f * (1.0 - 2.0 / (9.0 * f) + z * np.sqrt(2.0 / (9.0 * f))) ** 3
-    x0 = np.where(x0 > 0.0, x0, 1e-8)
-    left = p < 1e-8
-    if np.any(left):
-        t = np.minimum(p[left] * math.exp(min(lam / 2.0, 600.0)), 0.999)
-        x0_left = 2.0 * special.gammaincinv(dof / 2.0, t)
-        x0[left] = np.maximum(x0_left, 1e-300)
-    return x0
-
-
-def _quantile_newton(p, params: Ncx2Params, x=math.nan):
-    """Bracketed, safeguarded Newton solve of F(x) = p on an array of p.
-
-    Starts from x where finite and positive, else from _quantile_init.  A
-    point is done at its Newton step x - r/f once the residual r meets the
-    certificate r^2 <= _NEWTON_CERT p min(p, 1 - p) and the step stays in
-    the bracket; else at x once |r| <= 4e-15 p or the bracket collapses.
-    """
-    x = np.full(p.shape, x)
-    cold = ~((x > 0.0) & (x < np.inf))
-    x[cold] = _quantile_init(p[cold], params.dof, params.noncentrality)
-    lo = np.zeros(x.shape)
-    hi = np.full(x.shape, np.inf)
-    out = x.copy()
-    idx = np.arange(x.size)
-    for _ in range(120):
-        err = ncx2_cdf(x, params) - p
-        done = (np.abs(err) <= 4e-15 * p) | ((hi - lo) <= 4e-16 * np.maximum(x, 1e-300))
-        lo = np.where(err < 0.0, np.maximum(lo, x), lo)
-        hi = np.where(err > 0.0, np.minimum(hi, x), hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - err / np.exp(ncx2_logpdf(x, params))
-        inside = (xn > lo) & (xn < hi)
-        step = inside & (err * err <= _NEWTON_CERT * p * np.minimum(p, 1.0 - p))
-        done |= step
-        if done.any():
-            out[idx[done]] = np.where(step, xn, x)[done]
-            keep = ~done
-            if not keep.any():
-                return out
-            idx, x, xn, p, lo, hi, inside = (
-                v[keep] for v in (idx, x, xn, p, lo, hi, inside))
-        mid = np.where(np.isfinite(hi), 0.5 * (lo + hi), np.maximum(2.0 * x, 1.0))
-        # geometric bisection keeps progress sane across tiny-quantile decades
-        geo = (lo <= 0.0) & np.isfinite(hi)
-        mid = np.where(geo, np.sqrt(np.maximum(hi * np.maximum(x, 1e-320) * 0.25, 1e-320)), mid)
-        x = np.where(inside, xn, mid)
-    out[idx] = x
-    return out
+    h = s[1] - s[0]
+    n = int((15.0 - s[0]) // h)
+    tab = _QuantileTable(s[0], h, np.log(x), slope, math.inf, n)
+    p_mid = special.expit(s[:n] + 0.5 * h)
+    err = np.abs(_table_value(tab, p_mid) / _boost_quantile(p_mid, params) - 1.0)
+    eps = 8.0 * float(np.max(err)) + 1e-12
+    return tab._replace(eps=eps) if math.isfinite(eps) else tab._replace(n_cert=0)
 
 
 def ncx2_quantile(p, params: Ncx2Params):
     """Inverse CDF for p in (0, 1); |cdf(quantile(p)) - p| stays below 1e-12.
 
-    p is clipped to 1 - 1e-14 on the right before solving (nearer 1, the
-    CDF's rounding leaves too few digits of 1 - p to solve for).  Bracketed
-    Newton starts from the table where 1e-250 <= p and logit p < 15; there
-    the start is within the table's eps, and its first step is nearly always certified.
-    Batch size never matters.
+    p is clipped to 1 - 1e-14, nearer which the CDF's rounding leaves too
+    few digits of 1 - p.  On the table's certified intervals a point takes
+    one Newton step from the table (one CDF evaluation), kept when its
+    residual r meets r^2 <= _NEWTON_CERT p min(p, 1 - p); other points are
+    _boost_quantile's.  Batch size never matters.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("ncx2_quantile requires p in the open interval (0, 1)")
     tab = _quantile_table(params.dof, params.noncentrality)
     q = np.clip(arr.ravel(), 5e-324, 1.0 - 1e-14)
-    out = _quantile_newton(q, params, _table_value(tab, q, tab.log_x.size - 1))
-    return float(out[0]) if np.isscalar(p) or arr.ndim == 0 else out.reshape(arr.shape)
+    x = _table_value(tab, q)
+    on = ~np.isnan(x)
+    x0, q0 = x[on], q[on]
+    r = ncx2_cdf(x0, params) - q0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = x0 - r / np.exp(ncx2_logpdf(x0, params))
+    x[on] = np.where(r * r <= _NEWTON_CERT * q0 * np.minimum(q0, 1.0 - q0), step, np.nan)
+    cold = ~((x > 0.0) & (x < np.inf))
+    x[cold] = _boost_quantile(q[cold], params)
+    return float(x[0]) if np.isscalar(p) or arr.ndim == 0 else x.reshape(arr.shape)

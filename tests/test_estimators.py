@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from outagemc import estimators, samplers, specfun
+from outagemc import estimators, samplers
 from outagemc.estimators import (
     ESTIMATORS,
     CEParams,
@@ -478,9 +478,12 @@ class TestTableDecision:
 
     @pytest.mark.parametrize("cfg", CONFIGS[:2], ids=IDS[:2])
     def test_forced_band(self, cfg, monkeypatch):
-        table = samplers._quantile_table
-        monkeypatch.setattr(samplers, "_quantile_table",
+        # the band is the screen's tol, so eps reaches it through _screen
+        table = estimators._quantile_table
+        monkeypatch.setattr(estimators, "_quantile_table",
                             lambda dof, lam: table(dof, lam)._replace(eps=1e-2))
+        monkeypatch.setattr(estimators, "_screen", functools.lru_cache(maxsize=64)(
+            estimators._screen.__wrapped__))
         p = self.rows(cfg, "uis")
         band = self.band_sizes(monkeypatch)
         mask = estimators._outage_at(cfg, p)
@@ -488,13 +491,14 @@ class TestTableDecision:
         assert np.array_equal(mask, estimators._outage(cfg, _inverse_rows(p, cfg.mu_array)))
 
     def test_few_coordinates_reach_the_cdf(self, monkeypatch):
-        # a count, not a timing: CDF points per coordinate whose
-        # outage is decided, after tables and threshold CDFs are cached
+        # a count, not a timing: points inverted exactly per coordinate
+        # whose outage is decided, after tables and threshold CDFs are
+        # cached (off the table, the exact inverse spends no CDF call)
         cfg = ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0)
         estimate_uis(cfg, 1000, RngStream(5))
         estimate_mls(cfg, 300, RngStream(5), replications=5)
         decided, points = [], []
-        decide, raw = estimators._outage_at, specfun.ncx2_cdf
+        decide, raw = estimators._outage_at, samplers.ncx2_quantile
 
         def deciding(config, p):
             decided.append(p.size)
@@ -505,7 +509,7 @@ class TestTableDecision:
             return raw(x, *args, **kwargs)
 
         monkeypatch.setattr(estimators, "_outage_at", deciding)
-        monkeypatch.setattr(specfun, "ncx2_cdf", counting)
+        monkeypatch.setattr(samplers, "ncx2_quantile", counting)
         estimate_uis(cfg, 100_000, RngStream(6))
         assert sum(decided) == 800_000 and sum(points) <= 0.01 * sum(decided)
         decided.clear()

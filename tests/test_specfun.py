@@ -179,13 +179,17 @@ class TestNcx2Cdf:
         assert ncx2_logcdf(x, Ncx2Params(k, lam)) == pytest.approx(expected, rel=1e-13)
 
     def test_logcdf_window_cap(self):
-        # at lam/2 = 4e8 the mixture window is capped at j = 500,000, the
-        # last term the earlier term-by-term loop reached; its value
+        # at lam/2 = 4e8 the value the earlier term-by-term loop reached
+        # with its window capped at j = 500,000
         got = ncx2_logcdf(34.0, Ncx2Params(8, 8e8))
         assert got == pytest.approx(-399835133.6478996, rel=1e-15)
-        # at the mean of lam = 2e6 (F = 0.5) the mass lies past the cap
+        # near the mean of lam = 2e6 the window centred on the largest term
+        # holds the mass (it once started at j = 0 and missed it)
+        got = ncx2_logcdf(2e6 + 2.0, Ncx2Params(2, 2e6))
+        assert got == pytest.approx(np.log(special.chndtr(2e6 + 2.0, 2, 2e6)), rel=1e-9)
+        # at lam = 4e9 the centred window would pass 500,001 terms
         with pytest.raises(ValueError, match="500,001"):
-            ncx2_logcdf(2e6 + 2.0, Ncx2Params(2, 2e6))
+            ncx2_logcdf(4e9 + 2.0, Ncx2Params(2, 4e9))
 
     def test_log_lower_gamma_vectorized(self):
         a = np.array([0.5, 4.0, 50.0, 3000.0])
@@ -262,13 +266,29 @@ class TestNcx2Quantile:
         target = np.clip(p, 0.0, 1.0 - 1e-14)
         assert np.max(np.abs(back - target)) < 1e-11
 
-    def test_round_trip_tiny_quantiles(self):
-        # the splitting estimator feeds probabilities this small
-        params = Ncx2Params(2, 0.5)
+    @pytest.mark.parametrize("lam", [0.5, 0.0])
+    def test_round_trip_tiny_quantiles(self, lam):
+        # the splitting estimator feeds probabilities this small; the fixed
+        # points lie off the table, in and below the band where Boost's
+        # CDF and its inverse lose digits to a subnormal power of x
+        params = Ncx2Params(2, lam)
         rng = np.random.default_rng(1)
-        p = 10.0 ** rng.uniform(-60, -3, 3000)
+        p = np.concatenate([10.0 ** rng.uniform(-60, -3, 3000),
+                            [4.7e-162, 1e-300, 1e-310, 1e-320]])
         x = ncx2_quantile(p, params)
         assert np.max(np.abs(ncx2_cdf(x, params) / p - 1.0)) < 1e-9
+
+    def test_uncertified_step_falls_back(self, monkeypatch):
+        # a table 1e-3 off in ln x leaves steps whose residual fails the
+        # certificate; those points must come from the exact inverse
+        params = Ncx2Params(2, 10.58)
+        tab = specfun._quantile_table(2, 10.58)
+        shifted = tab._replace(log_x=tab.log_x + 1e-3)
+        monkeypatch.setattr(specfun, "_quantile_table", lambda dof, lam: shifted)
+        rng = np.random.default_rng(4)
+        p = np.concatenate([[1e-200, 1e-10, 0.5, 1 - 1e-6], rng.random(2000)])
+        x = ncx2_quantile(p, params)
+        assert np.max(np.abs(ncx2_cdf(x, params) / p - 1.0)) < 1e-12
 
     def test_batch_size_independent(self):
         # every call starts from the same cached table, so scalar, small and
@@ -302,7 +322,7 @@ class TestNcx2Quantile:
         assert 0.0 < tab.eps < 1e-7 and tab.n_cert == 8010
         u = (np.arange(tab.n_cert)[:, None] + np.arange(1, 16) / 16.0).ravel()
         p = special.expit(tab.s0 + u * tab.h)
-        x = specfun._table_value(tab, p, tab.n_cert)
+        x = specfun._table_value(tab, p)
         assert not np.isnan(x).any()
         assert np.max(np.abs(x / ncx2_quantile(p, params) - 1.0)) <= tab.eps
 
@@ -324,7 +344,7 @@ class TestNcx2Quantile:
     def test_one_cdf_evaluation_per_point(self, lam, x_th, monkeypatch):
         # a count, not a timing: CDF points per requested point on
         # uis-style (k u, k the CDF at a threshold) and mls-style (1 - e^{-G})
-        # inputs; the bracketed solver spends about 3
+        # inputs; the certified step from the table spends one
         params = Ncx2Params(2, lam)
         ncx2_quantile(0.5, params)  # build the table outside the count
         raw = specfun.ncx2_cdf
