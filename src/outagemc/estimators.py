@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .model import ChannelConfig, EstimateResult, gsc_statistic_rows
 from .samplers import (
@@ -463,6 +463,8 @@ def ce_update(x: np.ndarray, weights: np.ndarray) -> CEParams:
 
     Near nu = 0 the score behaves like nu^3 (1 - m2 / (2 m1^2)) / m1, so a
     score that is not positive at the foot of the bracket means the edge.
+    Otherwise Newton's method from the moment root nu^4 = 2 m1^2 - m2, bisecting
+    steps that leave the bracket, takes about 5; R' = 1 - R^2 - R/a, R = I1/I0.
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -473,21 +475,29 @@ def ce_update(x: np.ndarray, weights: np.ndarray) -> CEParams:
     z = x.ravel()
     wz = np.repeat(w / w.sum(), x.shape[1]) / x.shape[1]
     rz = np.sqrt(z)
-    m1 = float(np.dot(wz, z))
-    m2 = float(np.dot(wz, z * z))
+    wrz, wzz = wz * rz, wz * z
+    m1, m2 = float(np.dot(wz, z)), float(np.dot(wzz, z))
 
     def score(nu):
         v1 = 0.5 * (m1 - nu * nu)
-        if v1 <= 0.0:  # the limit I1/I0 -> 1 at the end of the bracket
-            return float(np.dot(wz, rz)) - nu
         arg = nu * rz / v1
-        return float(np.dot(wz, rz * special.i1e(arg) / special.i0e(arg))) - nu
+        r = special.i1e(arg) / special.i0e(arg)
+        t = float(np.dot(wrz, r))
+        ezr = m1 - float(np.dot(wzz, r * r)) - v1 / nu * t  # E_w[z R'], as z/a = sqrt(z) v1/nu
+        return t - nu, ezr * (v1 + nu * nu) / (v1 * v1) - 1.0
 
-    hi = math.sqrt(m1)
-    lo = 1e-4 * hi
-    if m2 >= 2.0 * m1 * m1 or score(lo) <= 0.0:
+    lo, hi = 1e-4 * math.sqrt(m1), math.sqrt(m1)
+    if m2 >= 2.0 * m1 * m1 or score(lo)[0] <= 0.0:
         return CEParams(v1=0.5 * m1, v2=0.0)
-    nu = optimize.brentq(score, lo, hi, xtol=1e-15 * hi)
+    xtol, nu = 1e-15 * hi, min(max((2.0 * m1 * m1 - m2) ** 0.25, lo), (1.0 - 1e-9) * hi)
+    while hi - lo > xtol:
+        s, ds = score(nu)
+        lo, hi = (nu, hi) if s > 0.0 else (lo, nu)
+        step = s / ds if ds < 0.0 else math.inf
+        if abs(step) <= xtol or (ds < 0.0 and abs(s) <= 4e-16 * nu):  # s at its rounding
+            nu -= step
+            break
+        nu = nu - step if lo < nu - step < hi else 0.5 * (lo + hi)
     v1 = 0.5 * (m1 - nu * nu)
     return CEParams(v1=v1, v2=nu * nu / v1)
 

@@ -192,7 +192,8 @@ def _quantile_table(dof: int, lam: float) -> _QuantileTable:
     past which the CDF's rounding makes the quantile too noisy to check
     against: 8 times the worst error against _boost_quantile at the
     midpoints, where the Hermite error peaks, plus 1e-12 for the certified
-    step's own error.  A non-finite eps gives eps = inf and n_cert = 0.
+    step's own error.  An eps above 1e-6 (sound tables read 2e-8 to 4e-8;
+    lam = 200 reads 0.12) or a non-finite one gives eps = inf, n_cert = 0.
     """
     params = Ncx2Params(dof, lam)
     s = np.linspace(*_TABLE_LOGIT)
@@ -206,7 +207,7 @@ def _quantile_table(dof: int, lam: float) -> _QuantileTable:
     p_mid = special.expit(s[:n] + 0.5 * h)
     err = np.abs(_table_value(tab, p_mid) / _boost_quantile(p_mid, params) - 1.0)
     eps = 8.0 * float(np.max(err)) + 1e-12
-    return tab._replace(eps=eps) if math.isfinite(eps) else tab._replace(n_cert=0)
+    return tab._replace(eps=eps) if eps <= 1e-6 else tab._replace(n_cert=0)
 
 
 def ncx2_quantile(p, params: Ncx2Params):
@@ -216,7 +217,8 @@ def ncx2_quantile(p, params: Ncx2Params):
     few digits of 1 - p.  On the table's certified intervals a point takes
     one Newton step from the table (one CDF evaluation), kept when its
     residual r meets r^2 <= _NEWTON_CERT p min(p, 1 - p); other points are
-    _boost_quantile's.  Batch size never matters.
+    _boost_quantile's, checked by one CDF evaluation each: a miss past 1e-9
+    relative (p <= 1/2) or 1e-11 absolute raises.  Batch size never matters.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
@@ -231,5 +233,8 @@ def ncx2_quantile(p, params: Ncx2Params):
         step = x0 - r / np.exp(ncx2_logpdf(x0, params))
     x[on] = np.where(r * r <= _NEWTON_CERT * q0 * np.minimum(q0, 1.0 - q0), step, np.nan)
     cold = ~((x > 0.0) & (x < np.inf))
-    x[cold] = _boost_quantile(q[cold], params)
+    x[cold] = xc = _boost_quantile(qc := q[cold], params)
+    bad = ~(np.abs(ncx2_cdf(xc, params) - qc) <= np.where(qc <= 0.5, 1e-9 * qc, 1e-11))
+    if bad.any():  # Boost's inverse fails far in the left tail at lam >= 200
+        raise ValueError(f"ncx2_quantile cannot invert p={qc[bad][0]:.4g} for {params}")
     return float(x[0]) if np.isscalar(p) or arr.ndim == 0 else x.reshape(arr.shape)

@@ -3,7 +3,8 @@
 The references are computed with scipy alone.  The oracles below them are
 small functions the package itself does not call: the scalar top-m sum,
 P(a, x), the density, Marcum Q (the upper-tail cross-check of ncx2_cdf),
-the paper's three-branch rejection constant and its large-mean asymptote.
+the CE fit by brentq, the paper's three-branch rejection constant and its
+large-mean asymptote.
 Test modules import them with ``from conftest import ...``.
 """
 
@@ -82,6 +83,34 @@ def gsc_statistic(x, m: int) -> float:
     if m == M:
         return float(arr.sum())
     return float(np.partition(arr, M - m)[M - m:].sum())
+
+
+def ce_fit_brentq(x, w):
+    """(v1, v2) of the weighted Rician fit that ce_update computes, by brentq.
+
+    Same pooled moments, edge test and bracket (1e-4 sqrt(m1), sqrt(m1)),
+    with xtol = 1e-15 sqrt(m1); the score is taken to its limit I1/I0 -> 1
+    at the top of the bracket, where v1 = 0.
+    """
+    z = x.ravel()
+    wz = np.repeat(w / w.sum(), x.shape[1]) / x.shape[1]
+    rz = np.sqrt(z)
+    m1, m2 = float(np.dot(wz, z)), float(np.dot(wz, z * z))
+
+    def score(nu):
+        v1 = 0.5 * (m1 - nu * nu)
+        if v1 <= 0.0:
+            return float(np.dot(wz, rz)) - nu
+        arg = nu * rz / v1
+        return float(np.dot(wz, rz * special.i1e(arg) / special.i0e(arg))) - nu
+
+    hi = math.sqrt(m1)
+    lo = 1e-4 * hi
+    if m2 >= 2.0 * m1 * m1 or score(lo) <= 0.0:
+        return 0.5 * m1, 0.0
+    nu = optimize.brentq(score, lo, hi, xtol=1e-15 * hi)
+    v1 = 0.5 * (m1 - nu * nu)
+    return v1, nu * nu / v1
 
 
 def regularized_lower_gamma(a, x):

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
+
+from conftest import ce_fit_brentq
 
 from outagemc import estimators, samplers
 from outagemc.estimators import (
@@ -226,6 +228,21 @@ def _subset_elite_set():
     return estimators._elite_weights(*_subset_pilot())
 
 
+def _los_final_set():
+    """A LOS final-fit elite set: 20,000 rows drawn from a late proposal
+    (0.2, 14.3), kept where H <= gamma_th = 17 (about 75k coordinates)."""
+    nominal, v = CEParams(0.5, 2.0 * 2.3 * 2.3), CEParams(0.2, 14.3)
+    x = _scaled_ncx2_rows(v.v1, v.v2, RngStream(36).generator(), (20_000, 8))
+    return estimators._elite_weights(x, gsc_statistic_rows(x, 4), 17.0, nominal, v)
+
+
+def _near_edge_set():
+    """Coordinates from v = (0.5, 0.1) whose moments sit just inside the
+    edge: m2 / (2 m1^2) = 0.9964, root nu = 0.24 sqrt(m1)."""
+    x = _scaled_ncx2_rows(0.5, 0.1, RngStream(37).generator(), (4000, 4))
+    return x, np.ones(x.shape[0])
+
+
 def _boundary_set():
     """Coordinates with m2 >= 2 m1^2 (a gamma law of shape 1/2 has m2 = 3 m1^2)."""
     x = RngStream(35).generator().gamma(0.5, 0.4, size=(2000, 4))
@@ -263,6 +280,31 @@ class TestCeUpdate:
         assert res.success
         best = -res.fun
         assert _ce_objective(x, w, got.v1, got.v2) >= best - 1e-9 * abs(best)
+
+    @pytest.mark.parametrize("data,most", [(_subset_elite_set, 8), (_los_final_set, 8),
+                                           (_near_edge_set, None)],
+                             ids=["subset-pilot", "los-final", "near-edge"])
+    def test_matches_brentq_fit(self, data, most, monkeypatch):
+        # the same root as a brentq solve of the same score; a fit costs
+        # one ratio I1/I0 (one i0e call) per score evaluation
+        x, w = data()
+        v1, v2 = ce_fit_brentq(x, w)
+        assert v2 > 0.0
+        calls = []
+        raw = special.i0e
+        monkeypatch.setattr(special, "i0e", lambda a: calls.append(1) or raw(a))
+        got = ce_update(x, w)
+        monkeypatch.undo()
+        assert got.v1 == pytest.approx(v1, rel=1e-12)
+        assert got.v2 == pytest.approx(v2, rel=1e-12)
+        assert most is None or len(calls) <= most
+
+    def test_near_edge_root_is_small(self):
+        x, w = _near_edge_set()
+        m1, m2 = np.mean(x), np.mean(x * x)
+        assert 0.99 * 2.0 * m1 * m1 < m2 < 2.0 * m1 * m1
+        got = ce_update(x, w)
+        assert math.sqrt(got.v1 * got.v2) < 0.3 * math.sqrt(m1)
 
     def test_ascent(self):
         x = _scaled_ncx2_rows(0.5, 0.5, RngStream(16).generator(), (20_000, 4))

@@ -278,6 +278,18 @@ class TestNcx2Quantile:
         x = ncx2_quantile(p, params)
         assert np.max(np.abs(ncx2_cdf(x, params) / p - 1.0)) < 1e-9
 
+    def test_large_noncentrality_left_tail_raises(self):
+        # at lam = 200 Boost's inverse answers 0.04954 for every p from
+        # 1e-300 to 1e-50, where the CDF reads 0; the table built from it
+        # is not certified, and the cold check turns the miss into an error
+        params = Ncx2Params(2, 200.0)
+        tab = specfun._quantile_table(2, 200.0)
+        assert tab.eps == np.inf and tab.n_cert == 0
+        with pytest.raises(ValueError, match="cannot invert"):
+            ncx2_quantile(1e-100, params)
+        x = ncx2_quantile(0.5, params)
+        assert abs(ncx2_cdf(x, params) - 0.5) < 1e-11
+
     def test_uncertified_step_falls_back(self, monkeypatch):
         # a table 1e-3 off in ln x leaves steps whose residual fails the
         # certificate; those points must come from the exact inverse
