@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 
 from .experiment import (
+    CSV_COLUMNS,
+    SWEEP_COLUMNS,
     SpecError,
     load_spec,
     run_experiment,
@@ -22,7 +24,6 @@ from .experiment import (
     verify_oracles,
     write_csv,
     write_json,
-    write_sweep_csv,
 )
 
 EXIT_OK = 0
@@ -31,30 +32,24 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 
-def _common_flags(sub):
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the spec's seed")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker processes; results do not depend on this")
-    sub.add_argument("--out-dir", type=Path, default=Path("."),
-                     help="directory for output files")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="csv writes a CSV plus JSON sidecar; json writes JSON only")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="outagemc",
         description="Rare-event Monte Carlo estimation of GSC/MRC outage probability")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_est = subs.add_parser("estimate", help="run every (method, sweep point) cell")
-    p_est.add_argument("spec", type=Path, help="experiment spec file (INI)")
-    _common_flags(p_est)
-
-    p_sweep = subs.add_parser("sweep", help="write plot-ready SCV-vs-axis data")
-    p_sweep.add_argument("spec", type=Path, help="experiment spec file (INI)")
-    _common_flags(p_sweep)
+    for name, text in (("estimate", "run every (method, sweep point) cell"),
+                       ("sweep", "write plot-ready SCV-vs-axis data")):
+        sub = subs.add_parser(name, help=text)
+        sub.add_argument("spec", type=Path, help="experiment spec file (INI)")
+        sub.add_argument("--seed", type=int, default=None,
+                         help="override the spec's seed")
+        sub.add_argument("--workers", type=int, default=1,
+                         help="worker processes; results do not depend on this")
+        sub.add_argument("--out-dir", type=Path, default=Path("."),
+                         help="directory for output files")
+        sub.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="csv writes a CSV plus JSON sidecar; json writes JSON only")
 
     p_ver = subs.add_parser("verify", help="run the built-in oracle checks")
     p_ver.add_argument("--seed", type=int, default=20240601)
@@ -64,35 +59,23 @@ def build_parser():
     return parser
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_report(args) -> int:
+    runner, stem, columns = {
+        "estimate": (run_experiment, "results", CSV_COLUMNS),
+        "sweep": (sweep_scv_rows, "sweep_scv", SWEEP_COLUMNS),
+    }[args.command]
     spec = load_spec(args.spec)
-    rows, sidecar, hard_failure = run_experiment(spec, workers=args.workers,
-                                                 seed=args.seed)
+    rows, sidecar, hard_failure = runner(spec, workers=args.workers, seed=args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
-        csv_path = write_csv(rows, args.out_dir / "results.csv")
+        csv_path = write_csv(rows, columns, args.out_dir / f"{stem}.csv")
         print(f"wrote {csv_path}")
-    json_path = write_json(sidecar, args.out_dir / "results.json")
+    json_path = write_json(sidecar, args.out_dir / f"{stem}.json")
     print(f"wrote {json_path}")
-    ok_rows = [r for r in rows if not str(r["warnings"]).startswith("error:")]
-    if hard_failure:
-        return EXIT_RUNTIME
-    if not ok_rows:
+    # estimate fails when no cell returned an estimate, sweep when no cell has an SCV
+    if hard_failure or not rows or not sidecar["results"]:
         return EXIT_RUNTIME
     return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    spec = load_spec(args.spec)
-    rows, sidecar, hard_failure = sweep_scv_rows(spec, workers=args.workers,
-                                                 seed=args.seed)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        csv_path = write_sweep_csv(rows, args.out_dir / "sweep_scv.csv")
-        print(f"wrote {csv_path}")
-    json_path = write_json(sidecar, args.out_dir / "sweep_scv.json")
-    print(f"wrote {json_path}")
-    return EXIT_RUNTIME if hard_failure or not rows else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -111,11 +94,9 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_verify(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _cmd_report(args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -37,9 +37,9 @@ independent of the worker count.
 from __future__ import annotations
 
 import configparser
+import csv
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +53,7 @@ from .samplers import RngStream
 CSV_COLUMNS = ["method", "M", "m", "mu", "gamma_th", "S", "p_hat", "var_hat",
                "re_pct", "scv", "wnrv_time", "wnrv_work", "wall_time_s",
                "seed", "warnings"]
+SWEEP_COLUMNS = ["axis_value", "method", "scv"]
 
 METHODS = ("nmc", "uis", "pis", "et", "ce", "mls")
 
@@ -196,45 +197,26 @@ def run_method(method: str, config: ChannelConfig, S: int, rng: RngStream,
     return est.ESTIMATORS[method](config, S, rng, workers=workers)
 
 
-def _fmt_mu(config: ChannelConfig) -> str:
-    if config.identical_mu:
-        return f"{config.mu[0]:.10g}"
-    return ";".join(f"{v:.10g}" for v in config.mu)
+def _csv_row(rec: dict, seed: int, notes: list, wnrv: float = None) -> dict:
+    """One results.csv row formatted from a cell's sidecar record.
 
-
-def _row_from_result(result: EstimateResult, config: ChannelConfig,
-                     rep: metrics.EfficiencyReport | None) -> dict:
-    """One CSV row; rep is the result's efficiency report, None when p_hat = 0."""
-    notes = list(result.warnings)
-    if result.p_hat <= 0.0:
-        notes.append("zero hits at this sample count; derived metrics undefined")
+    A failed cell passes a record holding only method, config and samples;
+    every value it lacks, like a None from a zero-hit estimate, is blank.
+    """
+    def sci(key, scale=1.0):
+        v = rec.get(key)
+        return "" if v is None else f"{scale * v:.3e}"
+    cfg = rec["config"]
+    mu = cfg["mu"] if len(set(cfg["mu"])) > 1 else cfg["mu"][:1]
     return {
-        "method": result.method,
-        "M": config.M,
-        "m": config.m,
-        "mu": _fmt_mu(config),
-        "gamma_th": f"{config.gamma_th:.10g}",
-        "S": result.samples,
-        "p_hat": f"{result.p_hat:.3e}",
-        "var_hat": f"{result.var_hat:.3e}",
-        "re_pct": f"{100.0 * rep.re:.3e}" if rep else "",
-        "scv": f"{rep.scv:.3e}" if rep else "",
-        "wnrv_time": f"{rep.wnrv:.3e}" if rep else "",
-        "wnrv_work": f"{rep.wnrv_work:.3e}" if rep else "",
-        "wall_time_s": f"{result.wall_time_s:.3e}",
-        "seed": result.seed,
-        "warnings": ";".join(notes),
-    }
-
-
-def _error_row(method: str, config: ChannelConfig, S: int, seed: int,
-               message: str) -> dict:
-    return {
-        "method": method, "M": config.M, "m": config.m, "mu": _fmt_mu(config),
-        "gamma_th": f"{config.gamma_th:.10g}", "S": S, "p_hat": "",
-        "var_hat": "", "re_pct": "", "scv": "", "wnrv_time": "",
-        "wnrv_work": "", "wall_time_s": "", "seed": seed,
-        "warnings": f"error: {message}",
+        "method": rec["method"], "M": cfg["M"], "m": cfg["m"],
+        "mu": ";".join(f"{v:.10g}" for v in mu),
+        "gamma_th": f"{cfg['gamma_th']:.10g}",
+        "S": rec["samples"], "p_hat": sci("p_hat"), "var_hat": sci("var_hat"),
+        "re_pct": sci("re", 100.0), "scv": sci("scv"),
+        "wnrv_time": "" if wnrv is None else f"{wnrv:.3e}",
+        "wnrv_work": sci("wnrv_work"), "wall_time_s": sci("wall_time_s"),
+        "seed": seed, "warnings": ";".join(notes),
     }
 
 
@@ -257,20 +239,19 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1, seed: int = None):
             S = spec.samples[method]
             rng = RngStream(base_seed, stream_id)
             stream_id += 1
+            rec = {"method": method, "axis_value": axis_value,
+                   "config": {"M": config.M, "m": config.m,
+                              "mu": list(config.mu), "gamma_th": config.gamma_th},
+                   "samples": S}
             try:
                 result = run_method(method, config, S, rng, spec.hyper,
                                     workers=workers)
             except (ValueError, RuntimeError) as exc:
-                rows.append(_error_row(method, config, S, base_seed, str(exc)))
+                rows.append(_csv_row(rec, base_seed, [f"error: {exc}"]))
                 hard_failure |= isinstance(exc, RuntimeError)
                 continue
             rep = metrics.efficiency_report(result) if result.p_hat > 0 else None
-            rows.append(_row_from_result(result, config, rep))
-            sidecar["results"].append({
-                "method": method,
-                "axis_value": axis_value,
-                "config": {"M": config.M, "m": config.m, "mu": list(config.mu),
-                           "gamma_th": config.gamma_th},
+            rec.update({
                 "samples": result.samples,
                 "stream_id": rng.stream_id,
                 "p_hat": result.p_hat,
@@ -282,15 +263,21 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1, seed: int = None):
                 "work_units": result.work_units,
                 "diagnostics": result.diagnostics,
             })
+            sidecar["results"].append(rec)
+            notes = list(result.warnings)
+            if rep is None:
+                notes.append("zero hits at this sample count; derived metrics undefined")
+            rows.append(_csv_row(rec, base_seed, notes, rep.wnrv if rep else None))
     return rows, sidecar, hard_failure
 
 
-def write_csv(rows, path):
+def write_csv(rows, columns, path):
+    """Write dict rows under a header of columns, quoted per RFC 4180."""
     path = Path(path)
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in CSV_COLUMNS))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return path
 
 
@@ -322,15 +309,6 @@ def sweep_scv_rows(spec: ExperimentSpec, workers: int = 1, seed: int = None):
                         "method": rec["method"],
                         "scv": f"{rec['scv']:.6e}"})
     return out, sidecar, hard_failure
-
-
-def write_sweep_csv(rows, path):
-    path = Path(path)
-    lines = ["axis_value,method,scv"]
-    for row in rows:
-        lines.append(f"{row['axis_value']},{row['method']},{row['scv']}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 # ---------------------------------------------------------------------------

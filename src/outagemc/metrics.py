@@ -41,7 +41,8 @@ def scv(result: EstimateResult) -> float:
     """Squared coefficient of variation var_hat / p_hat^2 (sample-size free)."""
     if result.p_hat <= 0.0:
         raise ValueError("degenerate estimate, SCV undefined")
-    return result.var_hat / (result.p_hat * result.p_hat)
+    # p_hat * p_hat underflows to 0 below p_hat ~ 1.5e-154
+    return result.var_hat / result.p_hat / result.p_hat
 
 
 def wnrv(result: EstimateResult) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .specfun import (
     Ncx2Params,
@@ -132,13 +132,20 @@ def _branch_mode(mu: float) -> float:
 
     d ln f_X / dx = -1 + mu I1(z) / (sqrt(x) I0(z)) with z = 2 mu sqrt(x)
     vanishes where I1(z) / (z I0(z)) = 1 / (2 mu^2).  The left side falls
-    from 1/2 at z = 0 and lies below 1 / z, so the root is in (0, 2 mu^2).
+    from 1/2 at z = 0 and lies below 1 / z, so the root is in (0, 2 mu^2);
+    bisection halves that bracket until its midpoint rounds to an end.
     """
     if mu <= 1.0:
         return 0.0
     c = 0.5 / (mu * mu)
-    z = optimize.brentq(lambda z: special.i1e(z) / (z * special.i0e(z)) - c,
-                        1e-300, 2.0 * mu * mu)
+    lo, hi = 0.0, 2.0 * mu * mu
+    z = 0.5 * hi
+    while lo < z < hi:
+        if special.i1e(z) / (z * special.i0e(z)) > c:
+            lo = z
+        else:
+            hi = z
+        z = 0.5 * (lo + hi)
     return (0.5 * z / mu) ** 2
 
 

@@ -3,8 +3,8 @@
 The references are computed with scipy alone.  The oracles below them are
 small functions the package itself does not call: the scalar top-m sum,
 P(a, x), the density, Marcum Q (the upper-tail cross-check of ncx2_cdf),
-the CE fit by brentq, the paper's three-branch rejection constant and its
-large-mean asymptote.
+the CE fit and the branch-density mode by brentq, the paper's three-branch
+rejection constant and its large-mean asymptote.
 Test modules import them with ``from conftest import ...``.
 """
 
@@ -111,6 +111,14 @@ def ce_fit_brentq(x, w):
     nu = optimize.brentq(score, lo, hi, xtol=1e-15 * hi)
     v1 = 0.5 * (m1 - nu * nu)
     return v1, nu * nu / v1
+
+
+def branch_mode_brentq(mu):
+    """Mode of X = (1/2) ncx2(2, 2 mu^2) for mu > 1, the root that _branch_mode bisects."""
+    c = 0.5 / (mu * mu)
+    z = optimize.brentq(lambda z: special.i1e(z) / (z * special.i0e(z)) - c,
+                        1e-300, 2.0 * mu * mu)
+    return (0.5 * z / mu) ** 2
 
 
 def regularized_lower_gamma(a, x):

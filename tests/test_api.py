@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -55,3 +57,11 @@ def test_estimator_signatures_pinned(name):
 def test_mell_bound_fields_pinned():
     fields = [f.name for f in dataclasses.fields(outagemc.MellBound)]
     assert fields == MELL_BOUND_FIELDS
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize costs about 0.2 s of every import and the package needs none of it
+    code = "import sys, outagemc; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

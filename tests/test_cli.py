@@ -1,5 +1,6 @@
 """Spec parsing, output files, exit codes, and worker-count determinism."""
 
+import csv
 import json
 import re
 
@@ -135,6 +136,33 @@ class TestEstimateCommand:
         rows = (out / "results.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
         assert all("error:" in r and "too extreme" in r for r in rows)
+        # et's message holds a comma, which must not split its field
+        assert [len(r) for r in csv.reader(rows)] == [15, 15]
+
+    def test_zero_variance_below_square_underflow(self, tmp_path):
+        # p_hat ~ 3.4e-166 squares to 0; pis is exact here, so its SCV is 0
+        text = GOOD_SPEC.replace("M = 4\nm = 2", "M = 8\nm = 8")
+        text = text.replace("gamma_th = 0.8", "gamma_th = 1e-20")
+        spec = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["estimate", str(spec), "--out-dir", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            rows = {r["method"]: r for r in csv.DictReader(fh)}
+        assert rows["pis"]["scv"] == "0.000e+00"
+        assert rows["et"]["warnings"].startswith("error:")
+        assert len(rows["et"]) == 15 and None not in rows["et"]
+
+    def test_csv_rows_match_sidecar(self, tmp_path):
+        spec = write(tmp_path, GOOD_SPEC)
+        out = tmp_path / "out"
+        assert main(["estimate", str(spec), "--out-dir", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        records = json.loads((out / "results.json").read_text())["results"]
+        assert [r["method"] for r in rows] == [rec["method"] for rec in records]
+        for row, rec in zip(rows, records):
+            for key in ("p_hat", "var_hat", "scv"):
+                assert row[key] == f"{rec[key]:.3e}", (row["method"], key)
 
     def test_spec_error_exit_code(self, tmp_path):
         spec = write(tmp_path, GOOD_SPEC.replace("M = 4", "M = -4"))

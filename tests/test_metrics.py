@@ -13,7 +13,9 @@ from outagemc.metrics import (
     wnrv,
     wnrv_work,
 )
-from outagemc.model import EstimateResult
+from outagemc.estimators import estimate_pis
+from outagemc.model import ChannelConfig, EstimateResult
+from outagemc.samplers import RngStream
 
 
 def make_result(p=1e-5, var=None, samples=10 ** 6, wall=2.0, work=None):
@@ -145,3 +147,13 @@ class TestEfficiencyReport:
         assert rep.wnrv == wnrv(r)
         assert rep.wnrv_work == pytest.approx(scv(r) * 2.0)
         assert rep.ci95[0] <= r.p_hat <= rep.ci95[1]
+
+    def test_zero_variance_below_square_underflow(self):
+        # p_hat * p_hat underflows to 0 here; the exact pis estimate has
+        # zero variance, so both the SCV and the RE are 0
+        config = ChannelConfig(M=8, m=8, mu=(0.5,) * 8, gamma_th=1e-20)
+        r = estimate_pis(config, 1000, RngStream(4242))
+        assert r.p_hat == pytest.approx(3.3565e-166, rel=1e-4)
+        assert r.var_hat == 0.0
+        rep = efficiency_report(r)
+        assert rep.scv == 0.0 and rep.re == 0.0

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import log_m_ell_paper
+from conftest import branch_mode_brentq, log_m_ell_paper
 from outagemc.model import ChannelConfig
 from outagemc.samplers import (
     RejectionStalledError,
     RngStream,
     compute_m_ell,
+    _branch_mode,
     _exponential_rows,
     _inverse_rows,
     _nominal_rows,
@@ -195,6 +196,20 @@ class TestComputeMell:
         assert log_paper == pytest.approx(162.410, abs=0.01)
         b = compute_m_ell(40.0, 4, 1.0)
         assert np.isfinite(b.value) and 1.0 <= b.log_value < log_paper
+
+    @pytest.mark.parametrize("mu", [1.01, 1.5, 2.3, 3.0, 5.0, 10.0, 30.0])
+    def test_branch_mode_matches_brentq(self, mu):
+        assert _branch_mode(mu) == pytest.approx(branch_mode_brentq(mu), rel=1e-12)
+
+    @pytest.mark.parametrize("mu,n,gamma,log_value", [
+        (2.3, 4, 17.0, 2.0474416655389933),
+        (3.0, 4, 17.0, 3.082625291904808),
+        (1.5, 2, 40.0, 3.4825232290398898),  # x* is the branch mode here
+    ])
+    def test_log_value_pinned(self, mu, n, gamma, log_value):
+        # values computed with the mode found by brentq
+        assert compute_m_ell(mu, n, gamma).log_value == pytest.approx(
+            log_value, rel=0, abs=1e-14)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
