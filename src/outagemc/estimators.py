@@ -16,9 +16,9 @@ estimator variance, so relative error is sqrt(var_hat / samples) / p_hat:
   mls  multilevel splitting along a gamma-process embedding of the channel,
        with survivor resampling at pilot-chosen levels
 
-Every estimator maps a block kernel over fixed-size blocks, one child stream
-per block (_run_blocks), so results are identical for any worker count given
-the same seed.  wall_time_s covers setup, pilot, sampling and reduction.
+Estimators map a kernel over fixed-size blocks, one child stream per block
+(_run_blocks; mls: one per replication, in fixed groups), so a seed gives the
+same results for any worker count.  wall_time_s spans setup to reduction.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .specfun import Ncx2Params, _quantile_table, log_bessel_i0, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
+MLS_ROWS = 1 << 11  # chains per mls group, decided by one _outage_at call a level
 
 
 class CeAdaptationError(RuntimeError):
@@ -153,15 +154,14 @@ def _map_ordered(fn, tasks, workers: int):
     return [fn(t) for t in tasks]
 
 
-def _run_blocks(kernel, head, total, rng: RngStream, workers: int,
-                first: int = 0, block: int = BLOCK_SIZE) -> list:
-    """kernel((*head, rng.child(first + i), n)) for blocks of `block` covering `total`.
+def _run_blocks(kernel, head, total, rng: RngStream, workers: int, first: int = 0) -> list:
+    """kernel((*head, rng.child(first + i), n)) for blocks of BLOCK_SIZE covering `total`.
 
     A fixed block size and one child stream per block keep the results,
     returned in block order, independent of the worker count.
     """
-    full, rem = divmod(total, block)
-    sizes = [block] * full + ([rem] if rem else [])
+    full, rem = divmod(total, BLOCK_SIZE)
+    sizes = [BLOCK_SIZE] * full + ([rem] if rem else [])
     tasks = [(*head, rng.child(first + i), n) for i, n in enumerate(sizes)]
     return _map_ordered(kernel, tasks, workers)
 
@@ -494,6 +494,8 @@ def ce_update(x: np.ndarray, weights: np.ndarray) -> CEParams:
         s, ds = score(nu)
         lo, hi = (nu, hi) if s > 0.0 else (lo, nu)
         step = s / ds if ds < 0.0 else math.inf
+        if ds >= 0.0 and nu * ds < 5.0 * s:  # s rising: the root is past its maximum
+            step = s * nu / (nu * ds - 5.0 * s)  # Newton on s / nu^5, as s ~ nu^3
         if abs(step) <= xtol or (ds < 0.0 and abs(s) <= 4e-16 * nu):  # s at its rounding
             nu -= step
             break
@@ -576,36 +578,45 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
 # multilevel splitting
 
 
-def _mls_advance(config: ChannelConfig, gen, g_surv, dt: float, s: int):
-    """s paths advanced by dt from survivors picked uniformly (fresh if None).
+def _mls_advance(config: ChannelConfig, gens, survivors, dt: float, s: int):
+    """(G, outage mask) of s paths per stream advanced by dt, stream i in rows i s on.
 
-    Returns the gamma-process coordinates G and the outage mask of the
-    channel point X = F^{-1}(1 - e^{-G}), decided by _outage_at: rows with
-    all X_j below gamma_th/m, m of them above it or one above gamma_th
-    never reach the quantile tables.
+    Each stream draws its survivor picks (none from None, a fresh start), then
+    its gamma increments; one _outage_at call decides X = F^{-1}(1 - e^{-G})
+    for every row, so the decision does not depend on the grouping.
     """
-    if g_surv is None:
-        g_mat = gen.gamma(dt, size=(s, config.M))
-    else:
-        pick = gen.integers(0, g_surv.shape[0], size=s)
-        g_mat = g_surv[pick] + gen.gamma(dt, size=(s, config.M))
+    g_mat = np.empty((len(gens) * s, config.M))
+    for gen, g_surv, rows in zip(gens, survivors, np.split(g_mat, len(gens))):
+        pick = None if g_surv is None else gen.integers(0, g_surv.shape[0], size=s)
+        gen.standard_gamma(dt, out=rows)
+        if pick is not None:
+            rows += g_surv[pick]
     return g_mat, _outage_at(config, -np.expm1(-g_mat))
 
 
-def _mls_replication(task):
-    config, levels, stream, s = task
-    gen = stream.generator()
-    estimate = 1.0
-    g_surv = None
+def _mls_group(task):
+    """(estimate, dead level) per replication of a group, from rng.child(i) each.
+
+    The live replications step together; one left without survivors at level
+    idx stops there with estimate 0 and dead level idx (0 for the others).
+    """
+    config, levels, rng, children, s = task
+    gens = [rng.child(i).generator() for i in children]
+    est, dead = [1.0] * len(gens), [0] * len(gens)
+    live, survivors = list(range(len(gens))), [None] * len(gens)
     for idx in range(1, len(levels)):
-        g_mat, mask = _mls_advance(config, gen, g_surv,
+        g_mat, mask = _mls_advance(config, [gens[i] for i in live], survivors,
                                    levels[idx] - levels[idx - 1], s)
-        count = int(np.count_nonzero(mask))
-        estimate *= count / s
-        if count == 0:
-            return 0.0, idx
-        g_surv = g_mat[mask]
-    return estimate, 0
+        g_mat, hits = g_mat.reshape(len(live), s, -1), mask.reshape(len(live), s)
+        counts = np.count_nonzero(hits, axis=1).tolist()
+        for i, count in zip(live, counts):
+            est[i] *= count / s
+            dead[i] = 0 if count else idx
+        survivors = [g[h] for g, h, c in zip(g_mat, hits, counts) if c]
+        live = [i for i, c in zip(live, counts) if c]
+        if not live:
+            break
+    return list(zip(est, dead))
 
 
 def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
@@ -624,19 +635,16 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
     gen = rng.generator()
     work = 0
 
-    def cond_fraction(t_from, t_to, g_surv):
+    def cond_fraction(dt):
         nonlocal work
         work += pilot_samples
-        g_mat, mask = _mls_advance(config, gen, g_surv, t_to - t_from,
-                                   pilot_samples)
+        g_mat, mask = _mls_advance(config, [gen], [g_surv], dt, pilot_samples)
         return float(np.mean(mask)), g_mat[mask]
 
-    levels = [0.0]
-    fractions = []
-    g_surv = None
-    t = 0.0
+    levels, fractions = [0.0], []
+    g_surv, t = None, 0.0
     for _ in range(200):
-        frac_end, _ = cond_fraction(t, 1.0, g_surv)
+        frac_end, _ = cond_fraction(1.0 - t)
         if frac_end >= target_cond_prob:
             if t == 0.0:
                 warnings.warn("outage event is not rare: single-level schedule",
@@ -647,18 +655,13 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
         lo, hi = t, 1.0
         while hi - lo > 1e-3:
             mid = 0.5 * (lo + hi)
-            frac, _ = cond_fraction(t, mid, g_surv)
-            if frac >= target_cond_prob:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if cond_fraction(mid - t)[0] >= target_cond_prob else (lo, mid)
         t_next = max(lo, t + 1e-3)
-        frac, surv = cond_fraction(t, t_next, g_surv)
-        if surv.shape[0] == 0:
+        frac, g_surv = cond_fraction(t_next - t)
+        if g_surv.shape[0] == 0:
             raise RuntimeError("pilot produced no survivors; increase pilot_samples")
         levels.append(t_next)
         fractions.append(frac)
-        g_surv = surv
         t = t_next
     else:
         raise RuntimeError("pilot failed to reach t = 1 within 200 levels")
@@ -688,23 +691,20 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
                                     rng.child(0))
     elif not isinstance(schedule, MlsSchedule):
         raise ValueError("schedule must be an MlsSchedule or 'auto'")
-    # one block of s chains per replication
-    parts = _run_blocks(_mls_replication,
-                        (config, schedule.levels),
-                        s * replications, rng, workers, first=1, block=s)
-    estimates = np.array([p[0] for p in parts])
-    dead = [i for i, p in enumerate(parts) if p[1]]
-    p = float(estimates.mean())
-    var_repl = float(estimates.var(ddof=1))
-    wall = time.perf_counter() - t0
+    # one stream per replication, stepped in groups of about MLS_ROWS chains
+    per = max(1, MLS_ROWS // s)
+    tasks = [(config, schedule.levels, rng, range(1 + a, 1 + min(a + per, replications)), s)
+             for a in range(0, replications, per)]
+    estimates, dead = np.array(
+        [r for group in _map_ordered(_mls_group, tasks, workers) for r in group]).T
     chain_steps = s * schedule.n_levels * replications
-    notes = []
-    if dead:
-        notes.append(f"{len(dead)} replication(s) died with zero survivors")
+    notes = ([f"{np.count_nonzero(dead)} replication(s) died with zero survivors"]
+             if dead.any() else [])
     return EstimateResult(
-        p_hat=p, var_hat=var_repl * s * schedule.n_levels, samples=chain_steps,
-        wall_time_s=wall, method="mls", seed=rng.seed,
-        work_units=chain_steps + schedule.pilot_work,
+        p_hat=float(estimates.mean()),
+        var_hat=float(estimates.var(ddof=1)) * s * schedule.n_levels,
+        samples=chain_steps, wall_time_s=time.perf_counter() - t0, method="mls",
+        seed=rng.seed, work_units=chain_steps + schedule.pilot_work,
         diagnostics={"levels": list(schedule.levels),
                      "pilot_fractions": list(schedule.survivor_fractions),
                      "replications": replications, "per_level_samples": s,

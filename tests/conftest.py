@@ -3,8 +3,9 @@
 The references are computed with scipy alone.  The oracles below them are
 small functions the package itself does not call: the scalar top-m sum,
 P(a, x), the density, Marcum Q (the upper-tail cross-check of ncx2_cdf),
-the CE fit and the branch-density mode by brentq, the paper's three-branch
-rejection constant and its large-mean asymptote.
+the CE fit and the branch-density mode by brentq, mls replications run one
+at a time, the paper's three-branch rejection constant and its large-mean
+asymptote.
 Test modules import them with ``from conftest import ...``.
 """
 
@@ -111,6 +112,37 @@ def ce_fit_brentq(x, w):
     nu = optimize.brentq(score, lo, hi, xtol=1e-15 * hi)
     v1 = 0.5 * (m1 - nu * nu)
     return v1, nu * nu / v1
+
+
+def mls_replications(config, levels, rng, s, replications):
+    """[(estimate, dead level)] of estimate_mls's replications, one at a time.
+
+    Replication i draws from rng.child(1 + i): at each level its survivor
+    picks, then its gamma increments.  It stops at the first level left
+    without survivors, with estimate 0 and that level (0 if it never does).
+    """
+    from outagemc.estimators import _outage_at
+
+    out = []
+    for i in range(replications):
+        gen = rng.child(1 + i).generator()
+        estimate, dead, g_surv = 1.0, 0, None
+        for idx in range(1, len(levels)):
+            dt = levels[idx] - levels[idx - 1]
+            if g_surv is None:
+                g_mat = gen.gamma(dt, size=(s, config.M))
+            else:
+                pick = gen.integers(0, g_surv.shape[0], size=s)
+                g_mat = g_surv[pick] + gen.gamma(dt, size=(s, config.M))
+            mask = _outage_at(config, -np.expm1(-g_mat))
+            count = int(np.count_nonzero(mask))
+            estimate *= count / s
+            if count == 0:
+                estimate, dead = 0.0, idx
+                break
+            g_surv = g_mat[mask]
+        out.append((estimate, dead))
+    return out
 
 
 def branch_mode_brentq(mu):

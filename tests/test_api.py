@@ -1,9 +1,12 @@
 """The public API, pinned: adding or removing a public name is a reviewed diff."""
 
 import dataclasses
+import importlib
+import importlib.util
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +68,22 @@ def test_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_benchmark_probes_resolve(monkeypatch):
+    # the benchmark's tracer wraps private functions by name, and a probe
+    # whose target moved reads "absent"; load it without writing bytecode
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, home, attr in tracer.PROBES:
+        target = getattr(importlib.import_module(f"outagemc.{home}"), attr, None)
+        assert callable(target), f"{home}.{attr}"
+    cfg = outagemc.ChannelConfig(M=3, m=2, mu=0.5, gamma_th=0.5)
+    with tracer.Tracer() as tr, tr.top("mls"):
+        outagemc.estimate_mls(cfg, 100, outagemc.RngStream(1), replications=3,
+                              pilot_samples=500)
+    assert tr.absent == []
+    assert tr.counts["mls.levels"] > 0 and tr.counts["gsc.rows"] > 0

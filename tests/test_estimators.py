@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from conftest import ce_fit_brentq
+from conftest import ce_fit_brentq, mls_replications
 
 from outagemc import estimators, samplers
 from outagemc.estimators import (
@@ -299,6 +299,20 @@ class TestCeUpdate:
         assert got.v2 == pytest.approx(v2, rel=1e-12)
         assert most is None or len(calls) <= most
 
+    def test_score_rising_at_the_moment_root(self, monkeypatch):
+        # the moment root, 0.161 sqrt(m1), lies left of the score's maximum,
+        # so s' >= 0 there; the root 0.197 sqrt(m1) is pinned from a 30-digit
+        # evaluation of the score on these draws
+        x = _scaled_ncx2_rows(0.5, 0.1, RngStream(36).generator(), (4000, 4))
+        calls = []
+        raw = special.i0e
+        monkeypatch.setattr(special, "i0e", lambda a: calls.append(1) or raw(a))
+        got = ce_update(x, np.ones(x.shape[0]))
+        monkeypatch.undo()
+        assert len(calls) <= 8
+        assert got.v1 == pytest.approx(0.4991030554601595, rel=1e-12)
+        assert got.v2 == pytest.approx(0.08065900211872538, rel=1e-12)
+
     def test_near_edge_root_is_small(self):
         x, w = _near_edge_set()
         m1, m2 = np.mean(x), np.mean(x * x)
@@ -444,11 +458,45 @@ class TestMlsRowSkip:
         g_surv = gen.gamma(0.05, size=(5000, cfg.M)) * 10.0 ** gen.uniform(-3, 0, (5000, 1))
         g_surv[:50, 0] = 33.0
         k = estimators._screen(cfg).k
-        g_mat, mask = estimators._mls_advance(cfg, gen, g_surv, 0.01, 100_000)
+        g_mat, mask = estimators._mls_advance(cfg, [gen], [g_surv], 0.01, 100_000)
         p = -np.expm1(-g_mat)
         assert np.any(p >= 1.0 - 1e-14) and np.any(p > k) and np.any(mask)
         full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
         assert np.array_equal(mask, full)
+
+
+class TestMlsGroups:
+    """Replications stepped in groups give, bit for bit, what the same
+    replications give one at a time (conftest's mls_replications)."""
+
+    @staticmethod
+    def check(cfg, s, replications, rng, **kwargs):
+        per = estimators.MLS_ROWS // s
+        assert per > 1 and replications > per and replications % per
+        r = estimate_mls(cfg, s, rng, replications=replications, **kwargs)
+        ref = mls_replications(cfg, r.diagnostics["levels"], rng, s, replications)
+        assert r.diagnostics["replication_estimates"] == [e for e, _ in ref]
+        dead = sum(1 for _, d in ref if d)
+        assert r.diagnostics["warnings"] == (
+            [f"{dead} replication(s) died with zero survivors"] if dead else [])
+        return ref
+
+    @pytest.mark.parametrize("cfg", [
+        ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1),
+        ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0),
+    ], ids=["subset", "los"])
+    def test_pilot_schedule(self, cfg):
+        s = 300
+        self.check(cfg, s, estimators.MLS_ROWS // s + 5, RngStream(40),
+                   pilot_samples=2000)
+
+    def test_fixed_schedule_with_deaths(self):
+        # on los with 20 chains most replications die, some at each level
+        cfg = ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0)
+        levels = (0.0, 0.7, 0.85, 1.0)
+        ref = self.check(cfg, 20, estimators.MLS_ROWS // 20 + 19, RngStream(41),
+                         schedule=MlsSchedule(levels, 20, (0.5, 0.5, 0.5)))
+        assert {d for _, d in ref} == {0, 1, 2, 3}
 
 
 class TestTableDecision:
@@ -688,6 +736,18 @@ class TestWorkerDeterminism:
         b = estimate_mls(SMALL, 1000, RngStream(30), replications=12,
                          pilot_samples=2000, workers=3)
         assert a.p_hat == b.p_hat and a.var_hat == b.var_hat
+        assert a.diagnostics == b.diagnostics
+
+    def test_mls_several_replications_per_group(self):
+        # 200 chains put several replications in each group, and 45 leaves
+        # the last group partial
+        assert 1 < estimators.MLS_ROWS // 200 < 45 and 45 % (estimators.MLS_ROWS // 200)
+        a = estimate_mls(SMALL, 200, RngStream(30), replications=45,
+                         pilot_samples=2000, workers=1)
+        b = estimate_mls(SMALL, 200, RngStream(30), replications=45,
+                         pilot_samples=2000, workers=3)
+        assert a.p_hat == b.p_hat and a.var_hat == b.var_hat
+        assert a.work_units == b.work_units
         assert a.diagnostics == b.diagnostics
 
 
