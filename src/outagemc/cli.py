@@ -45,7 +45,7 @@ def build_parser():
         sub.add_argument("--seed", type=int, default=None,
                          help="override the spec's seed")
         sub.add_argument("--workers", type=int, default=1,
-                         help="worker processes; results do not depend on this")
+                         help="worker threads; results do not depend on this")
         sub.add_argument("--out-dir", type=Path, default=Path("."),
                          help="directory for output files")
         sub.add_argument("--format", choices=("csv", "json"), default="csv",

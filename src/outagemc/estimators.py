@@ -16,9 +16,10 @@ estimator variance, so relative error is sqrt(var_hat / samples) / p_hat:
   mls  multilevel splitting along a gamma-process embedding of the channel,
        with survivor resampling at pilot-chosen levels
 
-Estimators map a kernel over fixed-size blocks, one child stream per block
-(_run_blocks; mls: one per replication, in fixed groups), so a seed gives the
-same results for any worker count.  wall_time_s spans setup to reduction.
+Estimators run a kernel over fixed-size blocks on up to `workers` threads,
+each block on its own child stream (_run_blocks; mls: one per replication, in
+fixed groups), so a seed gives the same results for any worker count.
+wall_time_s spans setup to reduction.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import math
 import time
 import warnings
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import special
@@ -149,21 +150,21 @@ def build_partition_plan(config: ChannelConfig) -> PartitionPlan:
 
 def _map_ordered(fn, tasks, workers: int):
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, tasks))
     return [fn(t) for t in tasks]
 
 
-def _run_blocks(kernel, head, total, rng: RngStream, workers: int, first: int = 0) -> list:
-    """kernel((*head, rng.child(first + i), n)) for blocks of BLOCK_SIZE covering `total`.
+def _run_blocks(kernel, total, rng: RngStream, workers: int, first: int = 0) -> list:
+    """kernel(rng.child(first + i).generator(), n) for blocks of BLOCK_SIZE covering `total`.
 
-    A fixed block size and one child stream per block keep the results,
-    returned in block order, independent of the worker count.
+    Blocks run on up to `workers` threads, each on its own child stream, so
+    the results, returned in block order, do not depend on the worker count.
     """
     full, rem = divmod(total, BLOCK_SIZE)
     sizes = [BLOCK_SIZE] * full + ([rem] if rem else [])
-    tasks = [(*head, rng.child(first + i), n) for i, n in enumerate(sizes)]
-    return _map_ordered(kernel, tasks, workers)
+    return _map_ordered(lambda i: kernel(rng.child(first + i).generator(), sizes[i]),
+                        range(len(sizes)), workers)
 
 
 def _outage(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
@@ -298,9 +299,8 @@ def _lr_sums(config: ChannelConfig, x: np.ndarray, log_lr):
 # naive Monte Carlo
 
 
-def _nmc_block(task):
-    config, stream, n = task
-    x = _nominal_rows(config.mu_array, stream.generator(), n)
+def _nmc_block(config: ChannelConfig, gen, n: int):
+    x = _nominal_rows(config.mu_array, gen, n)
     return int(np.count_nonzero(_outage(config, x)))
 
 
@@ -310,7 +310,7 @@ def estimate_nmc(config: ChannelConfig, S: int, rng: RngStream,
     if S < 1:
         raise ValueError("S must be >= 1")
     t0 = time.perf_counter()
-    hits = sum(_run_blocks(_nmc_block, (config,), S, rng, workers))
+    hits = sum(_run_blocks(partial(_nmc_block, config), S, rng, workers))
     p, var = _selection(1.0, hits, S)
     return EstimateResult(p_hat=p, var_hat=var, samples=S,
                           wall_time_s=time.perf_counter() - t0, method="nmc",
@@ -321,9 +321,8 @@ def estimate_nmc(config: ChannelConfig, S: int, rng: RngStream,
 # universal importance sampling (selection sampling on the per-branch event)
 
 
-def _uis_block(task):
-    config, k, stream, n = task
-    u = stream.generator().random((n, config.M))
+def _uis_block(config: ChannelConfig, k: np.ndarray, gen, n: int):
+    u = gen.random((n, config.M))
     return int(np.count_nonzero(_outage_at(config, k * u)))
 
 
@@ -343,7 +342,7 @@ def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
     ell1 = math.prod(k.tolist())
     if ell1 < np.finfo(float).tiny:
         raise _underflow(f"ell1 underflows to {ell1!r}")
-    hits = sum(_run_blocks(_uis_block, (config, k), S, rng, workers))
+    hits = sum(_run_blocks(partial(_uis_block, config, k), S, rng, workers))
     p, var = _selection(ell1, hits, S)
     return EstimateResult(p_hat=p, var_hat=var, samples=S,
                           wall_time_s=time.perf_counter() - t0, method="uis",
@@ -355,9 +354,7 @@ def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
 # partition importance sampling
 
 
-def _pis_block(task):
-    config, plan, stream, n = task
-    gen = stream.generator()
+def _pis_block(config: ChannelConfig, plan: PartitionPlan, gen, n: int):
     x = np.empty((n, config.M))
     proposals = 0
     for (start, size), bnd in zip(plan.blocks, plan.bounds):
@@ -380,7 +377,7 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
         raise ValueError("S must be >= 1")
     t0 = time.perf_counter()
     plan = build_partition_plan(config)
-    parts = _run_blocks(_pis_block, (config, plan), S, rng, workers)
+    parts = _run_blocks(partial(_pis_block, config, plan), S, rng, workers)
     hits = sum(h for h, _ in parts)
     proposals = sum(pr for _, pr in parts)
     p, var = _selection(plan.ell2, hits, S)
@@ -402,10 +399,9 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
 # approximate exponential tilting
 
 
-def _et_block(task):
-    config, stream, n = task
+def _et_block(config: ChannelConfig, gen, n: int):
     M, g = config.M, config.gamma_th
-    x = _exponential_rows(M / g, stream.generator(), (n, M))
+    x = _exponential_rows(M / g, gen, (n, M))
     return _lr_sums(config, x, lambda xs: (
         M * math.log(g) - M * math.log(M) - config.mu_norm_sq
         + (M - g) / g * xs.sum(axis=1)
@@ -423,7 +419,7 @@ def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
     if S < 1:
         raise ValueError("S must be >= 1")
     t0 = time.perf_counter()
-    p, var, hits = _weighted(_run_blocks(_et_block, (config,), S, rng, workers), S)
+    p, var, hits = _weighted(_run_blocks(partial(_et_block, config), S, rng, workers), S)
     return EstimateResult(p_hat=p, var_hat=var, samples=S,
                           wall_time_s=time.perf_counter() - t0, method="et",
                           seed=rng.seed, diagnostics={"hit_rate": hits / S})
@@ -513,9 +509,8 @@ def _elite_weights(x, h, level, nominal: CEParams, v: CEParams):
     return elite, w
 
 
-def _ce_final_block(task):
-    config, nominal, vfin, stream, n = task
-    x = _scaled_ncx2_rows(vfin.v1, vfin.v2, stream.generator(), (n, config.M))
+def _ce_final_block(config: ChannelConfig, nominal: CEParams, vfin: CEParams, gen, n: int):
+    x = _scaled_ncx2_rows(vfin.v1, vfin.v2, gen, (n, config.M))
     return _lr_sums(config, x, lambda xs: _ce_log_lr_rows(xs, nominal, vfin))
 
 
@@ -563,8 +558,7 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
     vfin = ce_update(*_elite_weights(x, h, g, nominal, v))
     trace.append({"iteration": len(trace), "gamma_t": g,
                   "v1": vfin.v1, "v2": vfin.v2})
-
-    parts = _run_blocks(_ce_final_block, (config, nominal, vfin), S, rng,
+    parts = _run_blocks(partial(_ce_final_block, config, nominal, vfin), S, rng,
                         workers, first=1)
     p, var, hits = _weighted(parts, S)
     return EstimateResult(p_hat=p, var_hat=var, samples=S,
@@ -594,13 +588,12 @@ def _mls_advance(config: ChannelConfig, gens, survivors, dt: float, s: int):
     return g_mat, _outage_at(config, -np.expm1(-g_mat))
 
 
-def _mls_group(task):
+def _mls_group(config: ChannelConfig, levels, rng: RngStream, s: int, children):
     """(estimate, dead level) per replication of a group, from rng.child(i) each.
 
     The live replications step together; one left without survivors at level
     idx stops there with estimate 0 and dead level idx (0 for the others).
     """
-    config, levels, rng, children, s = task
     gens = [rng.child(i).generator() for i in children]
     est, dead = [1.0] * len(gens), [0] * len(gens)
     live, survivors = list(range(len(gens))), [None] * len(gens)
@@ -693,10 +686,10 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
         raise ValueError("schedule must be an MlsSchedule or 'auto'")
     # one stream per replication, stepped in groups of about MLS_ROWS chains
     per = max(1, MLS_ROWS // s)
-    tasks = [(config, schedule.levels, rng, range(1 + a, 1 + min(a + per, replications)), s)
-             for a in range(0, replications, per)]
-    estimates, dead = np.array(
-        [r for group in _map_ordered(_mls_group, tasks, workers) for r in group]).T
+    groups = [range(1 + a, 1 + min(a + per, replications))
+              for a in range(0, replications, per)]
+    runs = _map_ordered(partial(_mls_group, config, schedule.levels, rng, s), groups, workers)
+    estimates, dead = np.array([r for group in runs for r in group]).T
     chain_steps = s * schedule.n_levels * replications
     notes = ([f"{np.count_nonzero(dead)} replication(s) died with zero survivors"]
              if dead.any() else [])

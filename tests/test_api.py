@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -64,9 +65,11 @@ def test_mell_bound_fields_pinned():
 
 def test_import_leaves_out_scipy_optimize():
     # scipy.optimize costs about 0.2 s of every import and the package needs none of it
+    # the child imports outagemc from wherever this process does
     code = "import sys, outagemc; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True, env=env).stdout
     assert out.strip() == "False"
 
 

@@ -7,6 +7,8 @@ so they are deterministic for the fixed seeds used here.
 
 import functools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -703,6 +705,19 @@ class TestScvSampleSizeInvariance:
 
 
 class TestWorkerDeterminism:
+    @pytest.fixture(autouse=True)
+    def threads_only(self, monkeypatch):
+        # blocks run on threads of this process, never on a forked one; a short
+        # switch interval interleaves the threads often
+        def no_fork():
+            raise AssertionError("block dispatch forked a process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("runner,kwargs", [
         (estimate_et, {}),
         (estimate_pis, {}),
@@ -749,6 +764,17 @@ class TestWorkerDeterminism:
         assert a.p_hat == b.p_hat and a.var_hat == b.var_hat
         assert a.work_units == b.work_units
         assert a.diagnostics == b.diagnostics
+
+    def test_blocks_in_order(self):
+        # each block draws from its own child stream, counted from `first`
+        sizes = [estimators.BLOCK_SIZE] * 3 + [1000]
+        rng = RngStream(31)
+
+        def kernel(gen, n):
+            return n, gen.random()
+
+        assert estimators._run_blocks(kernel, sum(sizes), rng, 3, first=2) == [
+            (n, rng.child(2 + i).generator().random()) for i, n in enumerate(sizes)]
 
 
 def _counts(r):
