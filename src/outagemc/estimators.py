@@ -11,8 +11,11 @@ estimator variance, so relative error is sqrt(var_hat / samples) / p_hat:
        uniform simplex proposal
   et   approximate exponential tilting: iid Exp(M / gamma_th) proposal with
        an explicit likelihood ratio, accumulated in log space
-  ce   cross-entropy adaptation inside the scaled noncentral chi-square
-       family, with decreasing auxiliary thresholds at the rho-quantile
+  ce   cross-entropy importance sampling inside the scaled noncentral
+       chi-square family; where pis is cheap the proposal is fitted in one
+       step to the outage rows of one batch of pis draws (exact draws from
+       the law conditioned on outage), else by the paper's multilevel pilot
+       with decreasing auxiliary thresholds at the rho-quantile
   mls  multilevel splitting along a gamma-process embedding of the channel,
        with survivor resampling at pilot-chosen levels
 
@@ -51,6 +54,12 @@ from .specfun import Ncx2Params, _quantile_table, log_bessel_i0, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
+# ce takes its exact pilot while pis proposes at most this many coordinates
+# per row (_exact_pilot_cost), the highest cost measured no worse in wnrv (README)
+CE_EXACT_PILOT_MAX_COST = 40.0
+# fewer outage rows than this send ce to the multilevel pilot: from 200 rows
+# on, the unit-weight fit's SCV was within 5% of a 2,000-row fit (README)
+CE_EXACT_PILOT_MIN_ROWS = 200
 MLS_ROWS = 1 << 11  # chains per mls group, decided by one _outage_at call a level
 
 
@@ -271,8 +280,8 @@ def _selection(ell: float, hits: int, S: int):
 def _weighted(parts, S: int):
     """(p_hat, var_hat, hits) from per-block (sum w, sum w^2, hits).
 
-    p_hat is the mean likelihood ratio over all S samples and var_hat its
-    sample variance.  A hit whose weight or squared weight underflowed
+    p_hat is the mean likelihood ratio over all S >= 2 samples and var_hat
+    its sample variance.  A hit whose weight or squared weight underflowed
     leaves p_hat = 0 or sum w^2 = 0, which would report a silent zero.
     """
     total = sum(p[0] for p in parts)
@@ -281,7 +290,7 @@ def _weighted(parts, S: int):
     p = total / S
     if hits and (p == 0.0 or total_sq == 0.0):
         raise _underflow(f"{hits} hits give sum w={total!r}, sum w^2={total_sq!r}")
-    var = max((total_sq - S * p * p) / (S - 1), 0.0) if S > 1 else 0.0
+    var = max((total_sq - S * p * p) / (S - 1), 0.0)
     return p, var, hits
 
 
@@ -354,7 +363,8 @@ def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
 # partition importance sampling
 
 
-def _pis_block(config: ChannelConfig, plan: PartitionPlan, gen, n: int):
+def _pis_rows(config: ChannelConfig, plan: PartitionPlan, gen, n: int):
+    """(x, proposals): n rows of the nominal law conditioned on the partition event."""
     x = np.empty((n, config.M))
     proposals = 0
     for (start, size), bnd in zip(plan.blocks, plan.bounds):
@@ -362,6 +372,11 @@ def _pis_block(config: ChannelConfig, plan: PartitionPlan, gen, n: int):
                                      gen, n, bound=bnd)
         x[:, start:start + size] = rows
         proposals += used
+    return x, proposals
+
+
+def _pis_block(config: ChannelConfig, plan: PartitionPlan, gen, n: int):
+    x, proposals = _pis_rows(config, plan, gen, n)
     return int(np.count_nonzero(_outage(config, x))), proposals
 
 
@@ -416,8 +431,8 @@ def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
     exponential with mean gamma_th / M; the likelihood ratio is accumulated
     in log space and exponentiated once per outage sample.
     """
-    if S < 1:
-        raise ValueError("S must be >= 1")
+    if S < 2:
+        raise ValueError("S must be >= 2")
     t0 = time.perf_counter()
     p, var, hits = _weighted(_run_blocks(partial(_et_block, config), S, rng, workers), S)
     return EstimateResult(p_hat=p, var_hat=var, samples=S,
@@ -514,32 +529,25 @@ def _ce_final_block(config: ChannelConfig, nominal: CEParams, vfin: CEParams, ge
     return _lr_sums(config, x, lambda xs: _ce_log_lr_rows(xs, nominal, vfin))
 
 
-def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
-                S0: int = 100_000, rho: float = 0.1,
-                workers: int = 1) -> EstimateResult:
-    """Cross-entropy adaptive importance sampling (identical means only).
+def _exact_pilot_cost(config: ChannelConfig) -> float:
+    """Proposed coordinates per pis row (MellBound.row_cost summed); inf without a plan."""
+    try:
+        plan = build_partition_plan(config)
+    except TruncationUnderflowError:
+        return math.inf
+    return sum(b.row_cost for b in plan.bounds)
 
-    Pilot batches of S0 walk an auxiliary threshold down the rho-quantile of
-    the combined statistic, refitting the proposal by weighted maximum
-    likelihood at each step; once the auxiliary threshold drops below
-    gamma_th a final fit at gamma_th fixes the proposal used for the S
-    estimation samples.
+
+def _ce_multilevel_pilot(config: ChannelConfig, nominal: CEParams, gen, S0: int,
+                         rho: float):
+    """(vfin, trace, rows in the last fit) of the paper's multilevel pilot.
+
+    Batches of S0 walk an auxiliary threshold down the rho-quantile of H,
+    refitting the proposal to the elite rows weighted by their likelihood
+    ratios; once it drops below gamma_th, a last fit at gamma_th gives vfin.
     """
-    if S < 1:
-        raise ValueError("S must be >= 1")
-    if S0 < 100:
-        raise ValueError("S0 must be >= 100")
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
-    if not config.identical_mu:
-        raise ValueError("CE requires identical mu_i across branches")
-    t0 = time.perf_counter()
-    mu = config.mu[0]
-    nominal = CEParams(v1=0.5, v2=2.0 * mu * mu)
     g = config.gamma_th
     kth = max(int(math.floor(rho * S0)), 1) - 1
-
-    gen = rng.child(0).generator()
     v = nominal
     trace = []
     while True:
@@ -553,19 +561,66 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
         if len(trace) > CE_MAX_ITER:
             raise CeAdaptationError("CE failed to reach target threshold")
         v = ce_update(*_elite_weights(x, h, gamma_hat, nominal, v))
-    pilot_work = S0 * len(trace)
-    # final update at the true threshold, then the estimation run
-    vfin = ce_update(*_elite_weights(x, h, g, nominal, v))
+    elite, w = _elite_weights(x, h, g, nominal, v)
+    vfin = ce_update(elite, w)
     trace.append({"iteration": len(trace), "gamma_t": g,
                   "v1": vfin.v1, "v2": vfin.v2})
+    return vfin, trace, elite.shape[0]
+
+
+def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
+                S0: int = 100_000, rho: float = 0.1,
+                workers: int = 1) -> EstimateResult:
+    """Cross-entropy adaptive importance sampling (identical means only).
+
+    A pilot on rng.child(0) fits the proposal v1 * ncx2(2, v2); the S
+    estimation samples follow on child streams 1 on.
+
+    Where pis is cheap, at most CE_EXACT_PILOT_MAX_COST proposed coordinates
+    per pis row (_exact_pilot_cost, a fixed rule on the partition plan),
+    the exact pilot draws one batch of S0 rows from pis's partition sampler.
+    Its rows with H <= gamma_th are exact draws from the nominal law
+    conditioned on outage, the zero-variance density CE aims at, so one
+    ce_update with unit weights on them gives the proposal, without stages
+    or likelihood ratios (Chan & Kroese, Stat. Comput. 22(5), 2012, reach
+    that density by MCMC).  Elsewhere, or when the batch keeps fewer than
+    CE_EXACT_PILOT_MIN_ROWS outage rows, the paper's multilevel pilot runs
+    instead, on the same stream.  rho is read only by the multilevel pilot.
+    """
+    if S < 2:
+        raise ValueError("S must be >= 2")
+    if S0 < 100:
+        raise ValueError("S0 must be >= 100")
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must be in (0, 1)")
+    if not config.identical_mu:
+        raise ValueError("CE requires identical mu_i across branches")
+    t0 = time.perf_counter()
+    mu = config.mu[0]
+    nominal = CEParams(v1=0.5, v2=2.0 * mu * mu)
+
+    gen = rng.child(0).generator()
+    drawn, kept = 0, None
+    if _exact_pilot_cost(config) <= CE_EXACT_PILOT_MAX_COST:
+        x, _ = _pis_rows(config, build_partition_plan(config), gen, S0)
+        drawn, kept = S0, x[_outage(config, x)]
+    if kept is not None and kept.shape[0] >= CE_EXACT_PILOT_MIN_ROWS:
+        vfin = ce_update(kept, np.ones(kept.shape[0]))
+        trace = [{"iteration": 0, "gamma_t": config.gamma_th,
+                  "v1": vfin.v1, "v2": vfin.v2}]
+        used, fitted = "exact", kept.shape[0]
+    else:
+        vfin, trace, fitted = _ce_multilevel_pilot(config, nominal, gen, S0, rho)
+        used, drawn = "multilevel", drawn + S0 * (len(trace) - 1)
     parts = _run_blocks(partial(_ce_final_block, config, nominal, vfin), S, rng,
                         workers, first=1)
     p, var, hits = _weighted(parts, S)
     return EstimateResult(p_hat=p, var_hat=var, samples=S,
                           wall_time_s=time.perf_counter() - t0, method="ce",
-                          seed=rng.seed, work_units=S + pilot_work,
+                          seed=rng.seed, work_units=S + drawn,
                           diagnostics={"trace": trace, "hit_rate": hits / S,
-                                       "v_final": {"v1": vfin.v1, "v2": vfin.v2}})
+                                       "v_final": {"v1": vfin.v1, "v2": vfin.v2},
+                                       "pilot": used, "pilot_hits": fitted})
 
 
 # ---------------------------------------------------------------------------

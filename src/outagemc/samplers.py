@@ -29,6 +29,8 @@ from .specfun import (
 # signals a bound-formula bug
 _LOG_RATIO_SLACK = 1e-9
 _MAX_PROPOSAL_ROWS = 1 << 20
+# one simplex proposal costs about two nominal ones (2.0-2.5 measured, n = 1-8)
+_SIMPLEX_COST = 2.0
 
 
 class RejectionStalledError(RuntimeError):
@@ -76,6 +78,19 @@ class MellBound:
         if self.log_value < -_LOG_RATIO_SLACK:
             raise ValueError(
                 f"rejection constant below 1 ({self.value!r}) indicates a formula error")
+
+    @property
+    def proposals_per_row(self) -> float:
+        """Expected proposals per accepted block: 1 / F nominal, M_ell simplex."""
+        if self.proposal == "nominal":
+            return math.exp(-self.log_block_cdf)
+        return self.value
+
+    @property
+    def row_cost(self) -> float:
+        """Expected proposed coordinates per accepted block, in simplex-proposal units."""
+        unit = 1.0 / _SIMPLEX_COST if self.proposal == "nominal" else 1.0
+        return self.block_size * unit * self.proposals_per_row
 
 
 def _nominal_rows(mu: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -177,8 +192,7 @@ def compute_m_ell(mu: float, n: int, gamma_th: float) -> MellBound:
     x = min(_branch_mode(mu), gamma_th / n)
     log_m = (n * math.log(gamma_th) - n * mu * mu
              + n * (log_bessel_i0(2.0 * mu * math.sqrt(x)) - x) - log_nfact - log_f)
-    # one simplex proposal costs about two nominal ones (2.0-2.5 measured, n = 1-8)
-    proposal = "nominal" if math.log(2.0) + log_f + log_m >= 0.0 else "simplex"
+    proposal = "nominal" if math.log(_SIMPLEX_COST) + log_f + log_m >= 0.0 else "simplex"
     try:
         value = math.exp(log_m)
     except OverflowError:
@@ -203,7 +217,7 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     if bound is None:
         bound = compute_m_ell(mu, n, gamma_th)
     nominal = bound.proposal == "nominal"
-    per_sample = math.exp(-bound.log_block_cdf) if nominal else bound.value
+    per_sample = bound.proposals_per_row
     log_g = float(special.gammaln(n + 1)) - n * math.log(gamma_th)
     out = np.empty((count, n))
     filled = 0

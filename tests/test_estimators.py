@@ -50,6 +50,12 @@ def combined_se(r1, r2_p=None, r2_var=None, r2_n=None):
 SMALL = ChannelConfig(M=3, m=2, mu=0.5, gamma_th=0.5)
 
 
+@pytest.fixture
+def multilevel_pilot(monkeypatch):
+    """Send ce to the paper's multilevel pilot on every config."""
+    monkeypatch.setattr(estimators, "CE_EXACT_PILOT_MAX_COST", -1.0)
+
+
 @pytest.fixture(scope="module")
 def small_reference():
     return estimate_nmc(SMALL, 4_000_000, RngStream(1000))
@@ -348,6 +354,7 @@ class TestCe:
         with pytest.raises(ValueError, match="identical"):
             estimate_ce(cfg, 1000, RngStream(17))
 
+    @pytest.mark.usefixtures("multilevel_pilot")
     def test_noop_adaptation_agrees_with_reference(self):
         # threshold so mild that the first pilot quantile is already below it
         cfg = ChannelConfig(M=3, m=2, mu=0.5, gamma_th=2.5)
@@ -357,6 +364,7 @@ class TestCe:
         se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
         assert abs(r.p_hat - ref.p_hat) < 3.0 * se
 
+    @pytest.mark.usefixtures("multilevel_pilot")
     def test_thresholds_strictly_decreasing(self):
         cfg = ChannelConfig(M=8, m=4, mu=0.5, gamma_th=1.0)
         r = estimate_ce(cfg, 50_000, RngStream(20), S0=50_000)
@@ -383,6 +391,81 @@ class TestCe:
         ref = small_reference
         se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
         assert abs(r.p_hat - ref.p_hat) < 4.0 * se
+
+
+class TestCePilot:
+    """One batch of pis rows where pis is cheap, else the multilevel stage walk."""
+
+    DENSE = ChannelConfig(M=8, m=4, mu=0.5, gamma_th=1.0)
+
+    @pytest.mark.parametrize("cfg,expected", [
+        (ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1), "exact"),  # subset
+        (DENSE, "exact"),
+        (ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0), "exact"),  # los, cost 37.5
+        (ChannelConfig(M=8, m=2, mu=3.0, gamma_th=10.0), "multilevel"),  # cost 43.6
+        (ChannelConfig(M=8, m=4, mu=4.0, gamma_th=17.0), "multilevel"),
+    ])
+    def test_rule(self, cfg, expected):
+        cost = estimators._exact_pilot_cost(cfg)
+        assert (cost <= estimators.CE_EXACT_PILOT_MAX_COST) == (expected == "exact")
+        r = estimate_ce(cfg, 1000, RngStream(60), S0=5000)
+        assert r.diagnostics["pilot"] == expected
+        if expected == "exact":
+            assert len(r.diagnostics["trace"]) == 1
+            assert r.diagnostics["trace"][0]["gamma_t"] == cfg.gamma_th
+            assert estimators.CE_EXACT_PILOT_MIN_ROWS <= r.diagnostics["pilot_hits"] <= 5000
+            assert r.work_units == 1000 + 5000
+        else:
+            # where pis is dear no pis row is drawn
+            assert r.work_units == 1000 + 5000 * (len(r.diagnostics["trace"]) - 1)
+
+    def test_no_exact_pilot_without_a_plan(self):
+        # ell2 underflows here, so build_partition_plan raises
+        cfg = ChannelConfig(M=8, m=8, mu=0.5, gamma_th=1e-40)
+        assert estimators._exact_pilot_cost(cfg) == math.inf
+
+    @pytest.mark.parametrize("seed,kept", [(71, 1), (73, 0)])
+    def test_small_batch_falls_back(self, seed, kept):
+        # pis's hit fraction is about 0.0015 here, so 100 rows keep one or
+        # none; one row fitted gave SCV 60, the fallback 10-16.  The
+        # reference is pis itself
+        cfg = ChannelConfig(M=16, m=4, mu=0.5, gamma_th=0.5)
+        assert estimators._exact_pilot_cost(cfg) <= estimators.CE_EXACT_PILOT_MAX_COST
+        x, _ = estimators._pis_rows(cfg, build_partition_plan(cfg),
+                                    RngStream(seed).child(0).generator(), 100)
+        assert np.count_nonzero(estimators._outage(cfg, x)) == kept
+        r = estimate_ce(cfg, 100_000, RngStream(seed), S0=100)
+        d = r.diagnostics
+        assert d["pilot"] == "multilevel"
+        assert d["trace"][-1]["gamma_t"] == cfg.gamma_th
+        # the 100 pis rows drawn count towards the work, then every stage
+        assert r.work_units == 100_000 + 100 + 100 * (len(d["trace"]) - 1)
+        ref = estimate_pis(cfg, 200_000, RngStream(70))
+        se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
+        assert abs(r.p_hat - ref.p_hat) < 4.0 * se
+
+    @pytest.mark.parametrize("cfg", [
+        ChannelConfig(M=6, m=1, mu=0.5, gamma_th=0.2),
+        ChannelConfig(M=6, m=6, mu=0.5, gamma_th=0.5),
+    ])
+    def test_partition_event_is_outage(self, cfg):
+        # at m = 1 and m = M every partition row is an outage row
+        r = estimate_ce(cfg, 100_000, RngStream(62), S0=5000)
+        assert r.diagnostics["pilot"] == "exact"
+        assert r.diagnostics["pilot_hits"] == 5000
+        exact = closed_form_outage(cfg)
+        assert abs(r.p_hat - exact) < 4.0 * math.sqrt(r.var_hat / r.samples)
+
+    def test_fit_matches_multilevel_fit(self, request):
+        # both pilots fit the projection of the nominal law conditioned on
+        # outage; at S0 = 1e5 six seeds put them within 1.5% (v1) and 2.8% (v2)
+        a = estimate_ce(self.DENSE, 1000, RngStream(64), S0=100_000)
+        request.getfixturevalue("multilevel_pilot")
+        b = estimate_ce(self.DENSE, 1000, RngStream(64), S0=100_000)
+        assert a.diagnostics["pilot"] == "exact" and b.diagnostics["pilot"] == "multilevel"
+        for key in ("v1", "v2"):
+            assert a.diagnostics["v_final"][key] == pytest.approx(
+                b.diagnostics["v_final"][key], rel=0.05)
 
 
 class TestMlsSchedule:
@@ -704,6 +787,20 @@ class TestScvSampleSizeInvariance:
         assert scv(b) / scv(a) == pytest.approx(1.0, abs=0.2)
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("runner", [estimate_et, estimate_ce])
+    def test_weighted_estimators_need_two_samples(self, runner, monkeypatch):
+        # one sample has no sample variance; it used to report var_hat = 0
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled although S < 2")
+
+        monkeypatch.setattr(estimators, "_run_blocks", no_sampling)
+        cfg = ChannelConfig(M=4, m=2, mu=0.5, gamma_th=2.0)
+        for S in (0, 1):
+            with pytest.raises(ValueError, match="S must be >= 2"):
+                runner(cfg, S, RngStream(3))
+
+
 class TestWorkerDeterminism:
     @pytest.fixture(autouse=True)
     def threads_only(self, monkeypatch):
@@ -732,6 +829,14 @@ class TestWorkerDeterminism:
         assert a.p_hat == b.p_hat
         assert a.var_hat == b.var_hat
         assert a.diagnostics == b.diagnostics
+
+    @pytest.mark.usefixtures("multilevel_pilot")
+    def test_ce_multilevel_pilot(self):
+        cfg = ChannelConfig(M=4, m=2, mu=0.5, gamma_th=0.8)
+        a = estimate_ce(cfg, 300_000, RngStream(29), S0=20_000, workers=1)
+        b = estimate_ce(cfg, 300_000, RngStream(29), S0=20_000, workers=3)
+        assert a.diagnostics["pilot"] == "multilevel"
+        assert (a.p_hat, a.var_hat, a.diagnostics) == (b.p_hat, b.var_hat, b.diagnostics)
 
     def test_pis_with_a_nominal_block(self):
         # the size-4 block draws from the simplex, the size-1 block from the
@@ -778,13 +883,14 @@ class TestWorkerDeterminism:
 
 
 def _counts(r):
-    """Integer diagnostics: hits, pis proposals, ce stages, mls levels, work."""
+    """Integer diagnostics: hits, pis proposals, ce stages and fitted rows,
+    mls levels, work."""
     d = r.diagnostics
     out = {"work_units": r.work_units}
     for key in ("hit_fraction", "hit_rate"):
         if key in d:
             out["hits"] = round(d[key] * r.samples)
-    for key in ("hits", "proposals"):
+    for key in ("hits", "proposals", "pilot_hits"):
         if key in d:
             out[key] = d[key]
     if "trace" in d:
@@ -798,27 +904,34 @@ class TestReproducibility:
     """Outputs at one seed, pinned so that any change to child-stream
     indices, draw order or reductions fails here."""
 
-    @pytest.mark.parametrize("method,size,kwargs,p_hat,var_hat,counts", [
+    @pytest.mark.parametrize("method,size,kwargs,p_hat,var_hat,counts,pilot", [
         ("nmc", 20_000, {}, 0.01045, 0.0103407975,
-         {"work_units": 20_000, "hits": 209}),
+         {"work_units": 20_000, "hits": 209}, None),
         ("uis", 20_000, {}, 0.010656547319765336, 0.0002500691256333786,
-         {"work_units": 20_000, "hits": 6246}),
+         {"work_units": 20_000, "hits": 6246}, None),
         ("pis", 20_000, {}, 0.010776736532385787, 9.082630913140866e-05,
-         {"work_units": 20_000, "hits": 11223, "proposals": 49711}),
+         {"work_units": 20_000, "hits": 11223, "proposals": 49711}, None),
         ("et", 20_000, {}, 0.010683266318179318, 0.0001518257629254988,
-         {"work_units": 20_000, "hits": 13166}),
-        ("ce", 20_000, {"S0": 2_000}, 0.010650029016097228,
-         0.00011109147690091719,
-         {"work_units": 24_000, "hits": 16316, "ce_stages": 3}),
+         {"work_units": 20_000, "hits": 13166}, None),
+        ("ce", 20_000, {"S0": 2_000}, 0.010650029016097228, 0.00011109147690091719,
+         {"work_units": 24_000, "hits": 16316, "ce_stages": 3, "pilot_hits": 406},
+         "multilevel"),
         ("mls", 200, {"replications": 4, "pilot_samples": 1_000},
          0.0113750625, 0.003297175759375001,
-         {"work_units": 27_400, "levels": 3}),
+         {"work_units": 27_400, "levels": 3}, None),
+        ("ce", 20_000, {"S0": 2_000}, 0.010633308052687298, 0.00010943149125343962,
+         {"work_units": 22_000, "hits": 16372, "ce_stages": 1, "pilot_hits": 1109},
+         "exact"),
     ])
-    def test_pinned_outputs(self, method, size, kwargs, p_hat, var_hat, counts):
+    def test_pinned_outputs(self, request, method, size, kwargs, p_hat, var_hat, counts,
+                            pilot):
+        if pilot == "multilevel":
+            request.getfixturevalue("multilevel_pilot")
         r = ESTIMATORS[method](SMALL, size, RngStream(2024), **kwargs)
         assert r.p_hat == pytest.approx(p_hat, rel=1e-12)
         assert r.var_hat == pytest.approx(var_hat, rel=1e-12)
         assert _counts(r) == counts
+        assert r.diagnostics.get("pilot") == pilot
 
 
 class TestUnderflow:

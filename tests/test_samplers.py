@@ -211,6 +211,16 @@ class TestComputeMell:
         assert compute_m_ell(mu, n, gamma).log_value == pytest.approx(
             log_value, rel=0, abs=1e-14)
 
+    def test_row_cost(self):
+        # M_ell simplex proposals per row, or 1/F nominal ones at half cost
+        simplex, nominal = compute_m_ell(0.5, 2, 0.1), compute_m_ell(2.3, 4, 17.0)
+        assert (simplex.proposal, nominal.proposal) == ("simplex", "nominal")
+        assert simplex.proposals_per_row == simplex.value
+        assert simplex.row_cost == pytest.approx(2 * simplex.value, rel=1e-15)
+        assert nominal.proposals_per_row == pytest.approx(
+            math.exp(-nominal.log_block_cdf), rel=1e-15)
+        assert nominal.row_cost == pytest.approx(2 * nominal.proposals_per_row, rel=1e-15)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             compute_m_ell(0.5, 0, 1.0)
