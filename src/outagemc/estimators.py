@@ -8,7 +8,7 @@ estimator variance, so relative error is sqrt(var_hat / samples) / p_hat:
        (universal: the conditioning probability factorizes per branch)
   pis  selection sampling conditioned on every size-m partition block's sum
        below threshold; blocks are drawn by acceptance-rejection against a
-       uniform simplex proposal
+       uniform simplex proposal or the exponentially tilted branch law
   et   approximate exponential tilting: iid Exp(M / gamma_th) proposal with
        an explicit likelihood ratio, accumulated in log space
   ce   cross-entropy importance sampling inside the scaled noncentral
@@ -237,7 +237,9 @@ def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
     less than tol: a p past a level solves to an x past it, and the ulps in
     tol cover the rounding of H.  Rows with a p_j inside that margin, or
     with 1 to m - 1 coordinates past gamma_th/m, are left in doubt and read
-    off the quantile tables: H is monotone and positively homogeneous, so
+    off the quantile tables.  Branches with one mean share one increasing
+    F^{-1}, so H's m largest x lie among each such group's m largest p, and
+    only those columns are read.  H is monotone and positively homogeneous, so
     table values within relative error eps of x give H(x~)/(1+eps) <= H(x)
     <= H(x~)/(1-eps), and rows with H(x~) within tol of gamma_th, or NaN,
     are inverted exactly.
@@ -249,7 +251,13 @@ def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
     doubt = ~mask & (s < config.m * (M + 1))
     if doubt.any():
         q = p[doubt]
-        h = gsc_statistic_rows(_table_rows(q, config.mu_array), config.m)
+        top, top_mu = [], []
+        for val in sorted(set(config.mu)):
+            cols = q[:, config.mu_array == val]
+            k = min(config.m, cols.shape[1])
+            top.append(np.partition(cols, -k, axis=1)[:, -k:])
+            top_mu += [val] * k
+        h = gsc_statistic_rows(_table_rows(np.hstack(top), np.array(top_mu)), config.m)
         hit = h <= config.gamma_th * (1.0 - scr.tol)
         band = ~hit & ~(h > config.gamma_th * (1.0 + scr.tol))
         if band.any():

@@ -29,7 +29,7 @@ from .specfun import (
 # signals a bound-formula bug
 _LOG_RATIO_SLACK = 1e-9
 _MAX_PROPOSAL_ROWS = 1 << 20
-# one simplex proposal costs about two nominal ones (2.0-2.5 measured, n = 1-8)
+# one simplex proposal costs about two tilted ones (2.0-2.5 measured at theta = 0, n = 1-8)
 _SIMPLEX_COST = 2.0
 
 
@@ -69,10 +69,12 @@ class MellBound:
 
     value: float
     log_value: float
-    proposal: str  # "simplex" or "nominal", see _pis_block_rows
+    proposal: str  # "simplex" or "tilted", see _pis_block_rows
     block_mu: float
     block_size: int
     log_block_cdf: float  # ln P(sum of block <= gamma_th), the f-normalizer
+    theta: float  # the tilted proposal's e^{-theta x}, 0 where gamma_th >= n (1 + mu^2)
+    log_chernoff: float  # ln B, B = e^{theta gamma_th} E[e^{-theta sum}] >= F (Chernoff)
 
     def __post_init__(self):
         if self.log_value < -_LOG_RATIO_SLACK:
@@ -81,15 +83,15 @@ class MellBound:
 
     @property
     def proposals_per_row(self) -> float:
-        """Expected proposals per accepted block: 1 / F nominal, M_ell simplex."""
-        if self.proposal == "nominal":
-            return math.exp(-self.log_block_cdf)
+        """Expected proposals per accepted block: B / F tilted, M_ell simplex."""
+        if self.proposal == "tilted":
+            return math.exp(self.log_chernoff - self.log_block_cdf)
         return self.value
 
     @property
     def row_cost(self) -> float:
         """Expected proposed coordinates per accepted block, in simplex-proposal units."""
-        unit = 1.0 / _SIMPLEX_COST if self.proposal == "nominal" else 1.0
+        unit = 1.0 / _SIMPLEX_COST if self.proposal == "tilted" else 1.0
         return self.block_size * unit * self.proposals_per_row
 
 
@@ -176,9 +178,11 @@ def compute_m_ell(mu: float, n: int, gamma_th: float) -> MellBound:
       ln M_ell = n ln(gamma_th f_X(x*)) - ln n! - ln F
 
     with F the CDF of the block sum's ncx2(2n, 2n mu^2) at 2 gamma_th.
-    The proposal is "nominal" (n channel draws, accepted when their sum is
-    at most gamma_th; acceptance F) when 2 F M_ell >= 1, else "simplex"
-    (acceptance 1 / M_ell).
+    The proposal is "tilted" (n draws from the branch law tilted by
+    e^{-theta x}, acceptance F / B) when 2 F M_ell >= B, else "simplex"
+    (acceptance 1 / M_ell).  B = e^{theta gamma_th} E[e^{-theta S}] is the
+    Chernoff bound on F, smallest where n mu^2 u^2 + n u = gamma_th with
+    u = 1 / (1 + theta); theta = 0 and B = 1 once gamma_th >= n (1 + mu^2).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -192,13 +196,19 @@ def compute_m_ell(mu: float, n: int, gamma_th: float) -> MellBound:
     x = min(_branch_mode(mu), gamma_th / n)
     log_m = (n * math.log(gamma_th) - n * mu * mu
              + n * (log_bessel_i0(2.0 * mu * math.sqrt(x)) - x) - log_nfact - log_f)
-    proposal = "nominal" if math.log(_SIMPLEX_COST) + log_f + log_m >= 0.0 else "simplex"
+    # the root of n mu^2 u^2 + n u = gamma_th, written so it does not cancel at small mu
+    u = min(2.0 * gamma_th / (n + math.sqrt(n * n + 2.0 * n * lam * gamma_th)), 1.0)
+    theta = 1.0 / u - 1.0
+    log_b = theta * gamma_th + n * math.log(u) - n * mu * mu * (1.0 - u)
+    proposal = ("tilted" if math.log(_SIMPLEX_COST) + log_f - log_b + log_m >= 0.0
+                else "simplex")
     try:
         value = math.exp(log_m)
     except OverflowError:
         value = math.inf
     return MellBound(value=value, log_value=log_m, proposal=proposal,
-                     block_mu=mu, block_size=n, log_block_cdf=log_f)
+                     block_mu=mu, block_size=n, log_block_cdf=log_f,
+                     theta=theta, log_chernoff=log_b)
 
 
 def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
@@ -208,15 +218,20 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     Returns (samples, proposals): samples has shape (count, n); proposals is
     the total number of trials consumed.  bound.proposal picks the exact
     rejection: "simplex" draws uniformly from the solid simplex and accepts
-    with probability f / (M_ell g), "nominal" draws n channel coordinates
-    and accepts when their sum is at most gamma_th.  Proposals are
-    generated in batches sized to the expected need (M_ell or 1 / F per
+    with probability f / (M_ell g); "tilted" draws n coordinates from the
+    branch law tilted by e^{-theta x}, which is u (1/2) ncx2(2, 2 mu^2 u)
+    with u = 1 / (1 + theta), and accepts a row of sum S when S <= gamma_th
+    and a uniform is at most e^{theta (S - gamma_th)}.  At theta = 0 that is
+    the nominal law accepted on its sum, with no uniform drawn.  Proposals
+    are generated in batches sized to the expected need (M_ell or B / F per
     acceptance).  Raises if the density ratio ever exceeds the bound or if
     the trial budget of 1e4 trials per expected acceptance is exhausted.
     """
     if bound is None:
         bound = compute_m_ell(mu, n, gamma_th)
-    nominal = bound.proposal == "nominal"
+    tilted = bound.proposal == "tilted"
+    theta = bound.theta
+    u = 1.0 / (1.0 + theta)
     per_sample = bound.proposals_per_row
     log_g = float(special.gammaln(n + 1)) - n * math.log(gamma_th)
     out = np.empty((count, n))
@@ -227,13 +242,18 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
         want = count - filled
         rows = min(max(256, int(math.ceil(want * per_sample * 1.15))),
                    _MAX_PROPOSAL_ROWS)
-        if nominal:
-            u = _nominal_rows(np.full(n, mu), gen, rows)
-            accept = u.sum(axis=1) <= gamma_th
+        if tilted:
+            x = _nominal_rows(np.full(n, mu * math.sqrt(u)), gen, rows)
+            x *= u
+            s = x.sum(axis=1)
+            accept = s <= gamma_th
+            if theta > 0.0:
+                cand = np.flatnonzero(accept)
+                accept[cand] = gen.random(cand.size) <= np.exp(theta * (s[cand] - gamma_th))
         else:
-            u = _simplex_rows(n, gamma_th, gen, rows)
-            log_f = (-n * mu * mu - u.sum(axis=1)
-                     + log_bessel_i0(2.0 * mu * np.sqrt(u)).sum(axis=1)
+            x = _simplex_rows(n, gamma_th, gen, rows)
+            log_f = (-n * mu * mu - x.sum(axis=1)
+                     + log_bessel_i0(2.0 * mu * np.sqrt(x)).sum(axis=1)
                      - bound.log_block_cdf)
             log_ratio = log_f - log_g - bound.log_value
             worst = float(log_ratio.max())
@@ -242,7 +262,7 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
                     f"rejection bound violated: log f/(M g) = {worst:.3e} > 0 "
                     f"(mu={mu}, n={n}, gamma_th={gamma_th})")
             accept = gen.random(rows) <= np.exp(log_ratio)
-        acc_rows = u[accept]
+        acc_rows = x[accept]
         take = min(acc_rows.shape[0], want)
         if take:
             out[filled:filled + take] = acc_rows[:take]

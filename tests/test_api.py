@@ -40,7 +40,7 @@ SIGNATURES = {
 }
 
 MELL_BOUND_FIELDS = ["value", "log_value", "proposal", "block_mu", "block_size",
-                     "log_block_cdf"]
+                     "log_block_cdf", "theta", "log_chernoff"]
 
 
 def test_every_public_name_resolves():

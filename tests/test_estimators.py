@@ -160,13 +160,14 @@ class TestPis:
         assert abs(r.p_hat - ref.p_hat) < 4.0 * se
 
     def test_proposal_choice(self):
-        # the simplex on the subset benchmark, the nominal law on los
+        # the simplex on the subset benchmark (cost 2.1 against 3.6 tilted),
+        # the tilted law on los (3.9 tilted trials per row against 7.7 simplex ones)
         subset = ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1)
         los = ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0)
         assert [b.proposal for b in build_partition_plan(subset).bounds] == ["simplex"] * 4
-        assert [b.proposal for b in build_partition_plan(los).bounds] == ["nominal"] * 2
+        assert [b.proposal for b in build_partition_plan(los).bounds] == ["tilted"] * 2
         r = estimate_pis(los, 1000, RngStream(12))
-        assert r.diagnostics["proposal"] == ["nominal", "nominal"]
+        assert r.diagnostics["proposal"] == ["tilted", "tilted"]
 
     @pytest.mark.parametrize("mu,seed", [(4.0, 61), (5.0, 63)])
     def test_large_mean_against_ce(self, mu, seed):
@@ -401,23 +402,39 @@ class TestCePilot:
     @pytest.mark.parametrize("cfg,expected", [
         (ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1), "exact"),  # subset
         (DENSE, "exact"),
-        (ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0), "exact"),  # los, cost 37.5
-        (ChannelConfig(M=8, m=2, mu=3.0, gamma_th=10.0), "multilevel"),  # cost 43.6
-        (ChannelConfig(M=8, m=4, mu=4.0, gamma_th=17.0), "multilevel"),
+        (ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0), "exact"),  # los, cost 15.6
+        (ChannelConfig(M=8, m=2, mu=3.0, gamma_th=10.0), "exact"),  # cost 18.6
+        (ChannelConfig(M=8, m=4, mu=4.0, gamma_th=17.0), "multilevel"),  # cost 42.7
+        (ChannelConfig(M=8, m=4, mu=5.0, gamma_th=17.0), "multilevel"),  # cost 55.7
     ])
     def test_rule(self, cfg, expected):
         cost = estimators._exact_pilot_cost(cfg)
         assert (cost <= estimators.CE_EXACT_PILOT_MAX_COST) == (expected == "exact")
-        r = estimate_ce(cfg, 1000, RngStream(60), S0=5000)
+        # S0 keeps at least 200 outage rows on every exact config (3.6% at mu 3)
+        r = estimate_ce(cfg, 1000, RngStream(60), S0=10_000)
         assert r.diagnostics["pilot"] == expected
         if expected == "exact":
             assert len(r.diagnostics["trace"]) == 1
             assert r.diagnostics["trace"][0]["gamma_t"] == cfg.gamma_th
-            assert estimators.CE_EXACT_PILOT_MIN_ROWS <= r.diagnostics["pilot_hits"] <= 5000
-            assert r.work_units == 1000 + 5000
+            assert estimators.CE_EXACT_PILOT_MIN_ROWS <= r.diagnostics["pilot_hits"] <= 10_000
+            assert r.work_units == 1000 + 10_000
         else:
             # where pis is dear no pis row is drawn
-            assert r.work_units == 1000 + 5000 * (len(r.diagnostics["trace"]) - 1)
+            assert r.work_units == 1000 + 10_000 * (len(r.diagnostics["trace"]) - 1)
+
+    @pytest.mark.parametrize("cfg,seed", [
+        (ChannelConfig(M=8, m=2, mu=3.0, gamma_th=10.0), 65),
+        (ChannelConfig(M=8, m=4, mu=3.0, gamma_th=17.0), 67),  # criterion 04, cost 27.5
+        (ChannelConfig(M=4, m=2, mu=10.0, gamma_th=40.0), 69),  # p ~ 3e-59, cost 37.6
+    ])
+    def test_flipped_configs_agree_with_pis(self, cfg, seed):
+        # the tilted proposal's cost moved these from the multilevel pilot
+        # to the exact one
+        r = estimate_ce(cfg, 50_000, RngStream(seed), S0=20_000)
+        assert r.diagnostics["pilot"] == "exact"
+        ref = estimate_pis(cfg, 100_000, RngStream(seed + 1))
+        se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
+        assert abs(r.p_hat - ref.p_hat) < 4.0 * se
 
     def test_no_exact_pilot_without_a_plan(self):
         # ell2 underflows here, so build_partition_plan raises
@@ -705,8 +722,10 @@ class TestOutageScreen:
         ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1),
         ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0),
         ChannelConfig(M=2, m=1, mu=0.0, gamma_th=34.0),  # k = 1 - 1.7e-15
+        # groups of 3 above m = 2: the table reads each group's top 2 columns
+        ChannelConfig(M=6, m=2, mu=(0.5, 0.5, 0.5, 2.3, 2.3, 2.3), gamma_th=3.0),
     ]
-    IDS = ["mixed", "m_eq_M", "m1", "subset", "los", "clip"]
+    IDS = ["mixed", "m_eq_M", "m1", "subset", "los", "clip", "mixed_groups"]
 
     @staticmethod
     def level_cdfs(cfg):
@@ -722,7 +741,7 @@ class TestOutageScreen:
         assert np.array_equal(estimators._outage_at(cfg, p), full)
         return full
 
-    @pytest.mark.parametrize("cfg", CONFIGS[:3], ids=IDS[:3])
+    @pytest.mark.parametrize("cfg", CONFIGS[:3] + CONFIGS[-1:], ids=IDS[:3] + IDS[-1:])
     def test_matches_exact_inversion(self, cfg, monkeypatch):
         gen = np.random.default_rng(23)
         k = estimators._screen(cfg).k
@@ -840,15 +859,26 @@ class TestWorkerDeterminism:
 
     def test_pis_with_a_nominal_block(self):
         # the size-4 block draws from the simplex, the size-1 block from the
-        # nominal law
-        cfg = ChannelConfig(M=5, m=4, mu=2.3, gamma_th=8.0)
-        assert ([b.proposal for b in build_partition_plan(cfg).bounds]
-                == ["simplex", "nominal"])
+        # tilted law at theta = 0, which is the nominal law
+        cfg = ChannelConfig(M=5, m=4, mu=1.0, gamma_th=2.0)
+        plan = build_partition_plan(cfg)
+        assert [b.proposal for b in plan.bounds] == ["simplex", "tilted"]
+        assert plan.bounds[1].theta == 0.0
         a = estimate_pis(cfg, 300_000, RngStream(29), workers=1)
         b = estimate_pis(cfg, 300_000, RngStream(29), workers=3)
         assert a.p_hat == b.p_hat
         assert a.var_hat == b.var_hat
         assert a.diagnostics == b.diagnostics
+
+    def test_pis_with_a_tilted_block(self):
+        # los: both blocks draw from the law tilted by e^{-0.24 x} and spend
+        # a uniform on each row whose sum is below the threshold
+        cfg = ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0)
+        assert all(b.proposal == "tilted" and b.theta > 0.2
+                   for b in build_partition_plan(cfg).bounds)
+        a = estimate_pis(cfg, 300_000, RngStream(29), workers=1)
+        b = estimate_pis(cfg, 300_000, RngStream(29), workers=3)
+        assert (a.p_hat, a.var_hat, a.diagnostics) == (b.p_hat, b.var_hat, b.diagnostics)
 
     def test_mls(self):
         a = estimate_mls(SMALL, 1000, RngStream(30), replications=12,
@@ -909,8 +939,8 @@ class TestReproducibility:
          {"work_units": 20_000, "hits": 209}, None),
         ("uis", 20_000, {}, 0.010656547319765336, 0.0002500691256333786,
          {"work_units": 20_000, "hits": 6246}, None),
-        ("pis", 20_000, {}, 0.010776736532385787, 9.082630913140866e-05,
-         {"work_units": 20_000, "hits": 11223, "proposals": 49711}, None),
+        ("pis", 20_000, {}, 0.010632701026740429, 9.114386471095164e-05,
+         {"work_units": 20_000, "hits": 11073, "proposals": 70031}, None),
         ("et", 20_000, {}, 0.010683266318179318, 0.0001518257629254988,
          {"work_units": 20_000, "hits": 13166}, None),
         ("ce", 20_000, {"S0": 2_000}, 0.010650029016097228, 0.00011109147690091719,
@@ -919,8 +949,8 @@ class TestReproducibility:
         ("mls", 200, {"replications": 4, "pilot_samples": 1_000},
          0.0113750625, 0.003297175759375001,
          {"work_units": 27_400, "levels": 3}, None),
-        ("ce", 20_000, {"S0": 2_000}, 0.010633308052687298, 0.00010943149125343962,
-         {"work_units": 22_000, "hits": 16372, "ce_stages": 1, "pilot_hits": 1109},
+        ("ce", 20_000, {"S0": 2_000}, 0.010636711825632611, 0.00010820717323601008,
+         {"work_units": 22_000, "hits": 16341, "ce_stages": 1, "pilot_hits": 1109},
          "exact"),
     ])
     def test_pinned_outputs(self, request, method, size, kwargs, p_hat, var_hat, counts,

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from conftest import branch_mode_brentq, log_m_ell_paper
 from outagemc.model import ChannelConfig
@@ -212,14 +212,43 @@ class TestComputeMell:
             log_value, rel=0, abs=1e-14)
 
     def test_row_cost(self):
-        # M_ell simplex proposals per row, or 1/F nominal ones at half cost
-        simplex, nominal = compute_m_ell(0.5, 2, 0.1), compute_m_ell(2.3, 4, 17.0)
-        assert (simplex.proposal, nominal.proposal) == ("simplex", "nominal")
+        # M_ell simplex proposals per row, or B/F tilted ones at half cost
+        simplex, tilted = compute_m_ell(0.5, 2, 0.1), compute_m_ell(2.3, 4, 17.0)
+        assert (simplex.proposal, tilted.proposal) == ("simplex", "tilted")
         assert simplex.proposals_per_row == simplex.value
         assert simplex.row_cost == pytest.approx(2 * simplex.value, rel=1e-15)
-        assert nominal.proposals_per_row == pytest.approx(
-            math.exp(-nominal.log_block_cdf), rel=1e-15)
-        assert nominal.row_cost == pytest.approx(2 * nominal.proposals_per_row, rel=1e-15)
+        assert tilted.proposals_per_row == pytest.approx(
+            math.exp(tilted.log_chernoff - tilted.log_block_cdf), rel=1e-15)
+        assert tilted.proposals_per_row == pytest.approx(3.908, abs=1e-3)  # 1/F = 9.38
+        assert tilted.row_cost == pytest.approx(2 * tilted.proposals_per_row, rel=1e-15)
+
+    @pytest.mark.parametrize("mu,n,gamma", [
+        (2.3, 4, 17.0),   # los
+        (0.5, 2, 0.1),    # subset, theta about 19
+        (4.0, 4, 17.0),
+        (10.0, 2, 40.0),
+        (0.0, 1, 0.7),
+    ])
+    def test_tilt_minimises_chernoff_bound(self, mu, n, gamma):
+        # ln B(theta) = theta gamma + n ln E[e^{-theta X}], with the branch
+        # MGF E[e^{-theta X}] = e^{-mu^2 theta / (1 + theta)} / (1 + theta)
+        def log_b(theta):
+            return theta * gamma - n * math.log1p(theta) - n * mu * mu * theta / (1.0 + theta)
+
+        best = optimize.minimize_scalar(log_b, bounds=(0.0, 1e3), method="bounded",
+                                        options={"xatol": 1e-12})
+        b = compute_m_ell(mu, n, gamma)
+        assert b.theta > 0.0
+        assert b.theta == pytest.approx(best.x, rel=1e-6)
+        assert b.log_chernoff == pytest.approx(log_b(b.theta), rel=1e-12, abs=1e-12)
+        assert b.log_chernoff <= best.fun + 1e-12
+        assert b.log_chernoff >= b.log_block_cdf  # B bounds F
+
+    @pytest.mark.parametrize("mu,n,gamma", [(2.3, 1, 8.0), (0.5, 4, 6.0), (1.0, 2, 4.0)])
+    def test_no_tilt_above_the_mean(self, mu, n, gamma):
+        # gamma_th >= n (1 + mu^2), the block mean: B is smallest at theta = 0
+        b = compute_m_ell(mu, n, gamma)
+        assert (b.proposal, b.theta, b.log_chernoff) == ("tilted", 0.0, 0.0)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -246,7 +275,7 @@ class TestPisBlockSampler:
     @pytest.mark.parametrize("mu,n,gamma", [
         (0.5, 4, 1.0),           # small_mean
         (1.6, 2, 1.0),           # large_mean_small_gamma
-        (2.3, 4, 17.0),          # large_mean_large_gamma, nominal by default
+        (2.3, 4, 17.0),          # large_mean_large_gamma, tilted by default
     ])
     def test_geometric_trials(self, mu, n, gamma):
         # the simplex proposal accepts 1 / M_ell of its trials
@@ -271,17 +300,30 @@ class TestPisBlockSampler:
             assert abs(emp - exact) < 4.0 * se
 
     def test_nominal_proposal(self):
-        # at mu 2.3, n 4, gamma 17 the nominal law accepted on the block sum
-        # is cheaper: its trials are geometric with mean 1 / F, and the
-        # accepted sums follow the conditioned block-sum law
+        # at theta = 0 the tilted proposal is the nominal law accepted on its
+        # sum: the same rows, the same trial count and no uniform drawn
+        for mu, n, gamma, count in [(2.3, 1, 8.0, 1000), (0.5, 4, 6.0, 1000)]:
+            bound = compute_m_ell(mu, n, gamma)
+            assert (bound.proposal, bound.theta) == ("tilted", 0.0)
+            gen, ref = RngStream(57).generator(), RngStream(57).generator()
+            rows, proposals = _pis_block_rows(mu, n, gamma, gen, count, bound=bound)
+            batch = max(256, int(math.ceil(count * math.exp(-bound.log_block_cdf) * 1.15)))
+            x = _nominal_rows(np.full(n, mu), ref, batch)
+            hit = np.flatnonzero(x.sum(axis=1) <= gamma)
+            assert hit.size >= count  # one batch
+            assert np.array_equal(rows, x[hit[:count]])
+            assert proposals == hit[count - 1] + 1
+            assert gen.random() == ref.random()
+
+    def test_tilted_proposal(self):
+        # at mu 2.3, n 4, gamma 17 (los) theta = 0.24: the accepted sums follow
+        # the conditioned block-sum law
         mu, n, gamma, count = 2.3, 4, 17.0, 100_000
         bound = compute_m_ell(mu, n, gamma)
-        assert bound.proposal == "nominal"
-        rows, proposals = _pis_block_rows(mu, n, gamma, RngStream(57).generator(),
-                                          count, bound=bound)
+        assert bound.proposal == "tilted" and bound.theta > 0.2
+        rows, _ = _pis_block_rows(mu, n, gamma, RngStream(59).generator(), count,
+                                  bound=bound)
         assert np.all(rows >= 0.0) and np.all(rows.sum(axis=1) <= gamma)
-        assert proposals / count == pytest.approx(math.exp(-bound.log_block_cdf),
-                                                  rel=0.05)
         total = rows.sum(axis=1)
         params = Ncx2Params(2 * n, 2 * n * mu * mu)
         for t in (10.0, 13.0, 15.5):
@@ -290,11 +332,52 @@ class TestPisBlockSampler:
             se = np.sqrt(exact * (1 - exact) / count)
             assert abs(emp - exact) < 4.0 * se
 
+    @pytest.mark.parametrize("mu,n,gamma,count", [
+        (2.3, 4, 17.0, 100_000),
+        (0.5, 2, 0.1, 20_000),    # the simplex is cheaper here
+        (4.0, 4, 17.0, 20_000),
+        (10.0, 2, 40.0, 20_000),
+    ])
+    def test_tilted_trials(self, mu, n, gamma, count):
+        # trials per acceptance are geometric with mean B / F
+        bound = replace(compute_m_ell(mu, n, gamma), proposal="tilted")
+        _, proposals = _pis_block_rows(mu, n, gamma, RngStream(60).generator(), count,
+                                       bound=bound)
+        acc = math.exp(bound.log_block_cdf - bound.log_chernoff)
+        se = math.sqrt((1.0 - acc) / count) / acc
+        assert abs(proposals / count - 1.0 / acc) < 4.0 * se
+
+    @pytest.mark.parametrize("mu,n,gamma,other", [
+        (2.3, 4, 17.0, "nominal"),   # los
+        (4.0, 4, 17.0, "simplex"),
+    ])
+    def test_tilted_matches_other_rejection(self, mu, n, gamma, other):
+        # two-sample KS of block sums and of each coordinate against an
+        # independent exact sampler of the same conditioned law
+        count = 20_000
+        bound = compute_m_ell(mu, n, gamma)
+        assert bound.proposal == "tilted" and bound.theta > 0.0
+        rows, _ = _pis_block_rows(mu, n, gamma, RngStream(61).generator(), count,
+                                  bound=bound)
+        gen = RngStream(62).generator()
+        if other == "nominal":
+            x = _nominal_rows(np.full(n, mu), gen, 12 * count)
+            ref = x[x.sum(axis=1) <= gamma][:count]
+            assert ref.shape[0] == count
+        else:
+            ref, _ = _pis_block_rows(mu, n, gamma, gen, count,
+                                     bound=replace(bound, proposal="simplex"))
+        assert stats.ks_2samp(rows.sum(axis=1), ref.sum(axis=1)).pvalue > KS_ALPHA
+        for j in range(n):
+            assert stats.ks_2samp(rows[:, j], ref[:, j]).pvalue > KS_ALPHA
+
     def test_exact_constant_trials(self):
         # a count, not a timing: at mu 3 the paper's constant spent ~392
-        # simplex trials per block, the supremum spends 21.8
+        # simplex trials per block, the supremum spends 21.8 (and the tilted
+        # proposal, which compute_m_ell picks here, B/F = 6.9)
         bound = compute_m_ell(3.0, 4, 17.0)
-        assert bound.proposal == "simplex"
+        assert bound.proposal == "tilted"
+        bound = replace(bound, proposal="simplex")
         _, proposals = _pis_block_rows(3.0, 4, 17.0, RngStream(58).generator(),
                                        10_000, bound=bound)
         assert math.exp(log_m_ell_paper(3.0, 4, 17.0)[0]) > 390.0
