@@ -94,6 +94,8 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise SpecError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_report(args)

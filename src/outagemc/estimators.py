@@ -12,10 +12,9 @@ estimator variance, so relative error is sqrt(var_hat / samples) / p_hat:
   et   approximate exponential tilting: iid Exp(M / gamma_th) proposal with
        an explicit likelihood ratio, accumulated in log space
   ce   cross-entropy importance sampling inside the scaled noncentral
-       chi-square family; where pis is cheap the proposal is fitted in one
-       step to the outage rows of one batch of pis draws (exact draws from
-       the law conditioned on outage), else by the paper's multilevel pilot
-       with decreasing auxiliary thresholds at the rho-quantile
+       chi-square family, fitted by the paper's stage walk down auxiliary
+       thresholds; where pis is cheap its first batch is pis draws, whose
+       outage rows are exact draws from the law conditioned on outage
   mls  multilevel splitting along a gamma-process embedding of the channel,
        with survivor resampling at pilot-chosen levels
 
@@ -54,11 +53,13 @@ from .specfun import Ncx2Params, _quantile_table, log_bessel_i0, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
-# ce takes its exact pilot while pis proposes at most this many coordinates
-# per row (_exact_pilot_cost), the highest cost measured no worse in wnrv (README)
+# ce's pilot starts from a batch of pis rows while pis proposes at most this
+# many coordinates per row (_exact_pilot_cost), the highest cost measured no
+# worse in wnrv (README)
 CE_EXACT_PILOT_MAX_COST = 40.0
-# fewer outage rows than this send ce to the multilevel pilot: from 200 rows
-# on, the unit-weight fit's SCV was within 5% of a 2,000-row fit (README)
+# the pis batch's level is its this-th smallest H, so it ends ce's pilot only
+# with this many outage rows: from 200 rows on, the unit-weight fit's SCV was
+# within 5% of a 2,000-row fit (README)
 CE_EXACT_PILOT_MIN_ROWS = 200
 MLS_ROWS = 1 << 11  # chains per mls group, decided by one _outage_at call a level
 
@@ -524,9 +525,15 @@ def ce_update(x: np.ndarray, weights: np.ndarray) -> CEParams:
 
 
 def _elite_weights(x, h, level, nominal: CEParams, v: CEParams):
-    """The rows with H <= level and their likelihood ratios to the nominal law."""
+    """The rows with H <= level and their likelihood ratios to the nominal law.
+
+    Rows drawn under v == nominal weigh 1, without evaluating the ratio:
+    exactly so for the nominal law, and up to the constant 1 / ell2, which
+    ce_update normalizes away, for pis rows.
+    """
     elite = x[h <= level]
-    w = np.exp(_ce_log_lr_rows(elite, nominal, v))
+    w = (np.ones(elite.shape[0]) if v == nominal
+         else np.exp(_ce_log_lr_rows(elite, nominal, v)))
     if not np.any(w > 0.0):
         raise CeAdaptationError("CE elite set empty")
     return elite, w
@@ -546,36 +553,6 @@ def _exact_pilot_cost(config: ChannelConfig) -> float:
     return sum(b.row_cost for b in plan.bounds)
 
 
-def _ce_multilevel_pilot(config: ChannelConfig, nominal: CEParams, gen, S0: int,
-                         rho: float):
-    """(vfin, trace, rows in the last fit) of the paper's multilevel pilot.
-
-    Batches of S0 walk an auxiliary threshold down the rho-quantile of H,
-    refitting the proposal to the elite rows weighted by their likelihood
-    ratios; once it drops below gamma_th, a last fit at gamma_th gives vfin.
-    """
-    g = config.gamma_th
-    kth = max(int(math.floor(rho * S0)), 1) - 1
-    v = nominal
-    trace = []
-    while True:
-        x = _scaled_ncx2_rows(v.v1, v.v2, gen, (S0, config.M))
-        h = gsc_statistic_rows(x, config.m)
-        gamma_hat = float(np.partition(h, kth)[kth])
-        trace.append({"iteration": len(trace), "gamma_t": gamma_hat,
-                      "v1": v.v1, "v2": v.v2})
-        if gamma_hat < g:
-            break
-        if len(trace) > CE_MAX_ITER:
-            raise CeAdaptationError("CE failed to reach target threshold")
-        v = ce_update(*_elite_weights(x, h, gamma_hat, nominal, v))
-    elite, w = _elite_weights(x, h, g, nominal, v)
-    vfin = ce_update(elite, w)
-    trace.append({"iteration": len(trace), "gamma_t": g,
-                  "v1": vfin.v1, "v2": vfin.v2})
-    return vfin, trace, elite.shape[0]
-
-
 def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
                 S0: int = 100_000, rho: float = 0.1,
                 workers: int = 1) -> EstimateResult:
@@ -584,16 +561,22 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
     A pilot on rng.child(0) fits the proposal v1 * ncx2(2, v2); the S
     estimation samples follow on child streams 1 on.
 
-    Where pis is cheap, at most CE_EXACT_PILOT_MAX_COST proposed coordinates
-    per pis row (_exact_pilot_cost, a fixed rule on the partition plan),
-    the exact pilot draws one batch of S0 rows from pis's partition sampler.
-    Its rows with H <= gamma_th are exact draws from the nominal law
-    conditioned on outage, the zero-variance density CE aims at, so one
-    ce_update with unit weights on them gives the proposal, without stages
-    or likelihood ratios (Chan & Kroese, Stat. Comput. 22(5), 2012, reach
-    that density by MCMC).  Elsewhere, or when the batch keeps fewer than
-    CE_EXACT_PILOT_MIN_ROWS outage rows, the paper's multilevel pilot runs
-    instead, on the same stream.  rho is read only by the multilevel pilot.
+    The pilot is the paper's stage walk.  Each stage draws S0 rows, takes a
+    level from their H and refits the proposal by ce_update to the rows at
+    or below it, weighted by their likelihood ratios to the nominal law,
+    until a level reaches gamma_th; the last batch's rows at gamma_th then
+    give the final fit.  Every stage draws from the current proposal and
+    levels at the rho-quantile, except the first where pis is cheap, at
+    most CE_EXACT_PILOT_MAX_COST proposed coordinates per pis row
+    (_exact_pilot_cost, a fixed rule on the partition plan).  There the
+    first batch is S0 rows of pis's partition sampler, levelled at its
+    CE_EXACT_PILOT_MIN_ROWS-th smallest H (inf for a smaller batch).  Those
+    rows are draws from the nominal law conditioned on the partition event,
+    which holds every outage row, so they weigh alike, and the ones with
+    H <= gamma_th are exact draws from the zero-variance density CE aims at
+    (Chan & Kroese, Stat. Comput. 22(5), 2012, reach it by MCMC).  A batch
+    that keeps that many outage rows ends the walk at once ("exact" pilot);
+    otherwise the walk goes on from its fit.
     """
     if S < 2:
         raise ValueError("S must be >= 2")
@@ -604,31 +587,41 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
     if not config.identical_mu:
         raise ValueError("CE requires identical mu_i across branches")
     t0 = time.perf_counter()
+    g = config.gamma_th
     mu = config.mu[0]
     nominal = CEParams(v1=0.5, v2=2.0 * mu * mu)
-
     gen = rng.child(0).generator()
-    drawn, kept = 0, None
-    if _exact_pilot_cost(config) <= CE_EXACT_PILOT_MAX_COST:
-        x, _ = _pis_rows(config, build_partition_plan(config), gen, S0)
-        drawn, kept = S0, x[_outage(config, x)]
-    if kept is not None and kept.shape[0] >= CE_EXACT_PILOT_MIN_ROWS:
-        vfin = ce_update(kept, np.ones(kept.shape[0]))
-        trace = [{"iteration": 0, "gamma_t": config.gamma_th,
-                  "v1": vfin.v1, "v2": vfin.v2}]
-        used, fitted = "exact", kept.shape[0]
-    else:
-        vfin, trace, fitted = _ce_multilevel_pilot(config, nominal, gen, S0, rho)
-        used, drawn = "multilevel", drawn + S0 * (len(trace) - 1)
+    pis_first = _exact_pilot_cost(config) <= CE_EXACT_PILOT_MAX_COST
+    v, trace = nominal, []
+    while True:
+        if pis_first and not trace:
+            x, _ = _pis_rows(config, build_partition_plan(config), gen, S0)
+            k = CE_EXACT_PILOT_MIN_ROWS
+        else:
+            x = _scaled_ncx2_rows(v.v1, v.v2, gen, (S0, config.M))
+            k = max(int(rho * S0), 1)
+        h = gsc_statistic_rows(x, config.m)
+        level = float(np.partition(h, k - 1)[k - 1]) if k <= S0 else math.inf
+        trace.append({"iteration": len(trace), "gamma_t": level, "v1": v.v1, "v2": v.v2})
+        if level <= g:
+            break
+        if len(trace) > CE_MAX_ITER:
+            raise CeAdaptationError("CE failed to reach target threshold")
+        v = ce_update(*_elite_weights(x, h, level, nominal, v))
+    elite, w = _elite_weights(x, h, g, nominal, v)
+    vfin = ce_update(elite, w)
+    trace.append({"iteration": len(trace), "gamma_t": g, "v1": vfin.v1, "v2": vfin.v2})
     parts = _run_blocks(partial(_ce_final_block, config, nominal, vfin), S, rng,
                         workers, first=1)
     p, var, hits = _weighted(parts, S)
     return EstimateResult(p_hat=p, var_hat=var, samples=S,
                           wall_time_s=time.perf_counter() - t0, method="ce",
-                          seed=rng.seed, work_units=S + drawn,
+                          seed=rng.seed, work_units=S + S0 * (len(trace) - 1),
                           diagnostics={"trace": trace, "hit_rate": hits / S,
                                        "v_final": {"v1": vfin.v1, "v2": vfin.v2},
-                                       "pilot": used, "pilot_hits": fitted})
+                                       "pilot": ("exact" if pis_first and len(trace) == 2
+                                                 else "multilevel"),
+                                       "pilot_hits": elite.shape[0]})
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ A spec file is flat INI text:
     values = 1.0, 0.5
 
     [hyper]             ; optional
-    rho = 0.1
-    s0 = 100000
+    rho = 0.1           ; ce's level for batches drawn from a proposal
+    s0 = 100000         ; ce's pilot rows, per batch
     mls_replications = 50
     mls_target_cond_prob = 0.2
     mls_pilot_samples = 10000
@@ -81,6 +81,8 @@ class ExperimentSpec:
     hyper: dict = field(default_factory=lambda: dict(DEFAULT_HYPER))
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise SpecError(f"run.seed must be >= 0, got {self.seed}")
         if not self.methods:
             raise SpecError("run.methods must list at least one method")
         bad = [m for m in self.methods if m not in METHODS]

@@ -54,6 +54,10 @@ class RngStream:
     stream_id: int = 0
     path: tuple = ()
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed,
                                     spawn_key=(self.stream_id, *self.path))
@@ -212,7 +216,7 @@ def compute_m_ell(mu: float, n: int, gamma_th: float) -> MellBound:
 
 
 def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
-                    count: int, bound: MellBound = None):
+                    count: int, bound: MellBound):
     """count accepted blocks from the threshold-conditioned joint density.
 
     Returns (samples, proposals): samples has shape (count, n); proposals is
@@ -227,8 +231,6 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     acceptance).  Raises if the density ratio ever exceeds the bound or if
     the trial budget of 1e4 trials per expected acceptance is exhausted.
     """
-    if bound is None:
-        bound = compute_m_ell(mu, n, gamma_th)
     tilted = bound.proposal == "tilted"
     theta = bound.theta
     u = 1.0 / (1.0 + theta)

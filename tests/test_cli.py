@@ -75,6 +75,7 @@ class TestLoadSpec:
         (lambda t: t.replace("pis, et", "pis, zzz"), "zzz"),
         (lambda t: t + "\n[samples]\nqmc = 1000\n", "qmc"),
         (lambda t: t.replace("s0 = 10000", "s0 = 10000\ntau = 2"), "tau"),
+        (lambda t: t.replace("seed = 4242", "seed = -5"), "run.seed must be >= 0, got -5"),
     ])
     def test_invalid_specs(self, tmp_path, mangle, fragment):
         with pytest.raises(SpecError, match=re.escape(fragment)):
@@ -189,6 +190,25 @@ class TestEstimateCommand:
             return "\n".join(out)
         # identical seed: everything but the measured wall time reproduces
         assert strip_timing(rb) == strip_timing(rc)
+
+
+class TestNegativeSeed:
+    """A negative seed is a spec error (exit 1) that names the seed, on every
+    command, before any estimator runs."""
+
+    def test_spec_seed(self, tmp_path, capsys):
+        spec = write(tmp_path, GOOD_SPEC.replace("seed = 4242", "seed = -5"))
+        out = tmp_path / "out"
+        assert main(["estimate", str(spec), "--out-dir", str(out)]) == 1
+        assert "run.seed must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep", "verify"])
+    def test_seed_flag(self, tmp_path, capsys, command):
+        spec = write(tmp_path, SWEEP_SPEC)
+        argv = [command] + ([] if command == "verify" else [str(spec)])
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestSweepCommand:

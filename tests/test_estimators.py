@@ -395,9 +395,10 @@ class TestCe:
 
 
 class TestCePilot:
-    """One batch of pis rows where pis is cheap, else the multilevel stage walk."""
+    """One stage walk, whose first batch is pis rows where pis is cheap."""
 
     DENSE = ChannelConfig(M=8, m=4, mu=0.5, gamma_th=1.0)
+    WIDE = ChannelConfig(M=16, m=4, mu=0.5, gamma_th=0.5)  # pis hit fraction ~0.0015
 
     @pytest.mark.parametrize("cfg,expected", [
         (ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1), "exact"),  # subset
@@ -412,15 +413,16 @@ class TestCePilot:
         assert (cost <= estimators.CE_EXACT_PILOT_MAX_COST) == (expected == "exact")
         # S0 keeps at least 200 outage rows on every exact config (3.6% at mu 3)
         r = estimate_ce(cfg, 1000, RngStream(60), S0=10_000)
+        trace = r.diagnostics["trace"]
         assert r.diagnostics["pilot"] == expected
+        assert trace[-1]["gamma_t"] == cfg.gamma_th
+        assert r.work_units == 1000 + 10_000 * (len(trace) - 1)
         if expected == "exact":
-            assert len(r.diagnostics["trace"]) == 1
-            assert r.diagnostics["trace"][0]["gamma_t"] == cfg.gamma_th
+            # the pis batch, levelled at its 200th smallest H, and the final fit
+            assert len(trace) == 2
+            assert trace[0]["gamma_t"] <= cfg.gamma_th
+            assert (trace[0]["v1"], trace[0]["v2"]) == (0.5, 2.0 * cfg.mu[0] ** 2)
             assert estimators.CE_EXACT_PILOT_MIN_ROWS <= r.diagnostics["pilot_hits"] <= 10_000
-            assert r.work_units == 1000 + 10_000
-        else:
-            # where pis is dear no pis row is drawn
-            assert r.work_units == 1000 + 10_000 * (len(r.diagnostics["trace"]) - 1)
 
     @pytest.mark.parametrize("cfg,seed", [
         (ChannelConfig(M=8, m=2, mu=3.0, gamma_th=10.0), 65),
@@ -444,9 +446,11 @@ class TestCePilot:
     @pytest.mark.parametrize("seed,kept", [(71, 1), (73, 0)])
     def test_small_batch_falls_back(self, seed, kept):
         # pis's hit fraction is about 0.0015 here, so 100 rows keep one or
-        # none; one row fitted gave SCV 60, the fallback 10-16.  The
-        # reference is pis itself
-        cfg = ChannelConfig(M=16, m=4, mu=0.5, gamma_th=0.5)
+        # none; one row fitted gave SCV 60.  A batch under 200 rows has no
+        # 200th smallest H, so its level is inf: it cannot end the walk, and
+        # the walk goes on from the fit to all its rows.  The reference is
+        # pis itself
+        cfg = self.WIDE
         assert estimators._exact_pilot_cost(cfg) <= estimators.CE_EXACT_PILOT_MAX_COST
         x, _ = estimators._pis_rows(cfg, build_partition_plan(cfg),
                                     RngStream(seed).child(0).generator(), 100)
@@ -454,12 +458,50 @@ class TestCePilot:
         r = estimate_ce(cfg, 100_000, RngStream(seed), S0=100)
         d = r.diagnostics
         assert d["pilot"] == "multilevel"
+        assert d["trace"][0]["gamma_t"] == math.inf
         assert d["trace"][-1]["gamma_t"] == cfg.gamma_th
-        # the 100 pis rows drawn count towards the work, then every stage
-        assert r.work_units == 100_000 + 100 + 100 * (len(d["trace"]) - 1)
+        # the 100 pis rows are the first stage
+        assert r.work_units == 100_000 + 100 * (len(d["trace"]) - 1)
         ref = estimate_pis(cfg, 200_000, RngStream(70))
         se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
         assert abs(r.p_hat - ref.p_hat) < 4.0 * se
+
+    def test_small_batch_cannot_end_the_walk(self):
+        # at m = M every pis row is an outage row, yet 150 of them do not
+        # end the walk
+        cfg = ChannelConfig(M=6, m=6, mu=0.5, gamma_th=0.5)
+        r = estimate_ce(cfg, 10_000, RngStream(75), S0=150)
+        trace = r.diagnostics["trace"]
+        assert r.diagnostics["pilot"] == "multilevel"
+        assert trace[0]["gamma_t"] == math.inf
+        assert len(trace) >= 3
+        assert r.work_units == 10_000 + 150 * (len(trace) - 1)
+
+    def test_walk_goes_on_from_the_pis_batch(self, request):
+        # 2e4 pis rows keep about 30 outage rows here, too few to end the
+        # walk; it goes on from their fit instead of from the nominal law
+        cfg = self.WIDE
+        r = estimate_ce(cfg, 100_000, RngStream(77), S0=20_000)
+        trace = r.diagnostics["trace"]
+        assert r.diagnostics["pilot"] == "multilevel"
+        assert trace[0]["gamma_t"] > cfg.gamma_th
+        assert (trace[0]["v1"], trace[0]["v2"]) == (0.5, 0.5)
+        assert r.work_units == 100_000 + 20_000 * (len(trace) - 1)
+        ref = estimate_pis(cfg, 200_000, RngStream(78))
+        se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
+        assert abs(r.p_hat - ref.p_hat) < 4.0 * se
+        request.getfixturevalue("multilevel_pilot")
+        nominal_first = estimate_ce(cfg, 1000, RngStream(77), S0=20_000)
+        assert len(trace) < len(nominal_first.diagnostics["trace"])
+
+    def test_iteration_cap(self, monkeypatch):
+        # subset needs 7 refits from the nominal law
+        monkeypatch.setattr(estimators, "CE_EXACT_PILOT_MAX_COST", -1.0)
+        monkeypatch.setattr(estimators, "CE_MAX_ITER", 2)
+        cfg = ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1)
+        with pytest.raises(estimators.CeAdaptationError,
+                           match="CE failed to reach target threshold"):
+            estimate_ce(cfg, 1000, RngStream(79), S0=10_000)
 
     @pytest.mark.parametrize("cfg", [
         ChannelConfig(M=6, m=1, mu=0.5, gamma_th=0.2),
@@ -950,7 +992,7 @@ class TestReproducibility:
          0.0113750625, 0.003297175759375001,
          {"work_units": 27_400, "levels": 3}, None),
         ("ce", 20_000, {"S0": 2_000}, 0.010636711825632611, 0.00010820717323601008,
-         {"work_units": 22_000, "hits": 16341, "ce_stages": 1, "pilot_hits": 1109},
+         {"work_units": 22_000, "hits": 16341, "ce_stages": 2, "pilot_hits": 1109},
          "exact"),
     ])
     def test_pinned_outputs(self, request, method, size, kwargs, p_hat, var_hat, counts,

@@ -45,6 +45,12 @@ class TestRngStream:
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
 
+    def test_negative_seed_rejected_at_construction(self):
+        # numpy's SeedSequence would only reject it later, in generator()
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            RngStream(-3)
+        RngStream(0).generator()
+
 
 class TestSampleNominal:
     def test_mean(self):
@@ -261,12 +267,14 @@ class TestComputeMell:
 
 class TestPisBlockSampler:
     def test_support(self):
-        rows, _ = _pis_block_rows(0.5, 4, 1.0, RngStream(14).generator(), 2000)
+        rows, _ = _pis_block_rows(0.5, 4, 1.0, RngStream(14).generator(), 2000,
+                                  compute_m_ell(0.5, 4, 1.0))
         assert np.all(rows >= 0.0)
         assert np.all(rows.sum(axis=1) <= 1.0 + 1e-12)
 
     def test_single_dim_central_matches_truncated_exponential(self):
-        rows, _ = _pis_block_rows(0.0, 1, 0.7, RngStream(15).generator(), 10 ** 5)
+        rows, _ = _pis_block_rows(0.0, 1, 0.7, RngStream(15).generator(), 10 ** 5,
+                                  compute_m_ell(0.0, 1, 0.7))
         gen = RngStream(16).generator()
         u = gen.random(10 ** 5)
         closed = -np.log1p(-u * (1.0 - np.exp(-0.7)))
@@ -289,7 +297,8 @@ class TestPisBlockSampler:
     def test_block_sum_distribution(self):
         # accepted blocks' sums follow the conditioned block-sum law
         mu, n, gamma = 0.5, 4, 1.0
-        rows, _ = _pis_block_rows(mu, n, gamma, RngStream(18).generator(), 10 ** 5)
+        rows, _ = _pis_block_rows(mu, n, gamma, RngStream(18).generator(), 10 ** 5,
+                                  compute_m_ell(mu, n, gamma))
         total = rows.sum(axis=1)
         params = Ncx2Params(2 * n, 2 * n * mu * mu)
         k = ncx2_cdf(2 * gamma, params)
