@@ -96,6 +96,10 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise SpecError(f"--seed must be >= 0, got {args.seed}")
+        if args.workers < 1:
+            raise SpecError(f"--workers must be >= 1, got {args.workers}")
+        if args.command == "verify" and args.samples < 2:
+            raise SpecError(f"--samples must be >= 2, got {args.samples}")
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_report(args)

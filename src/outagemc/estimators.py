@@ -13,8 +13,8 @@ estimator variance, so relative error is sqrt(var_hat / samples) / p_hat:
        an explicit likelihood ratio, accumulated in log space
   ce   cross-entropy importance sampling inside the scaled noncentral
        chi-square family, fitted by the paper's stage walk down auxiliary
-       thresholds; where pis is cheap its first batch is pis draws, whose
-       outage rows are exact draws from the law conditioned on outage
+       thresholds; its first batch is pis draws, whose outage rows are
+       exact draws from the law conditioned on outage
   mls  multilevel splitting along a gamma-process embedding of the channel,
        with survivor resampling at pilot-chosen levels
 
@@ -53,10 +53,6 @@ from .specfun import Ncx2Params, _quantile_table, log_bessel_i0, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
-# ce's pilot starts from a batch of pis rows while pis proposes at most this
-# many coordinates per row (_exact_pilot_cost), the highest cost measured no
-# worse in wnrv (README)
-CE_EXACT_PILOT_MAX_COST = 40.0
 # the pis batch's level is its this-th smallest H, so it ends ce's pilot only
 # with this many outage rows: from 200 rows on, the unit-weight fit's SCV was
 # within 5% of a 2,000-row fit (README)
@@ -527,9 +523,9 @@ def ce_update(x: np.ndarray, weights: np.ndarray) -> CEParams:
 def _elite_weights(x, h, level, nominal: CEParams, v: CEParams):
     """The rows with H <= level and their likelihood ratios to the nominal law.
 
-    Rows drawn under v == nominal weigh 1, without evaluating the ratio:
-    exactly so for the nominal law, and up to the constant 1 / ell2, which
-    ce_update normalizes away, for pis rows.
+    Rows drawn while v == nominal, ce's first batch of pis rows, weigh 1
+    without evaluating the ratio: their ratio to the nominal law is the
+    constant ell2, which ce_update normalizes away.
     """
     elite = x[h <= level]
     w = (np.ones(elite.shape[0]) if v == nominal
@@ -544,15 +540,6 @@ def _ce_final_block(config: ChannelConfig, nominal: CEParams, vfin: CEParams, ge
     return _lr_sums(config, x, lambda xs: _ce_log_lr_rows(xs, nominal, vfin))
 
 
-def _exact_pilot_cost(config: ChannelConfig) -> float:
-    """Proposed coordinates per pis row (MellBound.row_cost summed); inf without a plan."""
-    try:
-        plan = build_partition_plan(config)
-    except TruncationUnderflowError:
-        return math.inf
-    return sum(b.row_cost for b in plan.bounds)
-
-
 def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
                 S0: int = 100_000, rho: float = 0.1,
                 workers: int = 1) -> EstimateResult:
@@ -565,18 +552,17 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
     level from their H and refits the proposal by ce_update to the rows at
     or below it, weighted by their likelihood ratios to the nominal law,
     until a level reaches gamma_th; the last batch's rows at gamma_th then
-    give the final fit.  Every stage draws from the current proposal and
-    levels at the rho-quantile, except the first where pis is cheap, at
-    most CE_EXACT_PILOT_MAX_COST proposed coordinates per pis row
-    (_exact_pilot_cost, a fixed rule on the partition plan).  There the
-    first batch is S0 rows of pis's partition sampler, levelled at its
-    CE_EXACT_PILOT_MIN_ROWS-th smallest H (inf for a smaller batch).  Those
-    rows are draws from the nominal law conditioned on the partition event,
-    which holds every outage row, so they weigh alike, and the ones with
-    H <= gamma_th are exact draws from the zero-variance density CE aims at
-    (Chan & Kroese, Stat. Comput. 22(5), 2012, reach it by MCMC).  A batch
-    that keeps that many outage rows ends the walk at once ("exact" pilot);
-    otherwise the walk goes on from its fit.
+    give the final fit.  The first batch is S0 rows of pis's partition
+    sampler, levelled at its CE_EXACT_PILOT_MIN_ROWS-th smallest H (inf for
+    a smaller batch); every later one is drawn from the current proposal
+    and levelled at its rho-quantile.  The pis rows are draws from the
+    nominal law conditioned on the partition event, which holds every
+    outage row, so they weigh alike, and the ones with H <= gamma_th are
+    exact draws from the zero-variance density CE aims at (Chan & Kroese,
+    Stat. Comput. 22(5), 2012, reach it by MCMC).  A batch that keeps that
+    many outage rows ends the walk at once ("exact" pilot); otherwise the
+    walk goes on from its fit.  The partition plan is built first, so a
+    threshold whose ell2 underflows raises before any draw.
     """
     if S < 2:
         raise ValueError("S must be >= 2")
@@ -590,16 +576,16 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
     g = config.gamma_th
     mu = config.mu[0]
     nominal = CEParams(v1=0.5, v2=2.0 * mu * mu)
+    plan = build_partition_plan(config)
     gen = rng.child(0).generator()
-    pis_first = _exact_pilot_cost(config) <= CE_EXACT_PILOT_MAX_COST
     v, trace = nominal, []
     while True:
-        if pis_first and not trace:
-            x, _ = _pis_rows(config, build_partition_plan(config), gen, S0)
-            k = CE_EXACT_PILOT_MIN_ROWS
-        else:
+        if trace:
             x = _scaled_ncx2_rows(v.v1, v.v2, gen, (S0, config.M))
             k = max(int(rho * S0), 1)
+        else:
+            x, _ = _pis_rows(config, plan, gen, S0)
+            k = CE_EXACT_PILOT_MIN_ROWS
         h = gsc_statistic_rows(x, config.m)
         level = float(np.partition(h, k - 1)[k - 1]) if k <= S0 else math.inf
         trace.append({"iteration": len(trace), "gamma_t": level, "v1": v.v1, "v2": v.v2})
@@ -619,8 +605,7 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
                           seed=rng.seed, work_units=S + S0 * (len(trace) - 1),
                           diagnostics={"trace": trace, "hit_rate": hits / S,
                                        "v_final": {"v1": vfin.v1, "v2": vfin.v2},
-                                       "pilot": ("exact" if pis_first and len(trace) == 2
-                                                 else "multilevel"),
+                                       "pilot": "exact" if len(trace) == 2 else "multilevel",
                                        "pilot_hits": elite.shape[0]})
 
 

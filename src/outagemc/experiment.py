@@ -88,6 +88,16 @@ class ExperimentSpec:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise SpecError(f"unknown method(s) {bad}; choose from {METHODS}")
+        for meth, n in self.samples.items():  # mls counts chains per level
+            low = 10 if meth == "mls" else 2 if meth in ("et", "ce") else 1
+            if n < low:
+                raise SpecError(f"samples.{meth} must be >= {low}, got {n}")
+        for key, low in (("s0", 100), ("mls_replications", 2), ("mls_pilot_samples", 100)):
+            if self.hyper[key] < low:
+                raise SpecError(f"hyper.{key} must be >= {low}, got {self.hyper[key]}")
+        for key in ("rho", "mls_target_cond_prob"):
+            if not 0.0 < self.hyper[key] < 1.0:
+                raise SpecError(f"hyper.{key} must be in (0, 1), got {self.hyper[key]}")
         if self.sweep_axis is not None:
             if self.sweep_axis not in ("gamma_th", "mu"):
                 raise SpecError("sweep.axis must be gamma_th or mu")

@@ -92,12 +92,6 @@ class MellBound:
             return math.exp(self.log_chernoff - self.log_block_cdf)
         return self.value
 
-    @property
-    def row_cost(self) -> float:
-        """Expected proposed coordinates per accepted block, in simplex-proposal units."""
-        unit = 1.0 / _SIMPLEX_COST if self.proposal == "tilted" else 1.0
-        return self.block_size * unit * self.proposals_per_row
-
 
 def _nominal_rows(mu: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray:
     """n draws of the M-vector of squared gains, X_i ~ (1/2) ncx2(2, 2 mu_i^2)."""

@@ -76,6 +76,17 @@ class TestLoadSpec:
         (lambda t: t + "\n[samples]\nqmc = 1000\n", "qmc"),
         (lambda t: t.replace("s0 = 10000", "s0 = 10000\ntau = 2"), "tau"),
         (lambda t: t.replace("seed = 4242", "seed = -5"), "run.seed must be >= 0, got -5"),
+        (lambda t: t + "\n[samples]\npis = 0\n", "samples.pis must be >= 1, got 0"),
+        (lambda t: t.replace("samples = 50000", "samples = 1"), "samples.et must be >= 2, got 1"),
+        (lambda t: t + "\n[samples]\nce = 1\n", "samples.ce must be >= 2, got 1"),
+        (lambda t: t + "\n[samples]\nmls = 9\n", "samples.mls must be >= 10, got 9"),
+        (lambda t: t.replace("s0 = 10000", "s0 = 99"), "hyper.s0 must be >= 100, got 99"),
+        (lambda t: t + "rho = 1.0\n", "hyper.rho must be in (0, 1), got 1.0"),
+        (lambda t: t + "mls_target_cond_prob = 0\n",
+         "hyper.mls_target_cond_prob must be in (0, 1), got 0.0"),
+        (lambda t: t + "mls_replications = 1\n", "hyper.mls_replications must be >= 2, got 1"),
+        (lambda t: t + "mls_pilot_samples = 99\n",
+         "hyper.mls_pilot_samples must be >= 100, got 99"),
     ])
     def test_invalid_specs(self, tmp_path, mangle, fragment):
         with pytest.raises(SpecError, match=re.escape(fragment)):
@@ -209,6 +220,33 @@ class TestNegativeSeed:
         argv = [command] + ([] if command == "verify" else [str(spec)])
         assert main(argv + ["--seed", "-1"]) == 1
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+class TestOutOfRange:
+    """Out-of-range spec values and CLI integers are spec errors (exit 1)
+    that name the key, before any estimator runs."""
+
+    def test_spec_values(self, tmp_path, capsys):
+        text = GOOD_SPEC.replace("methods = pis, et", "methods = pis, ce, mls")
+        text = text.replace("s0 = 10000", "s0 = 50") + "\n[samples]\nmls = 0\n"
+        out = tmp_path / "out"
+        assert main(["estimate", str(write(tmp_path, text)), "--out-dir", str(out)]) == 1
+        assert "samples.mls must be >= 10, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,fragment", [
+        ("estimate", ["--workers", "0"], "--workers must be >= 1, got 0"),
+        ("sweep", ["--workers", "-4"], "--workers must be >= 1, got -4"),
+        ("verify", ["--workers", "0"], "--workers must be >= 1, got 0"),
+        ("verify", ["--samples", "0"], "--samples must be >= 2, got 0"),
+    ])
+    def test_cli_integers(self, tmp_path, capsys, command, flags, fragment):
+        out = tmp_path / "out"
+        argv = [command] + ([] if command == "verify" else
+                            [str(write(tmp_path, SWEEP_SPEC)), "--out-dir", str(out)])
+        assert main(argv + flags) == 1
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:

@@ -50,12 +50,6 @@ def combined_se(r1, r2_p=None, r2_var=None, r2_n=None):
 SMALL = ChannelConfig(M=3, m=2, mu=0.5, gamma_th=0.5)
 
 
-@pytest.fixture
-def multilevel_pilot(monkeypatch):
-    """Send ce to the paper's multilevel pilot on every config."""
-    monkeypatch.setattr(estimators, "CE_EXACT_PILOT_MAX_COST", -1.0)
-
-
 @pytest.fixture(scope="module")
 def small_reference():
     return estimate_nmc(SMALL, 4_000_000, RngStream(1000))
@@ -355,9 +349,8 @@ class TestCe:
         with pytest.raises(ValueError, match="identical"):
             estimate_ce(cfg, 1000, RngStream(17))
 
-    @pytest.mark.usefixtures("multilevel_pilot")
     def test_noop_adaptation_agrees_with_reference(self):
-        # threshold so mild that the first pilot quantile is already below it
+        # threshold so mild that the first pilot level is already below it
         cfg = ChannelConfig(M=3, m=2, mu=0.5, gamma_th=2.5)
         r = estimate_ce(cfg, 200_000, RngStream(18), S0=20_000)
         assert len(r.diagnostics["trace"]) == 2  # initial + final fit only
@@ -365,10 +358,10 @@ class TestCe:
         se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
         assert abs(r.p_hat - ref.p_hat) < 3.0 * se
 
-    @pytest.mark.usefixtures("multilevel_pilot")
     def test_thresholds_strictly_decreasing(self):
-        cfg = ChannelConfig(M=8, m=4, mu=0.5, gamma_th=1.0)
-        r = estimate_ce(cfg, 50_000, RngStream(20), S0=50_000)
+        # the pis batch keeps too few outage rows to end the walk here
+        cfg = TestCePilot.WIDE
+        r = estimate_ce(cfg, 50_000, RngStream(20), S0=20_000)
         gammas = [t["gamma_t"] for t in r.diagnostics["trace"]]
         # auxiliary thresholds fall strictly until the final reset to the target
         assert all(b < a for a, b in zip(gammas[:-1], gammas[1:-1]))
@@ -395,7 +388,7 @@ class TestCe:
 
 
 class TestCePilot:
-    """One stage walk, whose first batch is pis rows where pis is cheap."""
+    """One stage walk, whose first batch is pis rows."""
 
     DENSE = ChannelConfig(M=8, m=4, mu=0.5, gamma_th=1.0)
     WIDE = ChannelConfig(M=16, m=4, mu=0.5, gamma_th=0.5)  # pis hit fraction ~0.0015
@@ -409,20 +402,22 @@ class TestCePilot:
         (ChannelConfig(M=8, m=4, mu=5.0, gamma_th=17.0), "multilevel"),  # cost 55.7
     ])
     def test_rule(self, cfg, expected):
-        cost = estimators._exact_pilot_cost(cfg)
-        assert (cost <= estimators.CE_EXACT_PILOT_MAX_COST) == (expected == "exact")
-        # S0 keeps at least 200 outage rows on every exact config (3.6% at mu 3)
+        # the walk starts from a batch of pis rows on every config; it ends
+        # there where the batch keeps CE_EXACT_PILOT_MIN_ROWS outage rows
+        # (3.6% at mu 3), and at mu = 4 and 5 it goes on from the batch's fit
         r = estimate_ce(cfg, 1000, RngStream(60), S0=10_000)
         trace = r.diagnostics["trace"]
         assert r.diagnostics["pilot"] == expected
+        assert (trace[0]["v1"], trace[0]["v2"]) == (0.5, 2.0 * cfg.mu[0] ** 2)
         assert trace[-1]["gamma_t"] == cfg.gamma_th
         assert r.work_units == 1000 + 10_000 * (len(trace) - 1)
         if expected == "exact":
             # the pis batch, levelled at its 200th smallest H, and the final fit
             assert len(trace) == 2
             assert trace[0]["gamma_t"] <= cfg.gamma_th
-            assert (trace[0]["v1"], trace[0]["v2"]) == (0.5, 2.0 * cfg.mu[0] ** 2)
             assert estimators.CE_EXACT_PILOT_MIN_ROWS <= r.diagnostics["pilot_hits"] <= 10_000
+        else:
+            assert trace[0]["gamma_t"] > cfg.gamma_th
 
     @pytest.mark.parametrize("cfg,seed", [
         (ChannelConfig(M=8, m=2, mu=3.0, gamma_th=10.0), 65),
@@ -430,18 +425,36 @@ class TestCePilot:
         (ChannelConfig(M=4, m=2, mu=10.0, gamma_th=40.0), 69),  # p ~ 3e-59, cost 37.6
     ])
     def test_flipped_configs_agree_with_pis(self, cfg, seed):
-        # the tilted proposal's cost moved these from the multilevel pilot
-        # to the exact one
+        # each pis batch keeps 200 outage rows and ends the walk
         r = estimate_ce(cfg, 50_000, RngStream(seed), S0=20_000)
         assert r.diagnostics["pilot"] == "exact"
         ref = estimate_pis(cfg, 100_000, RngStream(seed + 1))
         se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
         assert abs(r.p_hat - ref.p_hat) < 4.0 * se
 
-    def test_no_exact_pilot_without_a_plan(self):
-        # ell2 underflows here, so build_partition_plan raises
-        cfg = ChannelConfig(M=8, m=8, mu=0.5, gamma_th=1e-40)
-        assert estimators._exact_pilot_cost(cfg) == math.inf
+    @pytest.mark.parametrize("seed", [90, 91])
+    def test_large_means_reach_the_threshold(self, seed):
+        # pis proposes about 140 coordinates per row here and p ~ 1.3e-156;
+        # a walk from the nominal law hit the CE_MAX_ITER cap
+        cfg = ChannelConfig(M=12, m=6, mu=7.0, gamma_th=20.0)
+        r = estimate_ce(cfg, 20_000, RngStream(seed), S0=10_000)
+        assert 0.0 < r.p_hat < math.inf
+        assert r.diagnostics["trace"][-1]["gamma_t"] == cfg.gamma_th
+
+    def test_large_means_agree_with_pis(self):
+        # pis proposes about 56 coordinates per row; its batch keeps too few
+        # outage rows to end the walk, which goes on from their fit
+        cfg = ChannelConfig(M=8, m=4, mu=5.0, gamma_th=17.0)
+        r = estimate_ce(cfg, 100_000, RngStream(80), S0=20_000)
+        trace = r.diagnostics["trace"]
+        x, _ = estimators._pis_rows(cfg, build_partition_plan(cfg),
+                                    RngStream(80).child(0).generator(), 20_000)
+        h = np.sort(gsc_statistic_rows(x, cfg.m))
+        assert trace[0]["gamma_t"] == h[estimators.CE_EXACT_PILOT_MIN_ROWS - 1] > cfg.gamma_th
+        assert (trace[0]["v1"], trace[0]["v2"]) == (0.5, 50.0)
+        ref = estimate_pis(cfg, 200_000, RngStream(81))
+        se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
+        assert abs(r.p_hat - ref.p_hat) < 4.0 * se
 
     @pytest.mark.parametrize("seed,kept", [(71, 1), (73, 0)])
     def test_small_batch_falls_back(self, seed, kept):
@@ -451,7 +464,6 @@ class TestCePilot:
         # the walk goes on from the fit to all its rows.  The reference is
         # pis itself
         cfg = self.WIDE
-        assert estimators._exact_pilot_cost(cfg) <= estimators.CE_EXACT_PILOT_MAX_COST
         x, _ = estimators._pis_rows(cfg, build_partition_plan(cfg),
                                     RngStream(seed).child(0).generator(), 100)
         assert np.count_nonzero(estimators._outage(cfg, x)) == kept
@@ -477,9 +489,9 @@ class TestCePilot:
         assert len(trace) >= 3
         assert r.work_units == 10_000 + 150 * (len(trace) - 1)
 
-    def test_walk_goes_on_from_the_pis_batch(self, request):
+    def test_walk_goes_on_from_the_pis_batch(self):
         # 2e4 pis rows keep about 30 outage rows here, too few to end the
-        # walk; it goes on from their fit instead of from the nominal law
+        # walk; it goes on from their fit
         cfg = self.WIDE
         r = estimate_ce(cfg, 100_000, RngStream(77), S0=20_000)
         trace = r.diagnostics["trace"]
@@ -490,18 +502,13 @@ class TestCePilot:
         ref = estimate_pis(cfg, 200_000, RngStream(78))
         se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
         assert abs(r.p_hat - ref.p_hat) < 4.0 * se
-        request.getfixturevalue("multilevel_pilot")
-        nominal_first = estimate_ce(cfg, 1000, RngStream(77), S0=20_000)
-        assert len(trace) < len(nominal_first.diagnostics["trace"])
 
     def test_iteration_cap(self, monkeypatch):
-        # subset needs 7 refits from the nominal law
-        monkeypatch.setattr(estimators, "CE_EXACT_PILOT_MAX_COST", -1.0)
-        monkeypatch.setattr(estimators, "CE_MAX_ITER", 2)
-        cfg = ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1)
+        # at S0 = 1,000 the walk here draws three batches before the final fit
+        monkeypatch.setattr(estimators, "CE_MAX_ITER", 1)
         with pytest.raises(estimators.CeAdaptationError,
                            match="CE failed to reach target threshold"):
-            estimate_ce(cfg, 1000, RngStream(79), S0=10_000)
+            estimate_ce(self.WIDE, 1000, RngStream(79), S0=1_000)
 
     @pytest.mark.parametrize("cfg", [
         ChannelConfig(M=6, m=1, mu=0.5, gamma_th=0.2),
@@ -514,17 +521,6 @@ class TestCePilot:
         assert r.diagnostics["pilot_hits"] == 5000
         exact = closed_form_outage(cfg)
         assert abs(r.p_hat - exact) < 4.0 * math.sqrt(r.var_hat / r.samples)
-
-    def test_fit_matches_multilevel_fit(self, request):
-        # both pilots fit the projection of the nominal law conditioned on
-        # outage; at S0 = 1e5 six seeds put them within 1.5% (v1) and 2.8% (v2)
-        a = estimate_ce(self.DENSE, 1000, RngStream(64), S0=100_000)
-        request.getfixturevalue("multilevel_pilot")
-        b = estimate_ce(self.DENSE, 1000, RngStream(64), S0=100_000)
-        assert a.diagnostics["pilot"] == "exact" and b.diagnostics["pilot"] == "multilevel"
-        for key in ("v1", "v2"):
-            assert a.diagnostics["v_final"][key] == pytest.approx(
-                b.diagnostics["v_final"][key], rel=0.05)
 
 
 class TestMlsSchedule:
@@ -891,9 +887,9 @@ class TestWorkerDeterminism:
         assert a.var_hat == b.var_hat
         assert a.diagnostics == b.diagnostics
 
-    @pytest.mark.usefixtures("multilevel_pilot")
     def test_ce_multilevel_pilot(self):
-        cfg = ChannelConfig(M=4, m=2, mu=0.5, gamma_th=0.8)
+        # the walk goes on past its pis batch here
+        cfg = TestCePilot.WIDE
         a = estimate_ce(cfg, 300_000, RngStream(29), S0=20_000, workers=1)
         b = estimate_ce(cfg, 300_000, RngStream(29), S0=20_000, workers=3)
         assert a.diagnostics["pilot"] == "multilevel"
@@ -985,8 +981,8 @@ class TestReproducibility:
          {"work_units": 20_000, "hits": 11073, "proposals": 70031}, None),
         ("et", 20_000, {}, 0.010683266318179318, 0.0001518257629254988,
          {"work_units": 20_000, "hits": 13166}, None),
-        ("ce", 20_000, {"S0": 2_000}, 0.010650029016097228, 0.00011109147690091719,
-         {"work_units": 24_000, "hits": 16316, "ce_stages": 3, "pilot_hits": 406},
+        ("ce", 20_000, {"S0": 150}, 0.010479723872848111, 0.00011007222767123615,
+         {"work_units": 20_300, "hits": 16760, "ce_stages": 3, "pilot_hits": 87},
          "multilevel"),
         ("mls", 200, {"replications": 4, "pilot_samples": 1_000},
          0.0113750625, 0.003297175759375001,
@@ -995,10 +991,8 @@ class TestReproducibility:
          {"work_units": 22_000, "hits": 16341, "ce_stages": 2, "pilot_hits": 1109},
          "exact"),
     ])
-    def test_pinned_outputs(self, request, method, size, kwargs, p_hat, var_hat, counts,
-                            pilot):
-        if pilot == "multilevel":
-            request.getfixturevalue("multilevel_pilot")
+    def test_pinned_outputs(self, method, size, kwargs, p_hat, var_hat, counts, pilot):
+        # the multilevel ce row's 150 pis rows cannot end the walk
         r = ESTIMATORS[method](SMALL, size, RngStream(2024), **kwargs)
         assert r.p_hat == pytest.approx(p_hat, rel=1e-12)
         assert r.var_hat == pytest.approx(var_hat, rel=1e-12)
@@ -1045,6 +1039,9 @@ class TestUnderflow:
             estimate_uis(self.config(1e-40), 200_000, RngStream(1))
         with pytest.raises(TruncationUnderflowError, match="ell2 underflows"):
             estimate_pis(self.config(1e-40), 1000, RngStream(1))
+        monkeypatch.setattr(estimators, "_pis_rows", no_sampling)
+        with pytest.raises(TruncationUnderflowError, match="ell2 underflows"):
+            estimate_ce(self.config(1e-40), 1000, RngStream(1))
         cfg = self.config(1e-40).replace(m=1)
         with pytest.raises(TruncationUnderflowError, match="ell2 underflows"):
             build_partition_plan(cfg)

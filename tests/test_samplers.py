@@ -217,16 +217,14 @@ class TestComputeMell:
         assert compute_m_ell(mu, n, gamma).log_value == pytest.approx(
             log_value, rel=0, abs=1e-14)
 
-    def test_row_cost(self):
-        # M_ell simplex proposals per row, or B/F tilted ones at half cost
+    def test_proposals_per_row(self):
+        # M_ell simplex proposals per row, or B/F tilted ones
         simplex, tilted = compute_m_ell(0.5, 2, 0.1), compute_m_ell(2.3, 4, 17.0)
         assert (simplex.proposal, tilted.proposal) == ("simplex", "tilted")
         assert simplex.proposals_per_row == simplex.value
-        assert simplex.row_cost == pytest.approx(2 * simplex.value, rel=1e-15)
         assert tilted.proposals_per_row == pytest.approx(
             math.exp(tilted.log_chernoff - tilted.log_block_cdf), rel=1e-15)
         assert tilted.proposals_per_row == pytest.approx(3.908, abs=1e-3)  # 1/F = 9.38
-        assert tilted.row_cost == pytest.approx(2 * tilted.proposals_per_row, rel=1e-15)
 
     @pytest.mark.parametrize("mu,n,gamma", [
         (2.3, 4, 17.0),   # los
