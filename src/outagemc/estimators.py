@@ -43,13 +43,14 @@ from .samplers import (
     TruncationUnderflowError,
     _exponential_rows,
     _inverse_rows,
+    _log_density,
     _nominal_rows,
     _pis_block_rows,
     _scaled_ncx2_rows,
     _table_rows,
     compute_m_ell,
 )
-from .specfun import Ncx2Params, _quantile_table, log_bessel_i0, ncx2_cdf
+from .specfun import Ncx2Params, _quantile_table, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
@@ -420,12 +421,11 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
 
 
 def _et_block(config: ChannelConfig, gen, n: int):
-    M, g = config.M, config.gamma_th
-    x = _exponential_rows(M / g, gen, (n, M))
+    M, mu, rate = config.M, config.mu_array, config.M / config.gamma_th
+    x = _exponential_rows(rate, gen, (n, M))
+    # ln f(x) - ln(rate e^{-rate x}) per branch, f the branch law
     return _lr_sums(config, x, lambda xs: (
-        M * math.log(g) - M * math.log(M) - config.mu_norm_sq
-        + (M - g) / g * xs.sum(axis=1)
-        + log_bessel_i0(2.0 * config.mu_array * np.sqrt(xs)).sum(axis=1)))
+        (_log_density(xs, 0.5, 2.0 * mu * mu) + rate * xs).sum(axis=1) - M * math.log(rate)))
 
 
 def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
@@ -449,17 +449,10 @@ def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
 # cross-entropy
 
 
-def _ce_log_pdf_rows(x: np.ndarray, v1: float, v2: float) -> np.ndarray:
-    """Row sums of ln f(x_i; v1, v2) for the scaled ncx2(2, .) family."""
-    arg = np.sqrt(np.maximum(v2 * x / v1, 0.0))
-    terms = -math.log(2.0 * v1) - v2 / 2.0 - x / (2.0 * v1) + log_bessel_i0(arg)
-    return terms.sum(axis=1)
-
-
 def _ce_log_lr_rows(x: np.ndarray, nominal: CEParams, sampling: CEParams) -> np.ndarray:
-    """ln of the likelihood ratio f(x; nominal) / f(x; sampling), per row."""
-    return (_ce_log_pdf_rows(x, nominal.v1, nominal.v2)
-            - _ce_log_pdf_rows(x, sampling.v1, sampling.v2))
+    """ln f(x; nominal) / f(x; sampling) per row: one sum of _log_density differences."""
+    return (_log_density(x, nominal.v1, nominal.v2)
+            - _log_density(x, sampling.v1, sampling.v2)).sum(axis=1)
 
 
 def ce_update(x: np.ndarray, weights: np.ndarray) -> CEParams:
@@ -560,9 +553,9 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
     outage row, so they weigh alike, and the ones with H <= gamma_th are
     exact draws from the zero-variance density CE aims at (Chan & Kroese,
     Stat. Comput. 22(5), 2012, reach it by MCMC).  A batch that keeps that
-    many outage rows ends the walk at once ("exact" pilot); otherwise the
-    walk goes on from its fit.  The partition plan is built first, so a
-    threshold whose ell2 underflows raises before any draw.
+    many outage rows ends the walk at once, leaving a two-entry trace;
+    otherwise the walk goes on from its fit.  The partition plan is built
+    first, so a threshold whose ell2 underflows raises before any draw.
     """
     if S < 2:
         raise ValueError("S must be >= 2")
@@ -605,7 +598,6 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
                           seed=rng.seed, work_units=S + S0 * (len(trace) - 1),
                           diagnostics={"trace": trace, "hit_rate": hits / S,
                                        "v_final": {"v1": vfin.v1, "v2": vfin.v2},
-                                       "pilot": "exact" if len(trace) == 2 else "multilevel",
                                        "pilot_hits": elite.shape[0]})
 
 
@@ -630,13 +622,13 @@ def _mls_advance(config: ChannelConfig, gens, survivors, dt: float, s: int):
 
 
 def _mls_group(config: ChannelConfig, levels, rng: RngStream, s: int, children):
-    """(estimate, dead level) per replication of a group, from rng.child(i) each.
+    """The estimate of each replication of a group, from rng.child(i) each.
 
-    The live replications step together; one left without survivors at level
-    idx stops there with estimate 0 and dead level idx (0 for the others).
+    The live replications step together; one left without survivors stops
+    there with estimate 0.
     """
     gens = [rng.child(i).generator() for i in children]
-    est, dead = [1.0] * len(gens), [0] * len(gens)
+    est = [1.0] * len(gens)
     live, survivors = list(range(len(gens))), [None] * len(gens)
     for idx in range(1, len(levels)):
         g_mat, mask = _mls_advance(config, [gens[i] for i in live], survivors,
@@ -645,12 +637,11 @@ def _mls_group(config: ChannelConfig, levels, rng: RngStream, s: int, children):
         counts = np.count_nonzero(hits, axis=1).tolist()
         for i, count in zip(live, counts):
             est[i] *= count / s
-            dead[i] = 0 if count else idx
         survivors = [g[h] for g, h, c in zip(g_mat, hits, counts) if c]
         live = [i for i, c in zip(live, counts) if c]
         if not live:
             break
-    return list(zip(est, dead))
+    return est
 
 
 def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
@@ -730,10 +721,11 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
     groups = [range(1 + a, 1 + min(a + per, replications))
               for a in range(0, replications, per)]
     runs = _map_ordered(partial(_mls_group, config, schedule.levels, rng, s), groups, workers)
-    estimates, dead = np.array([r for group in runs for r in group]).T
+    estimates = np.array([e for group in runs for e in group])
     chain_steps = s * schedule.n_levels * replications
-    notes = ([f"{np.count_nonzero(dead)} replication(s) died with zero survivors"]
-             if dead.any() else [])
+    # a replication that survives keeps at least one of s chains at every level
+    dead = np.count_nonzero(estimates == 0.0)
+    notes = [f"{dead} replication(s) died with zero survivors"] if dead else []
     return EstimateResult(
         p_hat=float(estimates.mean()),
         var_hat=float(estimates.var(ddof=1)) * s * schedule.n_levels,

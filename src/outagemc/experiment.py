@@ -43,8 +43,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import estimators as est
 from . import metrics
 from .model import ChannelConfig, EstimateResult, closed_form_outage
@@ -98,6 +96,8 @@ class ExperimentSpec:
         for key in ("rho", "mls_target_cond_prob"):
             if not 0.0 < self.hyper[key] < 1.0:
                 raise SpecError(f"hyper.{key} must be in (0, 1), got {self.hyper[key]}")
+        if self.sweep_axis is None and self.sweep_values:
+            raise SpecError("sweep.values needs sweep.axis (gamma_th or mu)")
         if self.sweep_axis is not None:
             if self.sweep_axis not in ("gamma_th", "mu"):
                 raise SpecError("sweep.axis must be gamma_th or mu")
@@ -294,19 +294,16 @@ def write_csv(rows, columns, path):
 
 
 def write_json(payload, path):
+    """Write payload as strict JSON: a non-finite float, like ce's first level inf, is null."""
+    def finite(obj):
+        if isinstance(obj, dict):
+            return {k: finite(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [finite(v) for v in obj]
+        return None if isinstance(obj, float) and not math.isfinite(obj) else obj
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
+    path.write_text(json.dumps(finite(payload), indent=2, allow_nan=False) + "\n")
     return path
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def sweep_scv_rows(spec: ExperimentSpec, workers: int = 1, seed: int = None):

@@ -107,6 +107,18 @@ def _nominal_rows(mu: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarra
     return z1
 
 
+def _log_density(x, v1, v2):
+    """ln of the v1 ncx2(2, v2) density, e^{-x/(2 v1) - v2/2} I0(sqrt(v2 x / v1)) / (2 v1).
+
+    Per coordinate of x, for scalar v1, v2 or one per column.  The branch law
+    v1 = 1/2, v2 = 2 mu^2 gives -mu^2 - x + ln I0(2 mu sqrt x), the Bessel
+    argument rounded as 2 mu sqrt(x).  ce's and et's ratios, pis's simplex
+    test and M_ell read it.
+    """
+    return (log_bessel_i0(np.sqrt(v2 / v1) * np.sqrt(x))
+            - x / (2.0 * v1) - (np.log(2.0 * v1) + 0.5 * v2))
+
+
 def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """x[:, j] = (1/2) Q(p[:, j]; ncx2(2, 2 mu_j^2)), the branch-j inverse CDF.
 
@@ -169,9 +181,9 @@ def compute_m_ell(mu: float, n: int, gamma_th: float) -> MellBound:
 
     M_ell = sup f/g, with f the joint density of the block conditioned on
     its sum being at most gamma_th and g = n! / gamma_th^n the
-    uniform-simplex proposal.  f_X(x) = e^{-x - mu^2} I0(2 mu sqrt x) is
-    log-concave, so the supremum sits at equal coordinates
-    x* = min(mode, gamma_th / n):
+    uniform-simplex proposal.  The branch density f_X(x) = e^{-x - mu^2}
+    I0(2 mu sqrt x), read from _log_density, is log-concave, so the supremum
+    sits at equal coordinates x* = min(mode, gamma_th / n):
 
       ln M_ell = n ln(gamma_th f_X(x*)) - ln n! - ln F
 
@@ -192,8 +204,7 @@ def compute_m_ell(mu: float, n: int, gamma_th: float) -> MellBound:
     log_f = ncx2_logcdf(2.0 * gamma_th, Ncx2Params(2 * n, n * lam))
     log_nfact = float(special.gammaln(n + 1))
     x = min(_branch_mode(mu), gamma_th / n)
-    log_m = (n * math.log(gamma_th) - n * mu * mu
-             + n * (log_bessel_i0(2.0 * mu * math.sqrt(x)) - x) - log_nfact - log_f)
+    log_m = float(n * (math.log(gamma_th) + _log_density(x, 0.5, lam)) - log_nfact - log_f)
     # the root of n mu^2 u^2 + n u = gamma_th, written so it does not cancel at small mu
     u = min(2.0 * gamma_th / (n + math.sqrt(n * n + 2.0 * n * lam * gamma_th)), 1.0)
     theta = 1.0 / u - 1.0
@@ -216,7 +227,8 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     Returns (samples, proposals): samples has shape (count, n); proposals is
     the total number of trials consumed.  bound.proposal picks the exact
     rejection: "simplex" draws uniformly from the solid simplex and accepts
-    with probability f / (M_ell g); "tilted" draws n coordinates from the
+    with probability f / (M_ell g), ln f being the row sum of _log_density
+    less ln F; "tilted" draws n coordinates from the
     branch law tilted by e^{-theta x}, which is u (1/2) ncx2(2, 2 mu^2 u)
     with u = 1 / (1 + theta), and accepts a row of sum S when S <= gamma_th
     and a uniform is at most e^{theta (S - gamma_th)}.  At theta = 0 that is
@@ -229,7 +241,9 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     theta = bound.theta
     u = 1.0 / (1.0 + theta)
     per_sample = bound.proposals_per_row
-    log_g = float(special.gammaln(n + 1)) - n * math.log(gamma_th)
+    # ln(F g M_ell), with F the block-sum CDF that normalizes f
+    log_fgm = (bound.log_block_cdf + float(special.gammaln(n + 1)) - n * math.log(gamma_th)
+               + bound.log_value)
     out = np.empty((count, n))
     filled = 0
     proposals = 0
@@ -248,27 +262,19 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
                 accept[cand] = gen.random(cand.size) <= np.exp(theta * (s[cand] - gamma_th))
         else:
             x = _simplex_rows(n, gamma_th, gen, rows)
-            log_f = (-n * mu * mu - x.sum(axis=1)
-                     + log_bessel_i0(2.0 * mu * np.sqrt(x)).sum(axis=1)
-                     - bound.log_block_cdf)
-            log_ratio = log_f - log_g - bound.log_value
+            log_ratio = _log_density(x, 0.5, 2.0 * mu * mu).sum(axis=1) - log_fgm
             worst = float(log_ratio.max())
             if worst > _LOG_RATIO_SLACK:
                 raise RejectionStalledError(
                     f"rejection bound violated: log f/(M g) = {worst:.3e} > 0 "
                     f"(mu={mu}, n={n}, gamma_th={gamma_th})")
             accept = gen.random(rows) <= np.exp(log_ratio)
-        acc_rows = x[accept]
-        take = min(acc_rows.shape[0], want)
-        if take:
-            out[filled:filled + take] = acc_rows[:take]
-            filled += take
-        # trials up to and including the last acceptance actually used
-        if acc_rows.shape[0] > take:
-            last_used = np.nonzero(accept)[0][take - 1] + 1 if take else 0
-            proposals += int(last_used)
-        else:
-            proposals += rows
+        acc = np.flatnonzero(accept)
+        kept = acc[:want]
+        out[filled:filled + kept.size] = x[kept]
+        filled += kept.size
+        # trials up to and including the last acceptance kept; all when every one is kept
+        proposals += int(kept[-1]) + 1 if acc.size > want else rows
         if proposals > budget:
             raise RejectionStalledError(
                 f"rejection sampler stalled after {proposals} proposals "

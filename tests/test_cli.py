@@ -87,6 +87,7 @@ class TestLoadSpec:
         (lambda t: t + "mls_replications = 1\n", "hyper.mls_replications must be >= 2, got 1"),
         (lambda t: t + "mls_pilot_samples = 99\n",
          "hyper.mls_pilot_samples must be >= 100, got 99"),
+        (lambda t: t + "\n[sweep]\nvalues = 0.8, 0.5\n", "sweep.axis"),
     ])
     def test_invalid_specs(self, tmp_path, mangle, fragment):
         with pytest.raises(SpecError, match=re.escape(fragment)):
@@ -175,6 +176,20 @@ class TestEstimateCommand:
         for row, rec in zip(rows, records):
             for key in ("p_hat", "var_hat", "scv"):
                 assert row[key] == f"{rec[key]:.3e}", (row["method"], key)
+
+    def test_sidecar_is_strict_json(self, tmp_path):
+        # 150 pis rows have no 200th smallest H, so ce's first level is inf,
+        # which the sidecar writes as null
+        text = GOOD_SPEC.replace("methods = pis, et", "methods = ce")
+        spec = write(tmp_path, text.replace("s0 = 10000", "s0 = 150"))
+        out = tmp_path / "out"
+        assert main(["estimate", str(spec), "--out-dir", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads((out / "results.json").read_text(), parse_constant=reject)
+        assert payload["results"][0]["diagnostics"]["trace"][0]["gamma_t"] is None
 
     def test_spec_error_exit_code(self, tmp_path):
         spec = write(tmp_path, GOOD_SPEC.replace("M = 4", "M = -4"))

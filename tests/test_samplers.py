@@ -16,12 +16,13 @@ from outagemc.samplers import (
     _branch_mode,
     _exponential_rows,
     _inverse_rows,
+    _log_density,
     _nominal_rows,
     _pis_block_rows,
     _scaled_ncx2_rows,
     _simplex_rows,
 )
-from outagemc.specfun import Ncx2Params, ncx2_cdf
+from outagemc.specfun import Ncx2Params, log_bessel_i0, ncx2_cdf
 
 KS_ALPHA = 0.01
 
@@ -415,6 +416,34 @@ class TestPisBlockSampler:
         good = compute_m_ell(0.5, 4, 1.0)
         with pytest.raises(ValueError):
             replace(good, value=0.9, log_value=np.log(0.9))
+
+
+class TestLogDensity:
+    """_log_density(x, v1, v2) is ln of the v1 ncx2(2, v2) density."""
+
+    X = np.array([0.0, 1e-12, 0.03, 0.5, 1.0, 4.0, 30.0, 200.0])
+
+    @pytest.mark.parametrize("v1,v2", [(0.5, 0.0), (0.5, 0.5), (0.2, 4.0),
+                                       (3.0, 1e-3), (0.05, 60.0)])
+    def test_scalar_parameters(self, v1, v2):
+        want = stats.ncx2.logpdf(self.X / v1, 2, v2) - math.log(v1)
+        np.testing.assert_allclose(_log_density(self.X, v1, v2), want,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_per_column_parameters(self):
+        v1, v2 = np.array([0.5, 0.2, 1.7]), np.array([0.0, 4.0, 0.8])
+        x = np.outer(self.X, [1.0, 0.5, 2.0])
+        want = stats.ncx2.logpdf(x / v1, 2, v2) - np.log(v1)
+        np.testing.assert_allclose(_log_density(x, v1, v2), want, rtol=1e-12, atol=1e-12)
+
+    def test_branch_law(self):
+        # v1 = 1/2, v2 = 2 mu^2 is -mu^2 - x + ln I0(2 mu sqrt x), on the same Bessel points
+        mu = np.array([0.3, 0.5, 2.3, 7.0])
+        x = self.X[:, None]
+        want = -mu * mu - x + log_bessel_i0(2.0 * mu * np.sqrt(x))
+        np.testing.assert_allclose(_log_density(x, 0.5, 2.0 * mu * mu), want,
+                                   rtol=1e-15, atol=1e-13)
+        assert np.array_equal(np.sqrt(2.0 * mu * mu / 0.5), 2.0 * mu)
 
 
 class TestSampleExponential:
