@@ -1,12 +1,8 @@
 """Rare-event Monte Carlo toolkit for GSC/MRC outage probability under Rician fading."""
 
 from .estimators import (
-    CEParams,
     CeAdaptationError,
     MlsSchedule,
-    PartitionPlan,
-    build_partition_plan,
-    ce_update,
     estimate_ce,
     estimate_et,
     estimate_mls,
@@ -17,7 +13,6 @@ from .estimators import (
 )
 from .metrics import (
     EfficiencyReport,
-    confidence_interval,
     efficiency_report,
     relative_error,
     scv,
@@ -41,9 +36,8 @@ __all__ = [
     "Ncx2Params", "log_bessel_i0", "ncx2_cdf", "ncx2_logcdf", "ncx2_quantile",
     "RngStream", "MellBound", "compute_m_ell", "RejectionStalledError",
     "TruncationUnderflowError",
-    "CEParams", "MlsSchedule", "PartitionPlan", "CeAdaptationError",
-    "build_partition_plan", "ce_update", "estimate_nmc", "estimate_uis",
+    "MlsSchedule", "CeAdaptationError", "estimate_nmc", "estimate_uis",
     "estimate_pis", "estimate_et", "estimate_ce", "estimate_mls",
     "mls_pilot_levels", "EfficiencyReport", "relative_error", "scv", "wnrv",
-    "wnrv_work", "confidence_interval", "efficiency_report",
+    "wnrv_work", "efficiency_report",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -88,7 +87,6 @@ class MlsSchedule:
     """Splitting levels t_0 = 0 < ... < t_L = 1 with pilot survivor fractions."""
 
     levels: tuple
-    per_level_samples: int
     survivor_fractions: tuple
     pilot_work: int = 0
 
@@ -420,12 +418,15 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
 # approximate exponential tilting
 
 
-def _et_block(config: ChannelConfig, gen, n: int):
+def _et_log_lr_rows(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
+    """ln f(x) / prod_i (rate e^{-rate x_i}) per row, f the channel law, rate = M / gamma_th."""
     M, mu, rate = config.M, config.mu_array, config.M / config.gamma_th
-    x = _exponential_rows(rate, gen, (n, M))
-    # ln f(x) - ln(rate e^{-rate x}) per branch, f the branch law
-    return _lr_sums(config, x, lambda xs: (
-        (_log_density(xs, 0.5, 2.0 * mu * mu) + rate * xs).sum(axis=1) - M * math.log(rate)))
+    return (_log_density(x, 0.5, 2.0 * mu * mu) + rate * x).sum(axis=1) - M * math.log(rate)
+
+
+def _et_block(config: ChannelConfig, gen, n: int):
+    x = _exponential_rows(config.M / config.gamma_th, gen, (n, config.M))
+    return _lr_sums(config, x, partial(_et_log_lr_rows, config))
 
 
 def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
@@ -651,7 +652,9 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
     From the current time t, bisection finds the largest step t' whose
     empirical conditional survival P[H(X(t')) <= gamma | survivors at t]
     still meets the target, so no level's event is rare; terminates the
-    moment t' = 1 qualifies.  Bisection tolerance is 1e-3 in t.
+    moment t' = 1 qualifies.  Bisection tolerance is 1e-3 in t.  A schedule
+    of one level means the outage event itself is not rare; estimate_mls
+    notes that in its warnings.
     """
     if not 0.0 < target_cond_prob < 1.0:
         raise ValueError("target_cond_prob must be in (0, 1)")
@@ -671,9 +674,6 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
     for _ in range(200):
         frac_end, _ = cond_fraction(1.0 - t)
         if frac_end >= target_cond_prob:
-            if t == 0.0:
-                warnings.warn("outage event is not rare: single-level schedule",
-                              stacklevel=2)
             levels.append(1.0)
             fractions.append(max(frac_end, 1.0 / pilot_samples))
             break
@@ -690,8 +690,8 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
         t = t_next
     else:
         raise RuntimeError("pilot failed to reach t = 1 within 200 levels")
-    return MlsSchedule(levels=tuple(levels), per_level_samples=pilot_samples,
-                       survivor_fractions=tuple(fractions), pilot_work=work)
+    return MlsSchedule(levels=tuple(levels), survivor_fractions=tuple(fractions),
+                       pilot_work=work)
 
 
 def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
@@ -711,9 +711,12 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
     if replications < 2:
         raise ValueError("replications must be >= 2")
     t0 = time.perf_counter()
+    notes = []
     if schedule == "auto":
         schedule = mls_pilot_levels(config, pilot_samples, target_cond_prob,
                                     rng.child(0))
+        if schedule.n_levels == 1:
+            notes.append("outage event is not rare: single-level schedule")
     elif not isinstance(schedule, MlsSchedule):
         raise ValueError("schedule must be an MlsSchedule or 'auto'")
     # one stream per replication, stepped in groups of about MLS_ROWS chains
@@ -725,7 +728,8 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
     chain_steps = s * schedule.n_levels * replications
     # a replication that survives keeps at least one of s chains at every level
     dead = np.count_nonzero(estimates == 0.0)
-    notes = [f"{dead} replication(s) died with zero survivors"] if dead else []
+    if dead:
+        notes.append(f"{dead} replication(s) died with zero survivors")
     return EstimateResult(
         p_hat=float(estimates.mean()),
         var_hat=float(estimates.var(ddof=1)) * s * schedule.n_levels,

@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy import special
-
 from .model import EstimateResult
 
 
@@ -24,8 +22,6 @@ class EfficiencyReport:
     scv: float
     wnrv: float
     wnrv_work: float
-    ci95: tuple
-    work_units: int
 
 
 def relative_error(result: EstimateResult) -> float:
@@ -59,23 +55,10 @@ def wnrv_work(result: EstimateResult) -> float:
     return scv(result) * result.work_units / result.samples
 
 
-def confidence_interval(result: EstimateResult, level: float) -> tuple:
-    """Normal-approximation CI p_hat * (1 -+ z * RE), clipped to [0, 1]."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    re = relative_error(result)
-    z = float(special.ndtri(0.5 * (1.0 + level)))
-    lo = max(result.p_hat * (1.0 - z * re), 0.0)
-    hi = min(result.p_hat * (1.0 + z * re), 1.0)
-    return (lo, hi)
-
-
 def efficiency_report(result: EstimateResult) -> EfficiencyReport:
     return EfficiencyReport(
         re=relative_error(result),
         scv=scv(result),
         wnrv=wnrv(result) if result.wall_time_s > 0.0 else 0.0,
         wnrv_work=wnrv_work(result),
-        ci95=confidence_interval(result, 0.95),
-        work_units=result.work_units,
     )

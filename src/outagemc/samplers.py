@@ -95,15 +95,23 @@ class MellBound:
 
 def _nominal_rows(mu: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray:
     """n draws of the M-vector of squared gains, X_i ~ (1/2) ncx2(2, 2 mu_i^2)."""
-    root_lam = math.sqrt(2.0) * mu  # sqrt of per-branch noncentrality
-    z1 = gen.standard_normal((n, mu.shape[0]))
-    z2 = gen.standard_normal((n, mu.shape[0]))
-    # 0.5 * ((z1 + root_lam) ** 2 + z2 ** 2) without temporaries
-    z1 += root_lam
+    return _scaled_ncx2_rows(0.5, 2.0 * mu * mu, gen, (n, mu.shape[0]))
+
+
+def _scaled_ncx2_rows(v1, v2, gen, shape) -> np.ndarray:
+    """Draws of v1 ncx2(2, v2), v1 ((z1 + sqrt v2)^2 + z2^2), computed in place.
+
+    The one sampler that draws standard normals: nmc's branch law (v1 = 1/2,
+    v2 = 2 mu^2), pis's tilted proposal and ce's proposals.  v1 and v2 are
+    scalars or hold one value per column of shape.
+    """
+    z1 = gen.standard_normal(shape)
+    z2 = gen.standard_normal(shape)
+    z1 += np.sqrt(v2)
     z1 *= z1
     z2 *= z2
     z1 += z2
-    z1 *= 0.5
+    z1 *= v1
     return z1
 
 
@@ -228,8 +236,8 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     the total number of trials consumed.  bound.proposal picks the exact
     rejection: "simplex" draws uniformly from the solid simplex and accepts
     with probability f / (M_ell g), ln f being the row sum of _log_density
-    less ln F; "tilted" draws n coordinates from the
-    branch law tilted by e^{-theta x}, which is u (1/2) ncx2(2, 2 mu^2 u)
+    less ln F; "tilted" draws n coordinates from the branch law tilted by
+    e^{-theta x}, which is _scaled_ncx2_rows at v1 = u / 2, v2 = 2 mu^2 u
     with u = 1 / (1 + theta), and accepts a row of sum S when S <= gamma_th
     and a uniform is at most e^{theta (S - gamma_th)}.  At theta = 0 that is
     the nominal law accepted on its sum, with no uniform drawn.  Proposals
@@ -253,8 +261,7 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
         rows = min(max(256, int(math.ceil(want * per_sample * 1.15))),
                    _MAX_PROPOSAL_ROWS)
         if tilted:
-            x = _nominal_rows(np.full(n, mu * math.sqrt(u)), gen, rows)
-            x *= u
+            x = _scaled_ncx2_rows(0.5 * u, 2.0 * mu * mu * u, gen, (rows, n))
             s = x.sum(axis=1)
             accept = s <= gamma_th
             if theta > 0.0:
@@ -285,10 +292,3 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
 def _exponential_rows(rate: float, gen, shape) -> np.ndarray:
     u = gen.random(shape)
     return -np.log1p(-u) / rate
-
-
-def _scaled_ncx2_rows(v1: float, v2: float, gen, shape) -> np.ndarray:
-    root = math.sqrt(v2)
-    z1 = gen.standard_normal(shape)
-    z2 = gen.standard_normal(shape)
-    return v1 * ((z1 + root) ** 2 + z2 ** 2)

@@ -14,15 +14,14 @@ import pytest
 import outagemc
 
 PUBLIC = [
-    "CEParams", "CeAdaptationError", "ChannelConfig", "EfficiencyReport",
+    "CeAdaptationError", "ChannelConfig", "EfficiencyReport",
     "EstimateResult", "MellBound", "MlsSchedule", "Ncx2Params",
-    "PartitionPlan", "RejectionStalledError", "RngStream",
-    "TruncationUnderflowError", "build_partition_plan", "ce_update",
-    "closed_form_outage", "compute_m_ell", "confidence_interval",
-    "efficiency_report", "estimate_ce", "estimate_et", "estimate_mls",
-    "estimate_nmc", "estimate_pis", "estimate_uis", "log_bessel_i0",
-    "mls_pilot_levels", "ncx2_cdf", "ncx2_logcdf", "ncx2_quantile",
-    "relative_error", "scv", "wnrv", "wnrv_work",
+    "RejectionStalledError", "RngStream", "TruncationUnderflowError",
+    "closed_form_outage", "compute_m_ell", "efficiency_report",
+    "estimate_ce", "estimate_et", "estimate_mls", "estimate_nmc",
+    "estimate_pis", "estimate_uis", "log_bessel_i0", "mls_pilot_levels",
+    "ncx2_cdf", "ncx2_logcdf", "ncx2_quantile", "relative_error", "scv",
+    "wnrv", "wnrv_work",
 ]
 
 _HEAD = "config: 'ChannelConfig', S: 'int', rng: 'RngStream'"

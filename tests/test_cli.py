@@ -191,6 +191,18 @@ class TestEstimateCommand:
         payload = json.loads((out / "results.json").read_text(), parse_constant=reject)
         assert payload["results"][0]["diagnostics"]["trace"][0]["gamma_t"] is None
 
+    def test_mls_not_rare_note_reaches_csv(self, tmp_path):
+        # at gamma_th = 1e3 outage is almost sure, so mls's pilot keeps one level
+        text = GOOD_SPEC.replace("gamma_th = 0.8", "gamma_th = 1e3")
+        text = text.replace("methods = pis, et", "methods = mls").replace("s0 = 10000", (
+            "mls_replications = 3\nmls_pilot_samples = 1000\n\n[samples]\nmls = 100"))
+        spec = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["estimate", str(spec), "--out-dir", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["warnings"] == "outage event is not rare: single-level schedule"
+
     def test_spec_error_exit_code(self, tmp_path):
         spec = write(tmp_path, GOOD_SPEC.replace("M = 4", "M = -4"))
         assert main(["estimate", str(spec)]) == 1

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import log_m_ell_asymptotic, log_m_ell_paper, m_ell_asymptotic
 from outagemc.metrics import (
-    confidence_interval,
     efficiency_report,
     relative_error,
     scv,
@@ -83,28 +82,6 @@ class TestWnrv:
         assert wnrv(r2) / wnrv(r1) == pytest.approx(1.0, abs=0.5)
 
 
-class TestConfidenceInterval:
-    def test_normal_z(self):
-        r = make_result()
-        lo, hi = confidence_interval(r, 0.95)
-        re = relative_error(r)
-        assert hi == pytest.approx(r.p_hat * (1 + 1.959964 * re), rel=1e-5)
-        assert lo == pytest.approx(r.p_hat * (1 - 1.959964 * re), rel=1e-5)
-
-    def test_degenerate_interval(self):
-        r = make_result(var=0.0)
-        assert confidence_interval(r, 0.95) == (r.p_hat, r.p_hat)
-
-    def test_clipping(self):
-        r = make_result(p=0.9, var=0.9 * 0.1, samples=10)
-        lo, hi = confidence_interval(r, 0.99)
-        assert 0.0 <= lo <= hi <= 1.0
-
-    def test_bad_level(self):
-        with pytest.raises(ValueError):
-            confidence_interval(make_result(), 1.0)
-
-
 class TestMellAsymptotic:
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -146,7 +123,6 @@ class TestEfficiencyReport:
         assert rep.scv == scv(r)
         assert rep.wnrv == wnrv(r)
         assert rep.wnrv_work == pytest.approx(scv(r) * 2.0)
-        assert rep.ci95[0] <= r.p_hat <= rep.ci95[1]
 
     def test_zero_variance_below_square_underflow(self):
         # p_hat * p_hat underflows to 0 here; the exact pis estimate has

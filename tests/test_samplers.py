@@ -475,6 +475,11 @@ class TestSampleScaledNcx2:
         x = _scaled_ncx2_rows(v1, v2, RngStream(25).generator(), 10 ** 6)
         want = v1 * (2.0 + v2)
         assert abs(x.mean() - want) < 4.0 * x.std() / np.sqrt(x.size)
+        # one v2 per column, as nmc passes 2 mu_i^2 for unequal means
+        v2 = np.array([0.0, 0.5, 4.0, 18.0])
+        x = _scaled_ncx2_rows(v1, v2, RngStream(25).generator(), (250_000, 4))
+        want = v1 * (2.0 + v2)
+        assert np.all(np.abs(x.mean(axis=0) - want) < 4.0 * x.std(axis=0) / np.sqrt(x.shape[0]))
 
     def test_cdf(self):
         v1, v2 = 0.7, 1.5
