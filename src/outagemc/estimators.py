@@ -42,14 +42,13 @@ from .samplers import (
     TruncationUnderflowError,
     _exponential_rows,
     _inverse_rows,
-    _log_density,
     _nominal_rows,
     _pis_block_rows,
     _scaled_ncx2_rows,
     _table_rows,
     compute_m_ell,
 )
-from .specfun import Ncx2Params, _quantile_table, ncx2_cdf
+from .specfun import Ncx2Params, _log_density, _quantile_table, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
@@ -196,7 +195,7 @@ def _screen(config: ChannelConfig) -> _Screen:
     """
     M, m, g = config.M, config.m, config.gamma_th
     mu = config.mu_array
-    tol = (max(_quantile_table(2, 2.0 * v * v).eps for v in config.mu)
+    tol = (max(_quantile_table(2.0 * v * v).eps for v in config.mu)
            + 4.0 * (m + 2) * np.finfo(float).eps)
     x = 2.0 * g * np.array([max(1.0 - tol, 0.0) / m, (1.0 + tol) / m, 1.0 + tol])
     k = np.empty(M)

@@ -53,7 +53,7 @@ CSV_COLUMNS = ["method", "M", "m", "mu", "gamma_th", "S", "p_hat", "var_hat",
                "seed", "warnings"]
 SWEEP_COLUMNS = ["axis_value", "method", "scv"]
 
-METHODS = ("nmc", "uis", "pis", "et", "ce", "mls")
+METHODS = tuple(est.ESTIMATORS)
 
 DEFAULT_HYPER = {
     "rho": 0.1,
@@ -111,25 +111,23 @@ class ExperimentSpec:
             self.sweep_values = vals
 
 
-def _get(parser, section, key, cast, default=None, required=False):
-    try:
-        raw = parser.get(section, key)
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        if required:
-            raise SpecError(f"missing required key [{section}] {key}")
-        return default
-    try:
-        return cast(raw)
-    except Exception as exc:
-        raise SpecError(f"invalid value for [{section}] {key}: {raw!r} ({exc})")
-
-
 def _float_list(raw: str):
     return [float(v) for v in raw.replace(",", " ").split()]
 
 
 def _str_list(raw: str):
     return [v.strip() for v in raw.replace(",", " ").split() if v.strip()]
+
+
+# every spec key and the cast of its value; no other section or key is accepted
+_SPEC_KEYS = {
+    "channel": {"M": int, "m": int, "mu": _float_list, "gamma_th": float},
+    "run": {"methods": _str_list, "samples": int, "seed": int},
+    "samples": dict.fromkeys(METHODS, int),
+    "sweep": {"axis": str, "values": _float_list},
+    "hyper": {key: type(value) for key, value in DEFAULT_HYPER.items()},
+}
+_REQUIRED_KEYS = ("M", "m", "mu", "gamma_th", "methods")
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -143,44 +141,34 @@ def load_spec(path) -> ExperimentSpec:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise SpecError(f"spec parse error: {exc}")
-    allowed = {
-        "channel": {"M", "m", "mu", "gamma_th"},
-        "run": {"methods", "samples", "seed"},
-        "samples": set(METHODS),
-        "sweep": {"axis", "values"},
-        "hyper": set(DEFAULT_HYPER),
-    }
     for section in parser.sections():
-        if section not in allowed:
+        if section not in _SPEC_KEYS:
             raise SpecError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in allowed[section]:
+            if key not in _SPEC_KEYS[section]:
                 raise SpecError(f"unknown key {key!r} in section [{section}]")
-    M = _get(parser, "channel", "M", int, required=True)
-    m = _get(parser, "channel", "m", int, required=True)
-    mu = _get(parser, "channel", "mu", _float_list, required=True)
-    gamma_th = _get(parser, "channel", "gamma_th", float, required=True)
+    got = {section: {} for section in _SPEC_KEYS}
+    for section, casts in _SPEC_KEYS.items():
+        for key, cast in casts.items():
+            if parser.has_option(section, key):
+                raw = parser.get(section, key)
+                try:
+                    got[section][key] = cast(raw)
+                except ValueError as exc:
+                    raise SpecError(f"invalid value for [{section}] {key}: {raw!r} ({exc})")
+            elif key in _REQUIRED_KEYS:
+                raise SpecError(f"missing required key [{section}] {key}")
     try:
-        config = ChannelConfig(M=M, m=m, mu=tuple(mu), gamma_th=gamma_th)
+        config = ChannelConfig(**got["channel"])
     except ValueError as exc:
         raise SpecError(f"invalid [channel] section: {exc}")
-    methods = tuple(_get(parser, "run", "methods", _str_list, required=True))
-    base_samples = _get(parser, "run", "samples", int, default=100_000)
-    seed = _get(parser, "run", "seed", int, default=0)
-    samples = {meth: base_samples for meth in methods}
-    if parser.has_section("samples"):
-        for key in parser.options("samples"):
-            samples[key] = _get(parser, "samples", key, int)
-    axis = _get(parser, "sweep", "axis", str)
-    values = _get(parser, "sweep", "values", _float_list, default=[])
-    hyper = dict(DEFAULT_HYPER)
-    if parser.has_section("hyper"):
-        for key in parser.options("hyper"):
-            cast = float if key in ("rho", "mls_target_cond_prob") else int
-            hyper[key] = _get(parser, "hyper", key, cast)
-    return ExperimentSpec(config=config, methods=methods, samples=samples,
-                          seed=seed, sweep_axis=axis,
-                          sweep_values=tuple(values), hyper=hyper)
+    run, sweep = got["run"], got["sweep"]
+    methods = tuple(run["methods"])
+    return ExperimentSpec(
+        config=config, methods=methods,
+        samples=dict.fromkeys(methods, run.get("samples", 100_000)) | got["samples"],
+        seed=run.get("seed", 0), sweep_axis=sweep.get("axis"),
+        sweep_values=tuple(sweep.get("values", ())), hyper=DEFAULT_HYPER | got["hyper"])
 
 
 def _sweep_configs(spec: ExperimentSpec):

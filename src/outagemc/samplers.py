@@ -18,9 +18,9 @@ from scipy import special
 
 from .specfun import (
     Ncx2Params,
+    _log_density,
     _quantile_table,
     _table_value,
-    log_bessel_i0,
     ncx2_logcdf,
     ncx2_quantile,
 )
@@ -115,18 +115,6 @@ def _scaled_ncx2_rows(v1, v2, gen, shape) -> np.ndarray:
     return z1
 
 
-def _log_density(x, v1, v2):
-    """ln of the v1 ncx2(2, v2) density, e^{-x/(2 v1) - v2/2} I0(sqrt(v2 x / v1)) / (2 v1).
-
-    Per coordinate of x, for scalar v1, v2 or one per column.  The branch law
-    v1 = 1/2, v2 = 2 mu^2 gives -mu^2 - x + ln I0(2 mu sqrt x), the Bessel
-    argument rounded as 2 mu sqrt(x).  ce's and et's ratios, pis's simplex
-    test and M_ell read it.
-    """
-    return (log_bessel_i0(np.sqrt(v2 / v1) * np.sqrt(x))
-            - x / (2.0 * v1) - (np.log(2.0 * v1) + 0.5 * v2))
-
-
 def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """x[:, j] = (1/2) Q(p[:, j]; ncx2(2, 2 mu_j^2)), the branch-j inverse CDF.
 
@@ -151,7 +139,7 @@ def _table_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     x = np.empty_like(p)
     for val in sorted(set(mu.tolist())):
         cols = np.nonzero(mu == val)[0]
-        x[:, cols] = 0.5 * _table_value(_quantile_table(2, 2.0 * val * val), p[:, cols])
+        x[:, cols] = 0.5 * _table_value(_quantile_table(2.0 * val * val), p[:, cols])
     return x
 
 

@@ -3,16 +3,17 @@
 The CDF is Boost's (scipy.special.chndtr; Benton & Krishnamoorthy, CSDA
 43, 2003), which sums the Poisson mixture outward from its mode.  Where
 lam x < 1e-16 the mixture's leading term e^{-lam/2} P(k/2, x/2) is F to
-1e-16 relative and replaces it.  The density is the Bessel form.
+1e-16 relative and replaces it.  The one density, _log_density, is the
+Bessel form of the scaled 2-dof law in log space.
 
-The quantile is Boost's inverse of that CDF (scipy.special.chndtrix),
-read through a monotone cubic Hermite table (Fritsch & Carlson, SIAM J.
-Numer. Anal. 1980) of ln x against logit p built from it.  A point on the
-table takes one certified Newton step, so it costs one CDF evaluation; a
-caller that only needs the table's value within its certified eps costs
-none.
+The quantile is Boost's inverse of that CDF (scipy.special.chndtrix).  At
+2 dof, the branch law's, it is read through a monotone cubic Hermite table
+(Fritsch & Carlson, SIAM J. Numer. Anal. 1980) of ln x against logit p
+built from it, one per noncentrality.  A point on the table takes one
+certified Newton step, so it costs one CDF evaluation; a caller that only
+needs the table's value within its certified eps costs none.
 
-Everything that can underflow (densities, the CDF for very large
+Everything that can underflow (the density, the CDF for very large
 noncentralities) also has a log-space path: ln P(a, x) from scipy's
 hyp1f1, and ln F as one logsumexp over the mixture.
 """
@@ -105,24 +106,17 @@ def ncx2_cdf(x, params: Ncx2Params):
     return float(cdf) if np.isscalar(x) or arr.ndim == 0 else cdf
 
 
-def ncx2_logpdf(x, params: Ncx2Params):
-    """ln of the noncentral chi-square density, safe for large noncentrality."""
-    arr = np.asarray(x, dtype=float)
-    k, lam = params.dof, params.noncentrality
-    scalar = np.isscalar(x) or arr.ndim == 0
-    nu = (k - 2) // 2
-    if lam == 0.0 and nu != 0:
-        h = k / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (h - 1.0) * np.log(arr) - arr / 2.0 - h * math.log(2.0) - special.gammaln(h)
-        return float(out) if scalar else out
-    z = np.sqrt(lam * arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ive = special.i0e(z) if nu == 0 else special.ive(nu, z)
-        out = -math.log(2.0) - (arr + lam) / 2.0 + z + np.log(ive)
-        if nu != 0:
-            out = out + (nu / 2.0) * (np.log(arr) - math.log(lam))
-    return float(out) if scalar else out
+def _log_density(x, v1, v2):
+    """ln of the v1 ncx2(2, v2) density, e^{-x/(2 v1) - v2/2} I0(sqrt(v2 x / v1)) / (2 v1).
+
+    Per coordinate of x, for scalar v1, v2 or one per column.  The branch law
+    v1 = 1/2, v2 = 2 mu^2 gives -mu^2 - x + ln I0(2 mu sqrt x), the Bessel
+    argument rounded as 2 mu sqrt(x).  The package's one density: ce's and
+    et's ratios, pis's simplex test and M_ell read it, and at v1 = 1 so do
+    the quantile table's slopes and the Newton step of ncx2_quantile.
+    """
+    return (log_bessel_i0(np.sqrt(v2 / v1) * np.sqrt(x))
+            - x / (2.0 * v1) - (np.log(2.0 * v1) + 0.5 * v2))
 
 
 def ncx2_logcdf(x: float, params: Ncx2Params) -> float:
@@ -183,24 +177,27 @@ def _boost_quantile(q: np.ndarray, params: Ncx2Params) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _quantile_table(dof: int, lam: float) -> _QuantileTable:
-    """ln x and d ln x / ds at the grid points s0 + i h of s = logit p.
+def _quantile_table(lam: float) -> _QuantileTable:
+    """ln x and d ln x / ds at the grid points s0 + i h of s = logit p, for ncx2(2, lam).
 
-    Nodes come from _boost_quantile; the exact slopes p (1 - p) / (x f(x))
-    meet Fritsch & Carlson's monotonicity condition on this grid.  eps
-    bounds the relative error on the n_cert intervals below logit p = 15,
-    past which the CDF's rounding makes the quantile too noisy to check
-    against: 8 times the worst error against _boost_quantile at the
+    One table per noncentrality of the branch law's 2 dof.  Nodes come from
+    _boost_quantile; the exact slopes p (1 - p) / (x f(x)), f read from
+    _log_density, meet Fritsch & Carlson's monotonicity condition on this
+    grid.  eps bounds the relative error on the n_cert intervals below
+    logit p = 15, past which the CDF's rounding makes the quantile too noisy
+    to check against: 8 times the worst error against _boost_quantile at the
     midpoints, where the Hermite error peaks, plus 1e-12 for the certified
     step's own error.  An eps above 1e-6 (sound tables read 2e-8 to 4e-8;
     lam = 200 reads 0.12) or a non-finite one gives eps = inf, n_cert = 0.
     """
-    params = Ncx2Params(dof, lam)
+    params = Ncx2Params(2, lam)
     s = np.linspace(*_TABLE_LOGIT)
     p = special.expit(s)
     x = _boost_quantile(p, params)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = p * special.expit(-s) / (x * np.exp(ncx2_logpdf(x, params)))
+        # chndtrix reads NaN at some lam (2000 among them); nan_to_num passes
+        # the density's domain check, and the NaN nodes leave NaN slopes
+        slope = p * special.expit(-s) / (x * np.exp(_log_density(np.nan_to_num(x), 1.0, lam)))
     h = s[1] - s[0]
     n = int((15.0 - s[0]) // h)
     tab = _QuantileTable(s[0], h, np.log(x), slope, math.inf, n)
@@ -214,24 +211,27 @@ def ncx2_quantile(p, params: Ncx2Params):
     """Inverse CDF for p in (0, 1); |cdf(quantile(p)) - p| stays below 1e-12.
 
     p is clipped to 1 - 1e-14, nearer which the CDF's rounding leaves too
-    few digits of 1 - p.  On the table's certified intervals a point takes
-    one Newton step from the table (one CDF evaluation), kept when its
-    residual r meets r^2 <= _NEWTON_CERT p min(p, 1 - p); other points are
-    _boost_quantile's, checked by one CDF evaluation each: a miss past 1e-9
-    relative (p <= 1/2) or 1e-11 absolute raises.  Batch size never matters.
+    few digits of 1 - p.  At 2 dof, on the table's certified intervals, a
+    point takes one Newton step from the table (one CDF evaluation), kept
+    when its residual r meets r^2 <= _NEWTON_CERT p min(p, 1 - p); other
+    points, and every point at other dof, are _boost_quantile's, checked by
+    one CDF evaluation each: a miss past 1e-9 relative (p <= 1/2) or 1e-11
+    absolute raises.  Batch size never matters.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("ncx2_quantile requires p in the open interval (0, 1)")
-    tab = _quantile_table(params.dof, params.noncentrality)
     q = np.clip(arr.ravel(), 5e-324, 1.0 - 1e-14)
-    x = _table_value(tab, q)
-    on = ~np.isnan(x)
-    x0, q0 = x[on], q[on]
-    r = ncx2_cdf(x0, params) - q0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = x0 - r / np.exp(ncx2_logpdf(x0, params))
-    x[on] = np.where(r * r <= _NEWTON_CERT * q0 * np.minimum(q0, 1.0 - q0), step, np.nan)
+    x = np.full(q.shape, np.nan)
+    if params.dof == 2:
+        lam = params.noncentrality
+        x = _table_value(_quantile_table(lam), q)
+        on = ~np.isnan(x)
+        x0, q0 = x[on], q[on]
+        r = ncx2_cdf(x0, params) - q0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x0 - r / np.exp(_log_density(x0, 1.0, lam))
+        x[on] = np.where(r * r <= _NEWTON_CERT * q0 * np.minimum(q0, 1.0 - q0), step, np.nan)
     cold = ~((x > 0.0) & (x < np.inf))
     x[cold] = xc = _boost_quantile(qc := q[cold], params)
     bad = ~(np.abs(ncx2_cdf(xc, params) - qc) <= np.where(qc <= 0.5, 1e-9 * qc, 1e-11))

@@ -2,10 +2,10 @@
 
 The references are computed with scipy alone.  The oracles below them are
 small functions the package itself does not call: the scalar top-m sum,
-P(a, x), the density, Marcum Q (the upper-tail cross-check of ncx2_cdf),
-the CE fit and the branch-density mode by brentq, mls replications run one
-at a time, the paper's three-branch rejection constant and its large-mean
-asymptote.
+P(a, x), the general-dof density and its log, Marcum Q (the upper-tail
+cross-check of ncx2_cdf), the CE fit and the branch-density mode by
+brentq, mls replications run one at a time, the paper's three-branch
+rejection constant and its large-mean asymptote.
 Test modules import them with ``from conftest import ...``.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special, stats
 
-from outagemc.specfun import Ncx2Params, ncx2_logcdf, ncx2_logpdf
+from outagemc.specfun import Ncx2Params, ncx2_logcdf
 
 
 def _log_branch_density(x, mu):
@@ -162,6 +162,26 @@ def regularized_lower_gamma(a, x):
         raise ValueError("regularized_lower_gamma requires x >= 0")
     out = special.gammainc(a, arr)
     return float(out) if np.isscalar(x) and np.isscalar(a) else out
+
+
+def ncx2_logpdf(x, params: Ncx2Params):
+    """ln of the noncentral chi-square density, safe for large noncentrality."""
+    arr = np.asarray(x, dtype=float)
+    k, lam = params.dof, params.noncentrality
+    scalar = np.isscalar(x) or arr.ndim == 0
+    nu = (k - 2) // 2
+    if lam == 0.0 and nu != 0:
+        h = k / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (h - 1.0) * np.log(arr) - arr / 2.0 - h * math.log(2.0) - special.gammaln(h)
+        return float(out) if scalar else out
+    z = np.sqrt(lam * arr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ive = special.i0e(z) if nu == 0 else special.ive(nu, z)
+        out = -math.log(2.0) - (arr + lam) / 2.0 + z + np.log(ive)
+        if nu != 0:
+            out = out + (nu / 2.0) * (np.log(arr) - math.log(lam))
+    return float(out) if scalar else out
 
 
 def ncx2_pdf(x, params: Ncx2Params):

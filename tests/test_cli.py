@@ -1,6 +1,7 @@
 """Spec parsing, output files, exit codes, and worker-count determinism."""
 
 import csv
+import inspect
 import json
 import re
 
@@ -8,7 +9,7 @@ import pytest
 
 from outagemc import estimators
 from outagemc.cli import main
-from outagemc.experiment import SpecError, load_spec
+from outagemc.experiment import DEFAULT_HYPER, SpecError, load_spec
 
 GOOD_SPEC = """\
 [channel]
@@ -88,6 +89,15 @@ class TestLoadSpec:
         (lambda t: t + "mls_pilot_samples = 99\n",
          "hyper.mls_pilot_samples must be >= 100, got 99"),
         (lambda t: t + "\n[sweep]\nvalues = 0.8, 0.5\n", "sweep.axis"),
+        (lambda t: t.replace("gamma_th = 0.8\n", ""), "missing required key [channel] gamma_th"),
+        (lambda t: t.replace("s0 = 10000", "s0 = 1.5"), "invalid value for [hyper] s0"),
+        (lambda t: t + "rho = abc\n", "invalid value for [hyper] rho"),
+        (lambda t: t + "\n[sweep]\nvalues = a, b\n", "invalid value for [sweep] values"),
+        (lambda t: t + "\n[samples]\npis = x\n", "invalid value for [samples] pis"),
+        # with two faults, unknown sections and keys are reported before any value
+        (lambda t: t.replace("s0 = 10000", "s0 = 1.5\ntau = 2"), "unknown key 'tau'"),
+        (lambda t: t.replace("seed = 4242", "seed = x") + "\n[extra]\n",
+         "unknown section [extra]"),
     ])
     def test_invalid_specs(self, tmp_path, mangle, fragment):
         with pytest.raises(SpecError, match=re.escape(fragment)):
@@ -96,6 +106,16 @@ class TestLoadSpec:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecError, match="not found"):
             load_spec(tmp_path / "absent.ini")
+
+    def test_hyper_defaults_match_estimators(self):
+        # a spec without [hyper] must run ce and mls at their own defaults
+        ce = inspect.signature(estimators.estimate_ce).parameters
+        mls = inspect.signature(estimators.estimate_mls).parameters
+        pairs = {"s0": ce["S0"], "rho": ce["rho"],
+                 "mls_replications": mls["replications"],
+                 "mls_target_cond_prob": mls["target_cond_prob"],
+                 "mls_pilot_samples": mls["pilot_samples"]}
+        assert {key: param.default for key, param in pairs.items()} == DEFAULT_HYPER
 
 
 class TestEstimateCommand:

@@ -678,8 +678,8 @@ class TestTableDecision:
         decision, with a _screen cache of this test's own."""
         table = samplers._quantile_table
 
-        def void(dof, lam):
-            return table(dof, lam)._replace(eps=math.inf, n_cert=0)
+        def void(lam):
+            return table(lam)._replace(eps=math.inf, n_cert=0)
 
         monkeypatch.setattr(samplers, "_quantile_table", void)
         monkeypatch.setattr(estimators, "_quantile_table", void)
@@ -706,7 +706,7 @@ class TestTableDecision:
         # the band is the screen's tol, so eps reaches it through _screen
         table = estimators._quantile_table
         monkeypatch.setattr(estimators, "_quantile_table",
-                            lambda dof, lam: table(dof, lam)._replace(eps=1e-2))
+                            lambda lam: table(lam)._replace(eps=1e-2))
         monkeypatch.setattr(estimators, "_screen", functools.lru_cache(maxsize=64)(
             estimators._screen.__wrapped__))
         p = self.rows(cfg, "uis")

@@ -16,13 +16,12 @@ from outagemc.samplers import (
     _branch_mode,
     _exponential_rows,
     _inverse_rows,
-    _log_density,
     _nominal_rows,
     _pis_block_rows,
     _scaled_ncx2_rows,
     _simplex_rows,
 )
-from outagemc.specfun import Ncx2Params, log_bessel_i0, ncx2_cdf
+from outagemc.specfun import Ncx2Params, _log_density, log_bessel_i0, ncx2_cdf
 
 KS_ALPHA = 0.01
 
@@ -423,8 +422,9 @@ class TestLogDensity:
 
     X = np.array([0.0, 1e-12, 0.03, 0.5, 1.0, 4.0, 30.0, 200.0])
 
+    # v1 = 1 is the quantile tables' law; they go uncertified from noncentrality 200 on
     @pytest.mark.parametrize("v1,v2", [(0.5, 0.0), (0.5, 0.5), (0.2, 4.0),
-                                       (3.0, 1e-3), (0.05, 60.0)])
+                                       (3.0, 1e-3), (0.05, 60.0), (1.0, 200.0), (1.0, 800.0)])
     def test_scalar_parameters(self, v1, v2):
         want = stats.ncx2.logpdf(self.X / v1, 2, v2) - math.log(v1)
         np.testing.assert_allclose(_log_density(self.X, v1, v2), want,

@@ -20,7 +20,6 @@ from outagemc.specfun import (
     log_regularized_lower_gamma,
     ncx2_cdf,
     ncx2_logcdf,
-    ncx2_logpdf,
     ncx2_quantile,
 )
 
@@ -254,7 +253,7 @@ class TestNcx2Quantile:
                 ncx2_quantile(p, params)
 
     @pytest.mark.parametrize("k,lam", [(2, 0.5), (8, 4.0), (2, 0.0), (8, 42.32),
-                                       (2, 10.58), (2, 42.32)])
+                                       (2, 10.58), (2, 42.32), (4, 2.5), (6, 10.58)])
     def test_round_trip(self, k, lam):
         params = Ncx2Params(k, lam)
         rng = np.random.default_rng(0)
@@ -283,20 +282,36 @@ class TestNcx2Quantile:
         # 1e-300 to 1e-50, where the CDF reads 0; the table built from it
         # is not certified, and the cold check turns the miss into an error
         params = Ncx2Params(2, 200.0)
-        tab = specfun._quantile_table(2, 200.0)
+        tab = specfun._quantile_table(200.0)
         assert tab.eps == np.inf and tab.n_cert == 0
         with pytest.raises(ValueError, match="cannot invert"):
             ncx2_quantile(1e-100, params)
         x = ncx2_quantile(0.5, params)
         assert abs(ncx2_cdf(x, params) - 0.5) < 1e-11
 
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    def test_other_dof_build_no_table(self, k):
+        # only the branch law's 2 dof reads a table; other even dof take the
+        # checked inverse and leave the table cache as it was
+        info = specfun._quantile_table.cache_info()
+        ncx2_quantile(np.array([1e-10, 0.3, 0.5, 1 - 1e-8]), Ncx2Params(k, 4.0))
+        assert specfun._quantile_table.cache_info() == info
+
+    def test_nan_grid_uncertified(self):
+        # at lam = 2000 Boost's inverse reads NaN on part of the grid; the
+        # table must come out uncertified, not fail the density's domain check
+        params = Ncx2Params(2, 2000.0)
+        assert specfun._quantile_table(2000.0).n_cert == 0
+        p = np.array([1e-3, 0.5, 0.9])
+        assert np.max(np.abs(ncx2_cdf(ncx2_quantile(p, params), params) - p)) < 1e-11
+
     def test_uncertified_step_falls_back(self, monkeypatch):
         # a table 1e-3 off in ln x leaves steps whose residual fails the
         # certificate; those points must come from the exact inverse
         params = Ncx2Params(2, 10.58)
-        tab = specfun._quantile_table(2, 10.58)
+        tab = specfun._quantile_table(10.58)
         shifted = tab._replace(log_x=tab.log_x + 1e-3)
-        monkeypatch.setattr(specfun, "_quantile_table", lambda dof, lam: shifted)
+        monkeypatch.setattr(specfun, "_quantile_table", lambda lam: shifted)
         rng = np.random.default_rng(4)
         p = np.concatenate([[1e-200, 1e-10, 0.5, 1 - 1e-6], rng.random(2000)])
         x = ncx2_quantile(p, params)
@@ -319,7 +334,7 @@ class TestNcx2Quantile:
     def test_table_monotone(self, lam):
         # Fritsch & Carlson: alpha^2 + beta^2 <= 9 keeps each Hermite piece
         # monotone; the exact slopes meet it without limiting
-        tab = specfun._quantile_table(2, lam)
+        tab = specfun._quantile_table(lam)
         d = tab.slope
         secant = np.diff(tab.log_x) / tab.h
         assert np.all(secant > 0.0)
@@ -330,7 +345,7 @@ class TestNcx2Quantile:
         # the bound comes from one midpoint per interval; check it at 15
         # interior points of every certified interval against the quantile
         params = Ncx2Params(2, lam)
-        tab = specfun._quantile_table(2, lam)
+        tab = specfun._quantile_table(lam)
         assert 0.0 < tab.eps < 1e-7 and tab.n_cert == 8010
         u = (np.arange(tab.n_cert)[:, None] + np.arange(1, 16) / 16.0).ravel()
         p = special.expit(tab.s0 + u * tab.h)
@@ -342,13 +357,13 @@ class TestNcx2Quantile:
         # a NaN density in mid-grid leaves NaN slopes and NaN midpoints, so
         # no point may be read off the table (TestTableDecision's mu5 case
         # serves such tables); built uncached, so no other test sees it
-        raw = specfun.ncx2_logpdf
+        raw = specfun._log_density
 
-        def nan_density(x, params):
-            return np.where((x > 8.0) & (x < 12.0), np.nan, raw(x, params))
+        def nan_density(x, v1, v2):
+            return np.where((x > 8.0) & (x < 12.0), np.nan, raw(x, v1, v2))
 
-        monkeypatch.setattr(specfun, "ncx2_logpdf", nan_density)
-        tab = specfun._quantile_table.__wrapped__(2, 10.58)
+        monkeypatch.setattr(specfun, "_log_density", nan_density)
+        tab = specfun._quantile_table.__wrapped__(10.58)
         assert np.isnan(tab.slope).any()
         assert tab.eps == np.inf and tab.n_cert == 0
 
