@@ -45,10 +45,9 @@ from .samplers import (
     _nominal_rows,
     _pis_block_rows,
     _scaled_ncx2_rows,
-    _table_rows,
     compute_m_ell,
 )
-from .specfun import Ncx2Params, _log_density, _quantile_table, ncx2_cdf
+from .specfun import Ncx2Params, _log_density, _quantile_table, _table_value, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
@@ -176,17 +175,19 @@ def _outage(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
     return gsc_statistic_rows(x, config.m) <= config.gamma_th
 
 
-_Screen = namedtuple("_Screen", "k levels weights tol")
+_Screen = namedtuple("_Screen", "k levels weights tol groups")
 
 
 @lru_cache(maxsize=64)
 def _screen(config: ChannelConfig) -> _Screen:
     """Branch CDFs at the threshold and the levels of the p-space screen.
 
+    groups holds, sorted by mean, one (mean, column indices, quantile table)
+    per set of equal-mean branches; _outage_at reads its doubt off them.
     k_j = F_j(gamma_th) is uis's truncation point.  The three rows of
     levels are F_j at gamma_th/m (1 - tol), gamma_th/m (1 + tol) and
     gamma_th (1 + tol), with tol the table decision's band (the largest
-    branch table eps plus a few ulps per summand of H); an upper level
+    group table eps plus a few ulps per summand of H); an upper level
     past the quantile's clip at 1 - 1e-14, or any level of an uncertified
     table, is made one that decides nothing.  weights turn a row's
     comparisons into _outage_at's count s; their dtype is the smallest
@@ -195,22 +196,23 @@ def _screen(config: ChannelConfig) -> _Screen:
     """
     M, m, g = config.M, config.m, config.gamma_th
     mu = config.mu_array
-    tol = (max(_quantile_table(2.0 * v * v).eps for v in config.mu)
-           + 4.0 * (m + 2) * np.finfo(float).eps)
+    groups = tuple((val, np.nonzero(mu == val)[0], _quantile_table(2.0 * val * val))
+                   for val in sorted(set(config.mu)))
+    tol = max(tab.eps for _, _, tab in groups) + 4.0 * (m + 2) * np.finfo(float).eps
     x = 2.0 * g * np.array([max(1.0 - tol, 0.0) / m, (1.0 + tol) / m, 1.0 + tol])
     k = np.empty(M)
     levels = np.array([[-np.inf], [np.inf], [np.inf]]).repeat(M, axis=1)
-    for val in set(config.mu):
+    for val, cols, _ in groups:
         params = Ncx2Params(2, 2.0 * val * val)
-        k[mu == val] = ncx2_cdf(2.0 * g, params)
+        k[cols] = ncx2_cdf(2.0 * g, params)
         if math.isfinite(tol):
-            levels[:, mu == val] = ncx2_cdf(x, params)[:, None]
+            levels[:, cols] = ncx2_cdf(x, params)[:, None]
     levels[1:][levels[1:] > 1.0 - 1e-14] = np.inf
     weights = np.repeat([1, M + 1, m * (M + 1)], M)
     weights = weights.astype(np.min_scalar_type(weights.sum()))
     for a in (k, levels, weights):
         a.setflags(write=False)
-    return _Screen(k, levels, weights, tol)
+    return _Screen(k, levels, weights, tol, groups)
 
 
 def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
@@ -232,12 +234,12 @@ def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
     less than tol: a p past a level solves to an x past it, and the ulps in
     tol cover the rounding of H.  Rows with a p_j inside that margin, or
     with 1 to m - 1 coordinates past gamma_th/m, are left in doubt and read
-    off the quantile tables.  Branches with one mean share one increasing
-    F^{-1}, so H's m largest x lie among each such group's m largest p, and
-    only those columns are read.  H is monotone and positively homogeneous, so
-    table values within relative error eps of x give H(x~)/(1+eps) <= H(x)
-    <= H(x~)/(1-eps), and rows with H(x~) within tol of gamma_th, or NaN,
-    are inverted exactly.
+    off the screen's group tables.  Branches with one mean share one
+    increasing F^{-1}, so H's m largest x lie among each group's m largest
+    p, and only those columns are read.  H is monotone and positively
+    homogeneous, so table values within relative error eps of x give
+    H(x~)/(1+eps) <= H(x) <= H(x~)/(1-eps), and rows with H(x~) within tol
+    of gamma_th, or NaN, are inverted exactly.
     """
     scr = _screen(config)
     n, M = p.shape
@@ -246,13 +248,11 @@ def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
     doubt = ~mask & (s < config.m * (M + 1))
     if doubt.any():
         q = p[doubt]
-        top, top_mu = [], []
-        for val in sorted(set(config.mu)):
-            cols = q[:, config.mu_array == val]
-            k = min(config.m, cols.shape[1])
-            top.append(np.partition(cols, -k, axis=1)[:, -k:])
-            top_mu += [val] * k
-        h = gsc_statistic_rows(_table_rows(np.hstack(top), np.array(top_mu)), config.m)
+        top = []
+        for _, cols, tab in scr.groups:
+            k = min(config.m, cols.size)
+            top.append(0.5 * _table_value(tab, np.partition(q[:, cols], -k, axis=1)[:, -k:]))
+        h = gsc_statistic_rows(np.hstack(top), config.m)
         hit = h <= config.gamma_th * (1.0 - scr.tol)
         band = ~hit & ~(h > config.gamma_th * (1.0 + scr.tol))
         if band.any():

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import configparser
 import csv
+import inspect
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -55,13 +57,18 @@ SWEEP_COLUMNS = ["axis_value", "method", "scv"]
 
 METHODS = tuple(est.ESTIMATORS)
 
-DEFAULT_HYPER = {
-    "rho": 0.1,
-    "s0": 100_000,
-    "mls_replications": 50,
-    "mls_target_cond_prob": 0.2,
-    "mls_pilot_samples": 10_000,
+# every [hyper] key: the method it reaches, its keyword there and its least
+# value, None for a probability in (0, 1); its default is that keyword's own,
+# and the sidecar's hyper keeps this key order
+_HYPER_ARGS = {
+    "rho": ("ce", "rho", None),
+    "s0": ("ce", "S0", 100),
+    "mls_replications": ("mls", "replications", 2),
+    "mls_target_cond_prob": ("mls", "target_cond_prob", None),
+    "mls_pilot_samples": ("mls", "pilot_samples", 100),
 }
+DEFAULT_HYPER = {key: inspect.signature(est.ESTIMATORS[method]).parameters[kw].default
+                 for key, (method, kw, _) in _HYPER_ARGS.items()}
 
 
 class SpecError(ValueError):
@@ -90,12 +97,12 @@ class ExperimentSpec:
             low = 10 if meth == "mls" else 2 if meth in ("et", "ce") else 1
             if n < low:
                 raise SpecError(f"samples.{meth} must be >= {low}, got {n}")
-        for key, low in (("s0", 100), ("mls_replications", 2), ("mls_pilot_samples", 100)):
-            if self.hyper[key] < low:
-                raise SpecError(f"hyper.{key} must be >= {low}, got {self.hyper[key]}")
-        for key in ("rho", "mls_target_cond_prob"):
-            if not 0.0 < self.hyper[key] < 1.0:
-                raise SpecError(f"hyper.{key} must be in (0, 1), got {self.hyper[key]}")
+        for key, (_, _, low) in _HYPER_ARGS.items():
+            v = self.hyper[key]
+            if low is None and not 0.0 < v < 1.0:
+                raise SpecError(f"hyper.{key} must be in (0, 1), got {v}")
+            if low is not None and v < low:
+                raise SpecError(f"hyper.{key} must be >= {low}, got {v}")
         if self.sweep_axis is None and self.sweep_values:
             raise SpecError("sweep.values needs sweep.axis (gamma_th or mu)")
         if self.sweep_axis is not None:
@@ -141,6 +148,8 @@ def load_spec(path) -> ExperimentSpec:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise SpecError(f"spec parse error: {exc}")
+    for key in parser.defaults():  # configparser would copy it into every section
+        raise SpecError(f"unknown key {key!r} in section [DEFAULT]")
     for section in parser.sections():
         if section not in _SPEC_KEYS:
             raise SpecError(f"unknown section [{section}]")
@@ -174,27 +183,14 @@ def load_spec(path) -> ExperimentSpec:
 def _sweep_configs(spec: ExperimentSpec):
     if spec.sweep_axis is None:
         return [(None, spec.config)]
-    out = []
-    for v in spec.sweep_values:
-        if spec.sweep_axis == "gamma_th":
-            out.append((v, spec.config.replace(gamma_th=v)))
-        else:
-            out.append((v, spec.config.replace(mu=(v,) * spec.config.M)))
-    return out
+    # both axes are ChannelConfig fields, and a scalar mu sets every branch
+    return [(v, spec.config.replace(**{spec.sweep_axis: v})) for v in spec.sweep_values]
 
 
 def run_method(method: str, config: ChannelConfig, S: int, rng: RngStream,
                hyper: dict, workers: int = 1) -> EstimateResult:
-    if method == "ce":
-        return est.estimate_ce(config, S, rng, S0=hyper["s0"],
-                               rho=hyper["rho"], workers=workers)
-    if method == "mls":
-        return est.estimate_mls(
-            config, S, rng, schedule="auto",
-            replications=hyper["mls_replications"],
-            target_cond_prob=hyper["mls_target_cond_prob"],
-            pilot_samples=hyper["mls_pilot_samples"], workers=workers)
-    return est.ESTIMATORS[method](config, S, rng, workers=workers)
+    kwargs = {kw: hyper[key] for key, (meth, kw, _) in _HYPER_ARGS.items() if meth == method}
+    return est.ESTIMATORS[method](config, S, rng, workers=workers, **kwargs)
 
 
 def _csv_row(rec: dict, seed: int, notes: list, wnrv: float = None) -> dict:
@@ -329,37 +325,32 @@ def verify_oracles(seed: int = 20240601, workers: int = 1,
     Returns one pass/fail record per check; used by the `verify` subcommand.
     """
     checks = []
-    hyper = dict(DEFAULT_HYPER)
-    hyper["s0"] = 20_000
+    hyper = DEFAULT_HYPER | {"s0": 20_000}
+    ids = itertools.count()
+
+    def run(method, config, S):
+        return run_method(method, config, S, RngStream(seed, next(ids)), hyper,
+                          workers=workers)
 
     # closed-form edges: pick one branch-selection and one full-sum instance
     edge_configs = [
         ChannelConfig(M=4, m=1, mu=(0.7,) * 4, gamma_th=0.8),
         ChannelConfig(M=4, m=4, mu=(0.6,) * 4, gamma_th=2.0),
     ]
-    sid = 0
     for config in edge_configs:
         exact = closed_form_outage(config)
         for method in METHODS:
-            S = samples if method != "mls" else 4000
-            result = run_method(method, config, S, RngStream(seed, sid),
-                                hyper, workers=workers)
-            sid += 1
+            result = run(method, config, samples if method != "mls" else 4000)
             checks.append(_check_within_se(
                 f"closed-form m={config.m}/{config.M}: {method}",
                 result, exact, 0.0))
 
     # moderate-rarity instance against a large naive MC reference
     config = ChannelConfig(M=3, m=2, mu=(0.5,) * 3, gamma_th=0.5)
-    ref = est.estimate_nmc(config, 4_000_000, RngStream(seed, sid),
-                           workers=workers)
-    sid += 1
+    ref = run("nmc", config, 4_000_000)
     ref_se = math.sqrt(ref.var_hat / ref.samples)
     for method in METHODS:
-        S = samples if method != "mls" else 4000
-        result = run_method(method, config, S, RngStream(seed, sid), hyper,
-                            workers=workers)
-        sid += 1
+        result = run(method, config, samples if method != "mls" else 4000)
         checks.append(_check_within_se(
             f"cross-check vs naive reference: {method}", result,
             ref.p_hat, ref_se))
@@ -368,9 +359,7 @@ def verify_oracles(seed: int = 20240601, workers: int = 1,
     # on the 1 < m < M instance (both selection events are proper supersets
     # there) against the naive reference probability
     for method in ("uis", "pis"):
-        result = run_method(method, config, samples, RngStream(seed, sid),
-                            hyper, workers=workers)
-        sid += 1
+        result = run(method, config, samples)
         ell = result.diagnostics["ell1" if method == "uis" else "ell2"]
         q = result.diagnostics["hit_fraction"]
         n = result.samples

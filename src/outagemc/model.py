@@ -9,6 +9,7 @@ statistic is the sum of the m largest squared gains.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -60,10 +61,7 @@ class ChannelConfig:
     def identical_mu(self) -> bool:
         return len(set(self.mu)) == 1
 
-    def replace(self, **kw) -> "ChannelConfig":
-        vals = {"M": self.M, "m": self.m, "mu": self.mu, "gamma_th": self.gamma_th}
-        vals.update(kw)
-        return ChannelConfig(**vals)
+    replace = dataclasses.replace
 
 
 @dataclass

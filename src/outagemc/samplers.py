@@ -19,8 +19,6 @@ from scipy import special
 from .specfun import (
     Ncx2Params,
     _log_density,
-    _quantile_table,
-    _table_value,
     ncx2_logcdf,
     ncx2_quantile,
 )
@@ -118,9 +116,10 @@ def _scaled_ncx2_rows(v1, v2, gen, shape) -> np.ndarray:
 def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """x[:, j] = (1/2) Q(p[:, j]; ncx2(2, 2 mu_j^2)), the branch-j inverse CDF.
 
-    The one truncated inverse transform, exact for the rows _table_rows
-    leaves in doubt: uis passes k_j u with k_j the branch CDF at the
-    threshold, mls passes 1 - e^{-G} for the gamma-process coordinate G.
+    The one truncated inverse transform, exact for the rows that
+    estimators._outage_at's table read leaves in doubt: uis passes k_j u
+    with k_j the branch CDF at the threshold, mls passes 1 - e^{-G} for the
+    gamma-process coordinate G.
     Columns sharing a mean share one quantile call; p is clipped to
     [5e-324, 1 - 1e-14], the quantile's own clip, so the quantile stays
     finite and p = 1 (mls rounds 1 - e^{-G} to 1 past G ~ 36.7) is valid.
@@ -131,15 +130,6 @@ def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
         q = np.clip(p[:, cols], 5e-324, 1.0 - 1e-14)
         x[:, cols] = 0.5 * ncx2_quantile(
             q.ravel(), Ncx2Params(2, 2.0 * val * val)).reshape(q.shape)
-    return x
-
-
-def _table_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """_inverse_rows read off the quantile tables, within each table's eps where not NaN."""
-    x = np.empty_like(p)
-    for val in sorted(set(mu.tolist())):
-        cols = np.nonzero(mu == val)[0]
-        x[:, cols] = 0.5 * _table_value(_quantile_table(2.0 * val * val), p[:, cols])
     return x
 
 

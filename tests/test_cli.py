@@ -7,9 +7,9 @@ import re
 
 import pytest
 
-from outagemc import estimators
+from outagemc import ChannelConfig, RngStream, estimators
 from outagemc.cli import main
-from outagemc.experiment import DEFAULT_HYPER, SpecError, load_spec
+from outagemc.experiment import DEFAULT_HYPER, METHODS, SpecError, load_spec, run_method
 
 GOOD_SPEC = """\
 [channel]
@@ -98,10 +98,16 @@ class TestLoadSpec:
         (lambda t: t.replace("s0 = 10000", "s0 = 1.5\ntau = 2"), "unknown key 'tau'"),
         (lambda t: t.replace("seed = 4242", "seed = x") + "\n[extra]\n",
          "unknown section [extra]"),
+        # configparser copies [DEFAULT] keys into every section
+        (lambda t: "[DEFAULT]\nseed = 3\n\n" + t, "unknown key 'seed' in section [DEFAULT]"),
     ])
     def test_invalid_specs(self, tmp_path, mangle, fragment):
         with pytest.raises(SpecError, match=re.escape(fragment)):
             load_spec(write(tmp_path, mangle(GOOD_SPEC)))
+
+    def test_empty_default_section(self, tmp_path):
+        spec = load_spec(write(tmp_path, "[DEFAULT]\n" + GOOD_SPEC))
+        assert spec == load_spec(write(tmp_path, GOOD_SPEC, "plain.ini"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecError, match="not found"):
@@ -116,6 +122,33 @@ class TestLoadSpec:
                  "mls_target_cond_prob": mls["target_cond_prob"],
                  "mls_pilot_samples": mls["pilot_samples"]}
         assert {key: param.default for key, param in pairs.items()} == DEFAULT_HYPER
+
+
+class TestRunMethod:
+    def test_hyper_values_reach_their_keywords(self, monkeypatch):
+        # ce and mls get their [hyper] values, every method the worker count
+        calls = {}
+
+        def recorder(method):
+            def record(config, S, rng, **kwargs):
+                calls[method] = kwargs
+            return record
+
+        for method in METHODS:
+            monkeypatch.setitem(estimators.ESTIMATORS, method, recorder(method))
+        hyper = {"rho": 0.3, "s0": 1234, "mls_replications": 7,
+                 "mls_target_cond_prob": 0.4, "mls_pilot_samples": 567}
+        assert hyper.keys() == DEFAULT_HYPER.keys()
+        assert not hyper.items() & DEFAULT_HYPER.items()
+        config = ChannelConfig(M=4, m=2, mu=0.5, gamma_th=0.8)
+        for method in METHODS:
+            run_method(method, config, 100, RngStream(1), hyper, workers=3)
+        assert calls == {
+            "nmc": {"workers": 3}, "uis": {"workers": 3}, "pis": {"workers": 3},
+            "et": {"workers": 3}, "ce": {"workers": 3, "S0": 1234, "rho": 0.3},
+            "mls": {"workers": 3, "replications": 7, "target_cond_prob": 0.4,
+                    "pilot_samples": 567},
+        }
 
 
 class TestEstimateCommand:
@@ -148,7 +181,7 @@ class TestEstimateCommand:
         def failing(*args, **kwargs):
             raise estimators.CeAdaptationError("CE failed to reach target threshold")
 
-        monkeypatch.setattr(estimators, "estimate_ce", failing)
+        monkeypatch.setitem(estimators.ESTIMATORS, "ce", failing)
         spec = write(tmp_path, GOOD_SPEC.replace("methods = pis, et", "methods = ce, et"))
         out = tmp_path / "out"
         assert main(["estimate", str(spec), "--out-dir", str(out)]) == 2
@@ -312,6 +345,17 @@ class TestSweepCommand:
         assert main(["sweep", str(spec), "--out-dir", str(out)]) == 0
         lines = (out / "sweep_scv.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_mean_sweep_of_unequal_means(self, tmp_path):
+        # a swept mu sets every branch, whatever the spec's own means
+        text = GOOD_SPEC.replace("mu = 0.5", "mu = 0.3, 0.3, 1.5, 1.5")
+        text = text.replace("samples = 50000", "samples = 20000")
+        text += "\n[sweep]\naxis = mu\nvalues = 0.3, 0.5\n"
+        out = tmp_path / "out"
+        assert main(["sweep", str(write(tmp_path, text)), "--out-dir", str(out)]) == 0
+        results = json.loads((out / "sweep_scv.json").read_text())["results"]
+        assert [(r["axis_value"], r["config"]["mu"]) for r in results] == [
+            (v, [v] * 4) for v in (0.3, 0.3, 0.5, 0.5)]
 
     def test_requires_sweep_section(self, tmp_path):
         spec = write(tmp_path, GOOD_SPEC)

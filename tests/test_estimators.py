@@ -661,27 +661,30 @@ class TestTableDecision:
 
     @staticmethod
     def band_sizes(monkeypatch, name="_inverse_rows"):
-        """Row counts of every call _outage_at makes to estimators.<name>."""
+        """Row counts of every call _outage_at makes to estimators.<name>:
+        _inverse_rows(p, mu) once per band, _table_value(tab, q) once per
+        equal-mean group of the rows in doubt."""
         sizes = []
         wrapped = getattr(estimators, name)
+        rows = 1 if name == "_table_value" else 0
 
-        def recording(p, mu):
-            sizes.append(p.shape[0])
-            return wrapped(p, mu)
+        def recording(*args):
+            sizes.append(args[rows].shape[0])
+            return wrapped(*args)
 
         monkeypatch.setattr(estimators, name, recording)
         return sizes
 
     @staticmethod
     def uncertified(monkeypatch):
-        """Serve eps = inf, n_cert = 0 tables to the screen and the table
-        decision, with a _screen cache of this test's own."""
-        table = samplers._quantile_table
+        """Serve eps = inf, n_cert = 0 tables to the screen, whose groups
+        hold the table decision's tables, with a _screen cache of this
+        test's own."""
+        table = estimators._quantile_table
 
         def void(lam):
             return table(lam)._replace(eps=math.inf, n_cert=0)
 
-        monkeypatch.setattr(samplers, "_quantile_table", void)
         monkeypatch.setattr(estimators, "_quantile_table", void)
         monkeypatch.setattr(estimators, "_screen", functools.lru_cache(maxsize=64)(
             estimators._screen.__wrapped__))
@@ -694,7 +697,7 @@ class TestTableDecision:
         p = self.rows(cfg, style)
         full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
         band = self.band_sizes(monkeypatch)
-        doubt = self.band_sizes(monkeypatch, "_table_rows")
+        doubt = self.band_sizes(monkeypatch, "_table_value")
         mask = estimators._outage_at(cfg, p)
         assert p.shape[0] > 1000 and full.any() and not full.all()
         assert np.array_equal(mask, full)
@@ -782,7 +785,7 @@ class TestOutageScreen:
         g = gen.gamma(0.3, size=(50_000, cfg.M)) * 10.0 ** gen.uniform(-3, 1.5, (50_000, 1))
         mls = -np.expm1(-g)  # it rounds to 1 past G ~ 36.7
         assert (mls == 1.0).any()
-        doubt = TestTableDecision.band_sizes(monkeypatch, "_table_rows")
+        doubt = TestTableDecision.band_sizes(monkeypatch, "_table_value")
         full = [self.check(cfg, p) for p in (uis, mls)]
         assert full[0].any() and full[1].any() and not full[1].all()
         # m = 1 leaves no row in doubt; otherwise the screen passes some on,
@@ -821,7 +824,7 @@ class TestOutageScreen:
     def test_few_rows_reach_the_table(self, monkeypatch):
         # a count, not a timing: rows _outage_at reads off the quantile tables
         subset, m1 = self.CONFIGS[3], self.CONFIGS[2]
-        doubt = TestTableDecision.band_sizes(monkeypatch, "_table_rows")
+        doubt = TestTableDecision.band_sizes(monkeypatch, "_table_value")
         estimate_uis(subset, 100_000, RngStream(8))
         assert 0 < sum(doubt) <= 10_000
         doubt.clear()
