@@ -18,20 +18,25 @@ estimator variance, so relative error is sqrt(var_hat / samples) / p_hat:
   mls  multilevel splitting along a gamma-process embedding of the channel,
        with survivor resampling at pilot-chosen levels
 
-Estimators run a kernel over fixed-size blocks on up to `workers` threads,
-each block on its own child stream (_run_blocks; mls: one per replication, in
-fixed groups), so a seed gives the same results for any worker count.
-wall_time_s spans setup to reduction.
+Each is one frame, @_estimator, around a body: the frame registers the
+method in ESTIMATORS and its argument minimums in LEAST, checks those
+arguments, times the body and stamps its EstimateResult, so wall_time_s
+runs from the end of the checks to the end of the reduction for every
+method.  Bodies run a kernel over fixed-size blocks on up to `workers`
+threads, each block on its own child stream (_run_blocks; mls: one per
+replication, in fixed groups), so a seed gives the same results for any
+worker count.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 from scipy import special
@@ -39,15 +44,15 @@ from scipy import special
 from .model import ChannelConfig, EstimateResult, gsc_statistic_rows
 from .samplers import (
     RngStream,
-    TruncationUnderflowError,
     _exponential_rows,
     _inverse_rows,
     _nominal_rows,
     _pis_block_rows,
     _scaled_ncx2_rows,
+    _underflow,
     compute_m_ell,
 )
-from .specfun import Ncx2Params, _log_density, _quantile_table, _table_value, ncx2_cdf
+from .specfun import _P_MAX, Ncx2Params, _log_density, _quantile_table, _table_value, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
@@ -188,7 +193,7 @@ def _screen(config: ChannelConfig) -> _Screen:
     levels are F_j at gamma_th/m (1 - tol), gamma_th/m (1 + tol) and
     gamma_th (1 + tol), with tol the table decision's band (the largest
     group table eps plus a few ulps per summand of H); an upper level
-    past the quantile's clip at 1 - 1e-14, or any level of an uncertified
+    past the quantile's clip at _P_MAX, or any level of an uncertified
     table, is made one that decides nothing.  weights turn a row's
     comparisons into _outage_at's count s; their dtype is the smallest
     unsigned one that holds the largest s, so the row-sum casts the
@@ -207,7 +212,7 @@ def _screen(config: ChannelConfig) -> _Screen:
         k[cols] = ncx2_cdf(2.0 * g, params)
         if math.isfinite(tol):
             levels[:, cols] = ncx2_cdf(x, params)[:, None]
-    levels[1:][levels[1:] > 1.0 - 1e-14] = np.inf
+    levels[1:][levels[1:] > _P_MAX] = np.inf
     weights = np.repeat([1, M + 1, m * (M + 1)], M)
     weights = weights.astype(np.min_scalar_type(weights.sum()))
     for a in (k, levels, weights):
@@ -261,11 +266,6 @@ def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _underflow(what: str) -> TruncationUnderflowError:
-    return TruncationUnderflowError(
-        f"threshold too extreme for double precision: {what}")
-
-
 def _selection(ell: float, hits: int, S: int):
     """(p_hat, var_hat) = (ell * hits / S, ell * p - p^2); nmc has ell = 1.
 
@@ -308,6 +308,50 @@ def _lr_sums(config: ChannelConfig, x: np.ndarray, log_lr):
 
 
 # ---------------------------------------------------------------------------
+# the estimator frame
+
+ESTIMATORS = {}
+# method -> {argument: its least value, None for a probability in (0, 1)}
+LEAST = {}
+
+
+def _check_least(name: str, value, least, error=ValueError):
+    """Raise error unless value >= least, or 0 < value < 1 where least is None."""
+    if least is None and not 0.0 < value < 1.0:
+        raise error(f"{name} must be in (0, 1), got {value}")
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
+def _estimator(**least):
+    """Register estimate_<method> and its minimums (least's first is its size).
+
+    A call checks its bound arguments, then times the body, which returns
+    (p_hat, var_hat, samples, work_units, diagnostics), and stamps the result.
+    """
+    def register(body):
+        method = body.__name__.removeprefix("estimate_")
+        signature = inspect.signature(body)
+
+        @wraps(body)
+        def frame(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            for name, low in least.items():
+                _check_least(name, bound.arguments[name], low)
+            t0 = time.perf_counter()
+            p, var, samples, work, diagnostics = body(*args, **kwargs)
+            return EstimateResult(p_hat=p, var_hat=var, samples=samples,
+                                  wall_time_s=time.perf_counter() - t0, method=method,
+                                  seed=bound.arguments["rng"].seed, work_units=work,
+                                  diagnostics=diagnostics)
+
+        ESTIMATORS[method], LEAST[method] = frame, least
+        return frame
+    return register
+
+
+# ---------------------------------------------------------------------------
 # naive Monte Carlo
 
 
@@ -316,17 +360,12 @@ def _nmc_block(config: ChannelConfig, gen, n: int):
     return int(np.count_nonzero(_outage(config, x)))
 
 
+@_estimator(S=1)
 def estimate_nmc(config: ChannelConfig, S: int, rng: RngStream,
                  workers: int = 1) -> EstimateResult:
     """Naive MC: hit fraction of the outage event under the nominal law."""
-    if S < 1:
-        raise ValueError("S must be >= 1")
-    t0 = time.perf_counter()
     hits = sum(_run_blocks(partial(_nmc_block, config), S, rng, workers))
-    p, var = _selection(1.0, hits, S)
-    return EstimateResult(p_hat=p, var_hat=var, samples=S,
-                          wall_time_s=time.perf_counter() - t0, method="nmc",
-                          seed=rng.seed, diagnostics={"hits": hits})
+    return *_selection(1.0, hits, S), S, S, {"hits": hits}
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +377,7 @@ def _uis_block(config: ChannelConfig, k: np.ndarray, gen, n: int):
     return int(np.count_nonzero(_outage_at(config, k * u)))
 
 
+@_estimator(S=1)
 def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
                  workers: int = 1) -> EstimateResult:
     """Selection sampling with every branch truncated below the threshold.
@@ -347,19 +387,12 @@ def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
     estimator is ell1 times the conditional hit fraction and its
     single-sample variance is ell1 * p - p^2 exactly.
     """
-    if S < 1:
-        raise ValueError("S must be >= 1")
-    t0 = time.perf_counter()
     k = _screen(config).k
     ell1 = math.prod(k.tolist())
     if ell1 < np.finfo(float).tiny:
         raise _underflow(f"ell1 underflows to {ell1!r}")
     hits = sum(_run_blocks(partial(_uis_block, config, k), S, rng, workers))
-    p, var = _selection(ell1, hits, S)
-    return EstimateResult(p_hat=p, var_hat=var, samples=S,
-                          wall_time_s=time.perf_counter() - t0, method="uis",
-                          seed=rng.seed,
-                          diagnostics={"ell1": ell1, "hit_fraction": hits / S})
+    return *_selection(ell1, hits, S), S, S, {"ell1": ell1, "hit_fraction": hits / S}
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +416,7 @@ def _pis_block(config: ChannelConfig, plan: PartitionPlan, gen, n: int):
     return int(np.count_nonzero(_outage(config, x))), proposals
 
 
+@_estimator(S=1)
 def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
                  workers: int = 1) -> EstimateResult:
     """Selection sampling on the partition event (every block sum below threshold).
@@ -391,26 +425,18 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
     ell2 * p - p^2 shrinks accordingly; each block is sampled by the
     cheaper exact rejection that compute_m_ell picks for it.
     """
-    if S < 1:
-        raise ValueError("S must be >= 1")
-    t0 = time.perf_counter()
     plan = build_partition_plan(config)
     parts = _run_blocks(partial(_pis_block, config, plan), S, rng, workers)
     hits = sum(h for h, _ in parts)
     proposals = sum(pr for _, pr in parts)
-    p, var = _selection(plan.ell2, hits, S)
-    n_blocks = len(plan.blocks)
-    return EstimateResult(
-        p_hat=p, var_hat=var, samples=S, wall_time_s=time.perf_counter() - t0,
-        method="pis", seed=rng.seed, work_units=S,
-        diagnostics={
-            "ell2": plan.ell2,
-            "hit_fraction": hits / S,
-            "m_ell": [b.value for b in plan.bounds],
-            "proposal": [b.proposal for b in plan.bounds],
-            "proposals": proposals,
-            "acceptance_rate": (S * n_blocks / proposals) if proposals else 1.0,
-        })
+    return *_selection(plan.ell2, hits, S), S, S, {
+        "ell2": plan.ell2,
+        "hit_fraction": hits / S,
+        "m_ell": [b.value for b in plan.bounds],
+        "proposal": [b.proposal for b in plan.bounds],
+        "proposals": proposals,
+        "acceptance_rate": (S * len(plan.blocks) / proposals) if proposals else 1.0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +454,7 @@ def _et_block(config: ChannelConfig, gen, n: int):
     return _lr_sums(config, x, partial(_et_log_lr_rows, config))
 
 
+@_estimator(S=2)
 def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
                 workers: int = 1) -> EstimateResult:
     """Exponentially tilted proposal: iid Exp(M / gamma_th) branches.
@@ -436,13 +463,8 @@ def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
     exponential with mean gamma_th / M; the likelihood ratio is accumulated
     in log space and exponentiated once per outage sample.
     """
-    if S < 2:
-        raise ValueError("S must be >= 2")
-    t0 = time.perf_counter()
     p, var, hits = _weighted(_run_blocks(partial(_et_block, config), S, rng, workers), S)
-    return EstimateResult(p_hat=p, var_hat=var, samples=S,
-                          wall_time_s=time.perf_counter() - t0, method="et",
-                          seed=rng.seed, diagnostics={"hit_rate": hits / S})
+    return p, var, S, S, {"hit_rate": hits / S}
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +555,7 @@ def _ce_final_block(config: ChannelConfig, nominal: CEParams, vfin: CEParams, ge
     return _lr_sums(config, x, lambda xs: _ce_log_lr_rows(xs, nominal, vfin))
 
 
+@_estimator(S=2, S0=100, rho=None)
 def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
                 S0: int = 100_000, rho: float = 0.1,
                 workers: int = 1) -> EstimateResult:
@@ -557,15 +580,8 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
     otherwise the walk goes on from its fit.  The partition plan is built
     first, so a threshold whose ell2 underflows raises before any draw.
     """
-    if S < 2:
-        raise ValueError("S must be >= 2")
-    if S0 < 100:
-        raise ValueError("S0 must be >= 100")
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
     if not config.identical_mu:
         raise ValueError("CE requires identical mu_i across branches")
-    t0 = time.perf_counter()
     g = config.gamma_th
     mu = config.mu[0]
     nominal = CEParams(v1=0.5, v2=2.0 * mu * mu)
@@ -593,12 +609,9 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
     parts = _run_blocks(partial(_ce_final_block, config, nominal, vfin), S, rng,
                         workers, first=1)
     p, var, hits = _weighted(parts, S)
-    return EstimateResult(p_hat=p, var_hat=var, samples=S,
-                          wall_time_s=time.perf_counter() - t0, method="ce",
-                          seed=rng.seed, work_units=S + S0 * (len(trace) - 1),
-                          diagnostics={"trace": trace, "hit_rate": hits / S,
-                                       "v_final": {"v1": vfin.v1, "v2": vfin.v2},
-                                       "pilot_hits": elite.shape[0]})
+    return p, var, S, S + S0 * (len(trace) - 1), {
+        "trace": trace, "hit_rate": hits / S,
+        "v_final": {"v1": vfin.v1, "v2": vfin.v2}, "pilot_hits": elite.shape[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +668,8 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
     of one level means the outage event itself is not rare; estimate_mls
     notes that in its warnings.
     """
-    if not 0.0 < target_cond_prob < 1.0:
-        raise ValueError("target_cond_prob must be in (0, 1)")
-    if pilot_samples < 100:
-        raise ValueError("pilot_samples must be >= 100")
+    _check_least("target_cond_prob", target_cond_prob, LEAST["mls"]["target_cond_prob"])
+    _check_least("pilot_samples", pilot_samples, LEAST["mls"]["pilot_samples"])
     gen = rng.generator()
     work = 0
 
@@ -693,6 +704,7 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
                        pilot_work=work)
 
 
+@_estimator(s=10, replications=2, target_cond_prob=None, pilot_samples=100)
 def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
                  schedule="auto", replications: int = 50,
                  target_cond_prob: float = 0.2, pilot_samples: int = 10_000,
@@ -705,11 +717,6 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
     variance rescaled so that var_hat / samples is the variance of the mean
     (samples counts simulated chain-steps, s * L * replications).
     """
-    if s < 10:
-        raise ValueError("s must be >= 10")
-    if replications < 2:
-        raise ValueError("replications must be >= 2")
-    t0 = time.perf_counter()
     notes = []
     if schedule == "auto":
         schedule = mls_pilot_levels(config, pilot_samples, target_cond_prob,
@@ -729,23 +736,11 @@ def estimate_mls(config: ChannelConfig, s: int, rng: RngStream,
     dead = np.count_nonzero(estimates == 0.0)
     if dead:
         notes.append(f"{dead} replication(s) died with zero survivors")
-    return EstimateResult(
-        p_hat=float(estimates.mean()),
-        var_hat=float(estimates.var(ddof=1)) * s * schedule.n_levels,
-        samples=chain_steps, wall_time_s=time.perf_counter() - t0, method="mls",
-        seed=rng.seed, work_units=chain_steps + schedule.pilot_work,
-        diagnostics={"levels": list(schedule.levels),
-                     "pilot_fractions": list(schedule.survivor_fractions),
-                     "replications": replications, "per_level_samples": s,
-                     "replication_estimates": estimates.tolist(),
-                     "warnings": notes})
-
-
-ESTIMATORS = {
-    "nmc": estimate_nmc,
-    "uis": estimate_uis,
-    "pis": estimate_pis,
-    "et": estimate_et,
-    "ce": estimate_ce,
-    "mls": estimate_mls,
-}
+    return (float(estimates.mean()),
+            float(estimates.var(ddof=1)) * s * schedule.n_levels,
+            chain_steps, chain_steps + schedule.pilot_work,
+            {"levels": list(schedule.levels),
+             "pilot_fractions": list(schedule.survivor_fractions),
+             "replications": replications, "per_level_samples": s,
+             "replication_estimates": estimates.tolist(),
+             "warnings": notes})

@@ -57,18 +57,18 @@ SWEEP_COLUMNS = ["axis_value", "method", "scv"]
 
 METHODS = tuple(est.ESTIMATORS)
 
-# every [hyper] key: the method it reaches, its keyword there and its least
-# value, None for a probability in (0, 1); its default is that keyword's own,
-# and the sidecar's hyper keeps this key order
+# every [hyper] key: the method it reaches and its keyword there, whose
+# default and least value (est.LEAST) are the key's own; the sidecar's hyper
+# keeps this key order
 _HYPER_ARGS = {
-    "rho": ("ce", "rho", None),
-    "s0": ("ce", "S0", 100),
-    "mls_replications": ("mls", "replications", 2),
-    "mls_target_cond_prob": ("mls", "target_cond_prob", None),
-    "mls_pilot_samples": ("mls", "pilot_samples", 100),
+    "rho": ("ce", "rho"),
+    "s0": ("ce", "S0"),
+    "mls_replications": ("mls", "replications"),
+    "mls_target_cond_prob": ("mls", "target_cond_prob"),
+    "mls_pilot_samples": ("mls", "pilot_samples"),
 }
 DEFAULT_HYPER = {key: inspect.signature(est.ESTIMATORS[method]).parameters[kw].default
-                 for key, (method, kw, _) in _HYPER_ARGS.items()}
+                 for key, (method, kw) in _HYPER_ARGS.items()}
 
 
 class SpecError(ValueError):
@@ -83,26 +83,25 @@ class ExperimentSpec:
     seed: int
     sweep_axis: str = None
     sweep_values: tuple = ()
-    hyper: dict = field(default_factory=lambda: dict(DEFAULT_HYPER))
+    hyper: dict = field(default_factory=dict)  # missing keys take DEFAULT_HYPER's
 
     def __post_init__(self):
         if self.seed < 0:
             raise SpecError(f"run.seed must be >= 0, got {self.seed}")
         if not self.methods:
             raise SpecError("run.methods must list at least one method")
-        bad = [m for m in self.methods if m not in METHODS]
+        bad = [m for m in dict.fromkeys((*self.methods, *self.samples)) if m not in METHODS]
         if bad:
             raise SpecError(f"unknown method(s) {bad}; choose from {METHODS}")
-        for meth, n in self.samples.items():  # mls counts chains per level
-            low = 10 if meth == "mls" else 2 if meth in ("et", "ce") else 1
-            if n < low:
-                raise SpecError(f"samples.{meth} must be >= {low}, got {n}")
-        for key, (_, _, low) in _HYPER_ARGS.items():
-            v = self.hyper[key]
-            if low is None and not 0.0 < v < 1.0:
-                raise SpecError(f"hyper.{key} must be in (0, 1), got {v}")
-            if low is not None and v < low:
-                raise SpecError(f"hyper.{key} must be >= {low}, got {v}")
+        bad = [key for key in self.hyper if key not in _HYPER_ARGS]
+        if bad:
+            raise SpecError(f"unknown hyper key(s) {bad}; choose from {tuple(_HYPER_ARGS)}")
+        self.hyper = {key: self.hyper.get(key, DEFAULT_HYPER[key]) for key in _HYPER_ARGS}
+        for meth, n in self.samples.items():  # the size is each method's first minimum
+            est._check_least(f"samples.{meth}", n, next(iter(est.LEAST[meth].values())),
+                             SpecError)
+        for key, (meth, kw) in _HYPER_ARGS.items():
+            est._check_least(f"hyper.{key}", self.hyper[key], est.LEAST[meth][kw], SpecError)
         if self.sweep_axis is None and self.sweep_values:
             raise SpecError("sweep.values needs sweep.axis (gamma_th or mu)")
         if self.sweep_axis is not None:
@@ -177,7 +176,7 @@ def load_spec(path) -> ExperimentSpec:
         config=config, methods=methods,
         samples=dict.fromkeys(methods, run.get("samples", 100_000)) | got["samples"],
         seed=run.get("seed", 0), sweep_axis=sweep.get("axis"),
-        sweep_values=tuple(sweep.get("values", ())), hyper=DEFAULT_HYPER | got["hyper"])
+        sweep_values=tuple(sweep.get("values", ())), hyper=got["hyper"])
 
 
 def _sweep_configs(spec: ExperimentSpec):
@@ -189,7 +188,7 @@ def _sweep_configs(spec: ExperimentSpec):
 
 def run_method(method: str, config: ChannelConfig, S: int, rng: RngStream,
                hyper: dict, workers: int = 1) -> EstimateResult:
-    kwargs = {kw: hyper[key] for key, (meth, kw, _) in _HYPER_ARGS.items() if meth == method}
+    kwargs = {kw: hyper[key] for key, (meth, kw) in _HYPER_ARGS.items() if meth == method}
     return est.ESTIMATORS[method](config, S, rng, workers=workers, **kwargs)
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .samplers import TruncationUnderflowError
+from .samplers import _underflow
 from .specfun import Ncx2Params, ncx2_logcdf
 
 
@@ -126,6 +126,5 @@ def closed_form_outage(config: ChannelConfig) -> Optional[float]:
         return None
     p = math.exp(log_p)
     if p < np.finfo(float).tiny:
-        raise TruncationUnderflowError(
-            f"threshold too extreme for double precision: exact p={p!r}")
+        raise _underflow(f"exact p={p!r}")
     return p

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import special
 
 from .specfun import (
+    _P_MAX,
     Ncx2Params,
     _log_density,
     ncx2_logcdf,
@@ -37,6 +38,10 @@ class RejectionStalledError(RuntimeError):
 
 class TruncationUnderflowError(ValueError):
     """Threshold too extreme for double precision."""
+
+
+def _underflow(what: str) -> TruncationUnderflowError:
+    return TruncationUnderflowError(f"threshold too extreme for double precision: {what}")
 
 
 @dataclass(frozen=True)
@@ -121,13 +126,13 @@ def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     with k_j the branch CDF at the threshold, mls passes 1 - e^{-G} for the
     gamma-process coordinate G.
     Columns sharing a mean share one quantile call; p is clipped to
-    [5e-324, 1 - 1e-14], the quantile's own clip, so the quantile stays
+    [5e-324, _P_MAX], the quantile's own clip, so the quantile stays
     finite and p = 1 (mls rounds 1 - e^{-G} to 1 past G ~ 36.7) is valid.
     """
     x = np.empty_like(p)
     for val in sorted(set(mu.tolist())):
         cols = np.nonzero(mu == val)[0]
-        q = np.clip(p[:, cols], 5e-324, 1.0 - 1e-14)
+        q = np.clip(p[:, cols], 5e-324, _P_MAX)
         x[:, cols] = 0.5 * ncx2_quantile(
             q.ravel(), Ncx2Params(2, 2.0 * val * val)).reshape(q.shape)
     return x

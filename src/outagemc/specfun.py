@@ -34,6 +34,8 @@ from scipy import special
 # r^2 <= 1e-15 p min(p, 1 - p) keeps that below 5e-16 p, the CDF's own rounding.
 _TABLE_LOGIT = (math.log(1e-250), -math.log(5e-13), 8192)
 _NEWTON_CERT = 1e-15
+# the quantile's upper clip on p: nearer 1 the CDF's rounding leaves too few digits of 1 - p
+_P_MAX = 1.0 - 1e-14
 _QuantileTable = namedtuple("_QuantileTable", "s0 h log_x slope eps n_cert")
 
 
@@ -210,18 +212,17 @@ def _quantile_table(lam: float) -> _QuantileTable:
 def ncx2_quantile(p, params: Ncx2Params):
     """Inverse CDF for p in (0, 1); |cdf(quantile(p)) - p| stays below 1e-12.
 
-    p is clipped to 1 - 1e-14, nearer which the CDF's rounding leaves too
-    few digits of 1 - p.  At 2 dof, on the table's certified intervals, a
-    point takes one Newton step from the table (one CDF evaluation), kept
-    when its residual r meets r^2 <= _NEWTON_CERT p min(p, 1 - p); other
-    points, and every point at other dof, are _boost_quantile's, checked by
-    one CDF evaluation each: a miss past 1e-9 relative (p <= 1/2) or 1e-11
-    absolute raises.  Batch size never matters.
+    p is clipped to _P_MAX = 1 - 1e-14.  At 2 dof, on the table's certified
+    intervals, a point takes one Newton step from the table (one CDF
+    evaluation), kept when its residual r meets r^2 <= _NEWTON_CERT p
+    min(p, 1 - p); other points, and every point at other dof, are
+    _boost_quantile's, checked by one CDF evaluation each: a miss past 1e-9
+    relative (p <= 1/2) or 1e-11 absolute raises.  Batch size never matters.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("ncx2_quantile requires p in the open interval (0, 1)")
-    q = np.clip(arr.ravel(), 5e-324, 1.0 - 1e-14)
+    q = np.clip(arr.ravel(), 5e-324, _P_MAX)
     x = np.full(q.shape, np.nan)
     if params.dof == 2:
         lam = params.noncentrality

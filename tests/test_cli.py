@@ -9,7 +9,14 @@ import pytest
 
 from outagemc import ChannelConfig, RngStream, estimators
 from outagemc.cli import main
-from outagemc.experiment import DEFAULT_HYPER, METHODS, SpecError, load_spec, run_method
+from outagemc.experiment import (
+    DEFAULT_HYPER,
+    METHODS,
+    ExperimentSpec,
+    SpecError,
+    load_spec,
+    run_method,
+)
 
 GOOD_SPEC = """\
 [channel]
@@ -122,6 +129,30 @@ class TestLoadSpec:
                  "mls_target_cond_prob": mls["target_cond_prob"],
                  "mls_pilot_samples": mls["pilot_samples"]}
         assert {key: param.default for key, param in pairs.items()} == DEFAULT_HYPER
+
+
+class TestExperimentSpec:
+    CONFIG = ChannelConfig(M=4, m=2, mu=0.5, gamma_th=0.8)
+
+    def spec(self, **kwargs):
+        return ExperimentSpec(config=self.CONFIG, methods=("pis",), samples={"pis": 100},
+                              seed=1, **kwargs)
+
+    def test_partial_hyper_takes_the_defaults(self):
+        # missing keys are DEFAULT_HYPER's, in its key order (the sidecar's)
+        spec = self.spec(hyper={"mls_pilot_samples": 500, "rho": 0.5})
+        assert spec.hyper == DEFAULT_HYPER | {"rho": 0.5, "mls_pilot_samples": 500}
+        assert list(spec.hyper) == list(DEFAULT_HYPER)
+        assert self.spec().hyper == DEFAULT_HYPER
+
+    def test_unknown_hyper_key(self):
+        with pytest.raises(SpecError, match="unknown hyper key.*'tau'"):
+            self.spec(hyper={**DEFAULT_HYPER, "tau": 3})
+
+    def test_unknown_method_in_samples(self):
+        with pytest.raises(SpecError, match=re.escape("unknown method(s) ['qmc']")):
+            ExperimentSpec(config=self.CONFIG, methods=("pis",),
+                           samples={"pis": 100, "qmc": 100}, seed=1)
 
 
 class TestRunMethod:

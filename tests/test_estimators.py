@@ -855,6 +855,41 @@ class TestSampleCount:
             with pytest.raises(ValueError, match="S must be >= 2"):
                 runner(cfg, S, RngStream(3))
 
+    @pytest.mark.parametrize("method,name,bad", [
+        (method, name, bad)
+        for method, least in estimators.LEAST.items()
+        for name, low in least.items()
+        for bad in ((0.0, 1.0) if low is None else (low - 1,))])
+    def test_every_minimum_checked_before_sampling(self, method, name, bad, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError(f"sampled although {name} = {bad}")
+
+        for target in ("_run_blocks", "_map_ordered", "_pis_rows", "mls_pilot_levels"):
+            monkeypatch.setattr(estimators, target, no_sampling)
+        least = estimators.LEAST[method]
+        size = next(iter(least))
+        kwargs = {size: least[size], name: bad}
+        cfg = ChannelConfig(M=4, m=2, mu=0.5, gamma_th=2.0)
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {bad}$"):
+            ESTIMATORS[method](cfg, rng=RngStream(3), **kwargs)
+
+    @pytest.mark.parametrize("name,bad", [("pilot_samples", 99), ("target_cond_prob", 1.0)])
+    def test_pilot_levels_check_the_mls_minimums(self, name, bad):
+        cfg = ChannelConfig(M=4, m=2, mu=0.5, gamma_th=2.0)
+        kwargs = {"pilot_samples": 100, "target_cond_prob": 0.2, name: bad}
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {bad}$"):
+            mls_pilot_levels(cfg, rng=RngStream(3), **kwargs)
+
+    def test_results_stamped_by_the_frame(self):
+        assert ESTIMATORS.keys() == estimators.LEAST.keys()
+        kwargs = {"ce": {"S0": 2000}, "mls": {"replications": 3, "pilot_samples": 500}}
+        rng = RngStream(17, 4)
+        for method, fn in ESTIMATORS.items():
+            assert fn.__name__ == f"estimate_{method}"
+            result = fn(SMALL, 100 if method == "mls" else 2000, rng, **kwargs.get(method, {}))
+            assert (result.method, result.seed) == (method, rng.seed)
+            assert result.wall_time_s > 0.0
+
 
 class TestWorkerDeterminism:
     @pytest.fixture(autouse=True)
