@@ -23,9 +23,10 @@ method in ESTIMATORS and its argument minimums in LEAST, checks those
 arguments, times the body and stamps its EstimateResult, so wall_time_s
 runs from the end of the checks to the end of the reduction for every
 method.  Bodies run a kernel over fixed-size blocks on up to `workers`
-threads, each block on its own child stream (_run_blocks; mls: one per
-replication, in fixed groups), so a seed gives the same results for any
-worker count.
+threads, each block on its own child stream, and blocks combine in one
+place, _run_blocks, which adds the kernels' tuples of sums in block order
+(mls: one stream per replication, in fixed groups), so a seed gives the same
+results for any worker count.
 """
 
 from __future__ import annotations
@@ -113,9 +114,8 @@ class MlsSchedule:
 class PartitionPlan:
     """Equal-mean blocks covering all M branches, plus the conditioning probability."""
 
-    blocks: tuple  # (start, size) per block
     ell2: float
-    bounds: tuple  # MellBound per block
+    bounds: tuple  # MellBound per block, in column order
 
     def __post_init__(self):
         if not 0.0 < self.ell2 <= 1.0:
@@ -134,26 +134,20 @@ def build_partition_plan(config: ChannelConfig) -> PartitionPlan:
     """
     M, m, g = config.M, config.m, config.gamma_th
     mu = config.mu_array
-    q, r = divmod(M, m)
-    sizes = [m] * q + ([r] if r else [])
-    blocks = []
     bounds = []
-    start = 0
-    for size in sizes:
-        seg = mu[start:start + size]
+    for start in range(0, M, m):
+        seg = mu[start:start + m]
         if np.ptp(seg) != 0.0:
             raise ValueError("PIS requires blockwise-identical means")
-        blocks.append((start, size))
-        bounds.append(compute_m_ell(float(seg[0]), size, g))
-        start += size
+        bounds.append(compute_m_ell(float(seg[0]), seg.size, g))
     ell2 = math.prod(math.exp(b.log_block_cdf) for b in bounds)
     if ell2 < np.finfo(float).tiny:
         raise _underflow(f"ell2 underflows to {ell2!r} at gamma_th={g!r}")
-    return PartitionPlan(blocks=tuple(blocks), ell2=float(ell2), bounds=tuple(bounds))
+    return PartitionPlan(ell2=float(ell2), bounds=tuple(bounds))
 
 
 # ---------------------------------------------------------------------------
-# block dispatch and the two shared reductions
+# block dispatch and reduction, and the two estimates from the totals
 
 
 def _map_ordered(fn, tasks, workers: int):
@@ -163,16 +157,18 @@ def _map_ordered(fn, tasks, workers: int):
     return [fn(t) for t in tasks]
 
 
-def _run_blocks(kernel, total, rng: RngStream, workers: int, first: int = 0) -> list:
-    """kernel(rng.child(first + i).generator(), n) for blocks of BLOCK_SIZE covering `total`.
+def _run_blocks(kernel, total, rng: RngStream, workers: int, first: int = 0) -> tuple:
+    """Field-wise totals of the tuples kernel(rng.child(first + i).generator(), n)
+    over blocks of BLOCK_SIZE covering `total`.
 
-    Blocks run on up to `workers` threads, each on its own child stream, so
-    the results, returned in block order, do not depend on the worker count.
+    Blocks run on up to `workers` threads, each on its own child stream, and
+    are added in block order, so the totals do not depend on the worker count.
     """
     full, rem = divmod(total, BLOCK_SIZE)
     sizes = [BLOCK_SIZE] * full + ([rem] if rem else [])
-    return _map_ordered(lambda i: kernel(rng.child(first + i).generator(), sizes[i]),
-                        range(len(sizes)), workers)
+    parts = _map_ordered(lambda i: kernel(rng.child(first + i).generator(), sizes[i]),
+                         range(len(sizes)), workers)
+    return tuple(map(sum, zip(*parts)))
 
 
 def _outage(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
@@ -280,21 +276,18 @@ def _selection(ell: float, hits: int, S: int):
     return p, var
 
 
-def _weighted(parts, S: int):
-    """(p_hat, var_hat, hits) from per-block (sum w, sum w^2, hits).
+def _weighted(total: float, total_sq: float, hits: int, S: int):
+    """(p_hat, var_hat) from the sums of w and w^2 over S >= 2 samples.
 
-    p_hat is the mean likelihood ratio over all S >= 2 samples and var_hat
-    its sample variance.  A hit whose weight or squared weight underflowed
-    leaves p_hat = 0 or sum w^2 = 0, which would report a silent zero.
+    p_hat is the mean likelihood ratio and var_hat its sample variance.  A
+    hit whose weight or squared weight underflowed leaves p_hat = 0 or
+    sum w^2 = 0, which would report a silent zero.
     """
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    hits = sum(p[2] for p in parts)
     p = total / S
     if hits and (p == 0.0 or total_sq == 0.0):
         raise _underflow(f"{hits} hits give sum w={total!r}, sum w^2={total_sq!r}")
     var = max((total_sq - S * p * p) / (S - 1), 0.0)
-    return p, var, hits
+    return p, var
 
 
 def _lr_sums(config: ChannelConfig, x: np.ndarray, log_lr):
@@ -357,14 +350,14 @@ def _estimator(**least):
 
 def _nmc_block(config: ChannelConfig, gen, n: int):
     x = _nominal_rows(config.mu_array, gen, n)
-    return int(np.count_nonzero(_outage(config, x)))
+    return (int(np.count_nonzero(_outage(config, x))),)
 
 
 @_estimator(S=1)
 def estimate_nmc(config: ChannelConfig, S: int, rng: RngStream,
                  workers: int = 1) -> EstimateResult:
     """Naive MC: hit fraction of the outage event under the nominal law."""
-    hits = sum(_run_blocks(partial(_nmc_block, config), S, rng, workers))
+    hits, = _run_blocks(partial(_nmc_block, config), S, rng, workers)
     return *_selection(1.0, hits, S), S, S, {"hits": hits}
 
 
@@ -374,7 +367,7 @@ def estimate_nmc(config: ChannelConfig, S: int, rng: RngStream,
 
 def _uis_block(config: ChannelConfig, k: np.ndarray, gen, n: int):
     u = gen.random((n, config.M))
-    return int(np.count_nonzero(_outage_at(config, k * u)))
+    return (int(np.count_nonzero(_outage_at(config, k * u))),)
 
 
 @_estimator(S=1)
@@ -391,7 +384,7 @@ def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
     ell1 = math.prod(k.tolist())
     if ell1 < np.finfo(float).tiny:
         raise _underflow(f"ell1 underflows to {ell1!r}")
-    hits = sum(_run_blocks(partial(_uis_block, config, k), S, rng, workers))
+    hits, = _run_blocks(partial(_uis_block, config, k), S, rng, workers)
     return *_selection(ell1, hits, S), S, S, {"ell1": ell1, "hit_fraction": hits / S}
 
 
@@ -402,12 +395,13 @@ def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
 def _pis_rows(config: ChannelConfig, plan: PartitionPlan, gen, n: int):
     """(x, proposals): n rows of the nominal law conditioned on the partition event."""
     x = np.empty((n, config.M))
-    proposals = 0
-    for (start, size), bnd in zip(plan.blocks, plan.bounds):
-        rows, used = _pis_block_rows(bnd.block_mu, size, config.gamma_th,
-                                     gen, n, bound=bnd)
+    proposals = start = 0
+    for bnd in plan.bounds:
+        size = bnd.block_size
+        rows, used = _pis_block_rows(bnd.block_mu, size, config.gamma_th, gen, n, bound=bnd)
         x[:, start:start + size] = rows
         proposals += used
+        start += size
     return x, proposals
 
 
@@ -426,16 +420,14 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
     cheaper exact rejection that compute_m_ell picks for it.
     """
     plan = build_partition_plan(config)
-    parts = _run_blocks(partial(_pis_block, config, plan), S, rng, workers)
-    hits = sum(h for h, _ in parts)
-    proposals = sum(pr for _, pr in parts)
+    hits, proposals = _run_blocks(partial(_pis_block, config, plan), S, rng, workers)
     return *_selection(plan.ell2, hits, S), S, S, {
         "ell2": plan.ell2,
         "hit_fraction": hits / S,
         "m_ell": [b.value for b in plan.bounds],
         "proposal": [b.proposal for b in plan.bounds],
         "proposals": proposals,
-        "acceptance_rate": (S * len(plan.blocks) / proposals) if proposals else 1.0,
+        "acceptance_rate": (S * len(plan.bounds) / proposals) if proposals else 1.0,
     }
 
 
@@ -463,8 +455,8 @@ def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
     exponential with mean gamma_th / M; the likelihood ratio is accumulated
     in log space and exponentiated once per outage sample.
     """
-    p, var, hits = _weighted(_run_blocks(partial(_et_block, config), S, rng, workers), S)
-    return p, var, S, S, {"hit_rate": hits / S}
+    total, total_sq, hits = _run_blocks(partial(_et_block, config), S, rng, workers)
+    return *_weighted(total, total_sq, hits, S), S, S, {"hit_rate": hits / S}
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +598,9 @@ def estimate_ce(config: ChannelConfig, S: int, rng: RngStream,
     elite, w = _elite_weights(x, h, g, nominal, v)
     vfin = ce_update(elite, w)
     trace.append({"iteration": len(trace), "gamma_t": g, "v1": vfin.v1, "v2": vfin.v2})
-    parts = _run_blocks(partial(_ce_final_block, config, nominal, vfin), S, rng,
-                        workers, first=1)
-    p, var, hits = _weighted(parts, S)
-    return p, var, S, S + S0 * (len(trace) - 1), {
+    total, total_sq, hits = _run_blocks(partial(_ce_final_block, config, nominal, vfin), S,
+                                        rng, workers, first=1)
+    return *_weighted(total, total_sq, hits, S), S, S + S0 * (len(trace) - 1), {
         "trace": trace, "hit_rate": hits / S,
         "v_final": {"v1": vfin.v1, "v2": vfin.v2}, "pilot_hits": elite.shape[0]}
 

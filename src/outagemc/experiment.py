@@ -93,6 +93,9 @@ class ExperimentSpec:
         bad = [m for m in dict.fromkeys((*self.methods, *self.samples)) if m not in METHODS]
         if bad:
             raise SpecError(f"unknown method(s) {bad}; choose from {METHODS}")
+        bad = [m for m in self.methods if m not in self.samples]
+        if bad:
+            raise SpecError(f"method(s) {bad} have no sample count in samples")
         bad = [key for key in self.hyper if key not in _HYPER_ARGS]
         if bad:
             raise SpecError(f"unknown hyper key(s) {bad}; choose from {tuple(_HYPER_ARGS)}")

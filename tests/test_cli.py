@@ -154,6 +154,13 @@ class TestExperimentSpec:
             ExperimentSpec(config=self.CONFIG, methods=("pis",),
                            samples={"pis": 100, "qmc": 100}, seed=1)
 
+    def test_listed_method_without_samples(self):
+        # load_spec fills every listed method's count; a spec built in code
+        # that lists one without a count used to fail later with a KeyError
+        with pytest.raises(SpecError, match=re.escape("method(s) ['et'] have no sample count")):
+            ExperimentSpec(config=self.CONFIG, methods=("pis", "et"),
+                           samples={"pis": 100}, seed=1)
+
 
 class TestRunMethod:
     def test_hyper_values_reach_their_keywords(self, monkeypatch):

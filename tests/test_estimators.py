@@ -98,7 +98,7 @@ class TestPis:
         # different means across blocks are fine if constant within each
         cfg = ChannelConfig(M=4, m=2, mu=(0.5, 0.5, 0.9, 0.9), gamma_th=0.8)
         plan = build_partition_plan(cfg)
-        assert [b[1] for b in plan.blocks] == [2, 2]
+        assert [b.block_size for b in plan.bounds] == [2, 2]
         r = estimate_pis(cfg, 100_000, RngStream(7))
         ref = estimate_nmc(cfg, 2_000_000, RngStream(8))
         se = combined_se(r, r2_var=ref.var_hat, r2_n=ref.samples)
@@ -107,7 +107,17 @@ class TestPis:
     def test_remainder_block(self):
         cfg = ChannelConfig(M=7, m=3, mu=0.4, gamma_th=0.9)
         plan = build_partition_plan(cfg)
-        assert [b[1] for b in plan.blocks] == [3, 3, 1]
+        assert [b.block_size for b in plan.bounds] == [3, 3, 1]
+
+    def test_blocks_land_in_their_columns(self):
+        # H is symmetric in the coordinates, so no estimate can tell a block
+        # written to the wrong columns; branch means 1 + mu^2 can
+        cfg = ChannelConfig(M=5, m=2, mu=(0.2, 0.2, 3.0, 3.0, 1.0), gamma_th=60.0)
+        plan = build_partition_plan(cfg)
+        assert [(b.block_mu, b.block_size) for b in plan.bounds] == [(0.2, 2), (3.0, 2), (1.0, 1)]
+        x, _ = estimators._pis_rows(cfg, plan, RngStream(12).generator(), 4000)
+        means = x.mean(axis=0)
+        assert max(means[:2]) < means[4] < min(means[2:4])
 
     def test_ell2_below_ell1(self, small_reference):
         # the partition event implies the per-branch event
@@ -972,15 +982,21 @@ class TestWorkerDeterminism:
         assert a.diagnostics == b.diagnostics
 
     def test_blocks_in_order(self):
-        # each block draws from its own child stream, counted from `first`
+        # each block draws from its own child stream, counted from `first`,
+        # and the blocks' sums are added field by field in block order
         sizes = [estimators.BLOCK_SIZE] * 3 + [1000]
         rng = RngStream(31)
 
         def kernel(gen, n):
             return n, gen.random()
 
-        assert estimators._run_blocks(kernel, sum(sizes), rng, 3, first=2) == [
-            (n, rng.child(2 + i).generator().random()) for i, n in enumerate(sizes)]
+        rows = draws = 0
+        for i, n in enumerate(sizes):
+            rows += n
+            draws += rng.child(2 + i).generator().random()
+        for workers in (1, 3):
+            assert estimators._run_blocks(kernel, sum(sizes), rng, workers,
+                                          first=2) == (rows, draws)
 
 
 def _counts(r):
