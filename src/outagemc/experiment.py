@@ -113,8 +113,11 @@ class ExperimentSpec:
             vals = tuple(float(v) for v in self.sweep_values)
             if not vals:
                 raise SpecError("sweep.values must be nonempty")
-            if any(v <= 0 for v in vals):
-                raise SpecError("sweep.values must be positive")
+            for v in vals:  # ChannelConfig's own checks: mu >= 0, gamma_th > 0
+                try:
+                    self.config.replace(**{self.sweep_axis: v})
+                except ValueError as exc:
+                    raise SpecError(f"invalid sweep.values {v!r}: {exc}") from None
             if list(vals) != sorted(vals) and list(vals) != sorted(vals, reverse=True):
                 raise SpecError("sweep.values must be sorted")
             self.sweep_values = vals

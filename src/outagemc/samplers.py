@@ -28,7 +28,8 @@ from .specfun import (
 # signals a bound-formula bug
 _LOG_RATIO_SLACK = 1e-9
 _MAX_PROPOSAL_ROWS = 1 << 20
-# one simplex proposal costs about two tilted ones (2.0-2.5 measured at theta = 0, n = 1-8)
+# a simplex trial costs about two tilted ones at theta = 0 (1.8-2.5, n = 1-8, mu > 1) and
+# 0.9-1.8 at mu <= 1, where the squeeze spares its density; lowering it would change draws
 _SIMPLEX_COST = 2.0
 
 
@@ -141,7 +142,9 @@ def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def _simplex_rows(n: int, gamma_th: float, gen, rows: int) -> np.ndarray:
     """rows draws, uniform over {x_i >= 0, sum x_i <= gamma_th}."""
     e = gen.standard_exponential((rows, n + 1))
-    return gamma_th * e[:, :n] / e.sum(axis=1, keepdims=True)
+    x = gamma_th * e[:, :n]
+    x /= e.sum(axis=1, keepdims=True)
+    return x
 
 
 @lru_cache(maxsize=64)
@@ -219,12 +222,15 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     the total number of trials consumed.  bound.proposal picks the exact
     rejection: "simplex" draws uniformly from the solid simplex and accepts
     with probability f / (M_ell g), ln f being the row sum of _log_density
-    less ln F; "tilted" draws n coordinates from the branch law tilted by
-    e^{-theta x}, which is _scaled_ncx2_rows at v1 = u / 2, v2 = 2 mu^2 u
-    with u = 1 / (1 + theta), and accepts a row of sum S when S <= gamma_th
-    and a uniform is at most e^{theta (S - gamma_th)}.  At theta = 0 that is
-    the nominal law accepted on its sum, with no uniform drawn.  Proposals
-    are generated in batches sized to the expected need (M_ell or B / F per
+    less ln F; closed-form bounds on that ratio (a squeeze, Marsaglia 1977)
+    accept most rows, and check f <= M_ell g where they can, without the
+    Bessel density, deciding as the exact test does, uniform for uniform.
+    "tilted" draws n coordinates from the branch law tilted by e^{-theta x},
+    which is _scaled_ncx2_rows at v1 = u / 2, v2 = 2 mu^2 u with
+    u = 1 / (1 + theta), and accepts a row of sum S when S <= gamma_th and a
+    uniform is at most e^{theta (S - gamma_th)}.  At theta = 0 that is the
+    nominal law accepted on its sum, with no uniform drawn.  Proposals are
+    generated in batches sized to the expected need (M_ell or B / F per
     acceptance).  Raises if the density ratio ever exceeds the bound or if
     the trial budget of 1e4 trials per expected acceptance is exhausted.
     """
@@ -235,6 +241,18 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     # ln(F g M_ell), with F the block-sum CDF that normalizes f
     log_fgm = (bound.log_block_cdf + float(special.gammaln(n + 1)) - n * math.log(gamma_th)
                + bound.log_value)
+
+    def log_ratio(x):
+        return _log_density(x, 0.5, 2.0 * mu * mu).sum(axis=1) - log_fgm
+
+    # 1 <= I0(z) <= e^{z^2 / 4} puts each coordinate's -x + ln I0(2 mu sqrt x) in
+    # [-x, (mu^2 - 1) x], so on the simplex ln f/(M_ell g) lies in [lo, hi], both
+    # widened by far more than the exact ratio's rounding
+    pad = 1e-12 * (1.0 + abs(log_fgm) + n * (mu + math.sqrt(gamma_th)) ** 2)
+    lo = -gamma_th - n * mu * mu - log_fgm - pad
+    hi = max(mu * mu - 1.0, 0.0) * gamma_th - n * mu * mu - log_fgm + pad
+    squeeze = math.exp(min(lo, 0.0))  # a uniform at most this is accepted on the bound alone
+    certified = hi <= _LOG_RATIO_SLACK  # then no row can fail the exact check
     out = np.empty((count, n))
     filled = 0
     proposals = 0
@@ -252,13 +270,16 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
                 accept[cand] = gen.random(cand.size) <= np.exp(theta * (s[cand] - gamma_th))
         else:
             x = _simplex_rows(n, gamma_th, gen, rows)
-            log_ratio = _log_density(x, 0.5, 2.0 * mu * mu).sum(axis=1) - log_fgm
-            worst = float(log_ratio.max())
-            if worst > _LOG_RATIO_SLACK:
+            exact = None if certified else log_ratio(x)
+            if exact is not None and (worst := float(exact.max())) > _LOG_RATIO_SLACK:
                 raise RejectionStalledError(
                     f"rejection bound violated: log f/(M g) = {worst:.3e} > 0 "
                     f"(mu={mu}, n={n}, gamma_th={gamma_th})")
-            accept = gen.random(rows) <= np.exp(log_ratio)
+            uniform = gen.random(rows)
+            accept = uniform <= squeeze
+            rest = np.flatnonzero(~accept)
+            accept[rest] = uniform[rest] <= np.exp(
+                log_ratio(x[rest]) if exact is None else exact[rest])
         acc = np.flatnonzero(accept)
         kept = acc[:want]
         out[filled:filled + kept.size] = x[kept]

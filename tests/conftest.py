@@ -5,7 +5,8 @@ small functions the package itself does not call: the scalar top-m sum,
 P(a, x), the general-dof density and its log, Marcum Q (the upper-tail
 cross-check of ncx2_cdf), the CE fit and the branch-density mode by
 brentq, mls replications run one at a time, the paper's three-branch
-rejection constant and its large-mean asymptote.
+rejection constant and its large-mean asymptote, and pis's simplex
+rejection with the exact density on every proposal.
 Test modules import them with ``from conftest import ...``.
 """
 
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 from scipy import optimize, special, stats
 
-from outagemc.specfun import Ncx2Params, ncx2_logcdf
+from outagemc.samplers import _LOG_RATIO_SLACK, _MAX_PROPOSAL_ROWS
+from outagemc.specfun import Ncx2Params, _log_density, ncx2_logcdf
 
 
 def _log_branch_density(x, mu):
@@ -285,3 +287,30 @@ def m_ell_asymptotic(mu: float, n: int, gamma_th: float) -> float:
         return math.exp(log_m_ell_asymptotic(mu, n, gamma_th))
     except OverflowError:
         return math.inf
+
+
+def pis_simplex_rows_exact(mu, n, gamma_th, gen, count, bound):
+    """(samples, proposals) of _pis_block_rows's simplex rejection, density on every row.
+
+    Each batch, sized as the sampler sizes it, takes ln f/(M_ell g) from
+    _log_density on every uniform simplex draw, checks it against the bound
+    and then tests it against one uniform per draw: the exact test whose
+    decisions the sampler's squeeze must reproduce.
+    """
+    log_fgm = (bound.log_block_cdf + float(special.gammaln(n + 1)) - n * math.log(gamma_th)
+               + bound.log_value)
+    out = np.empty((count, n))
+    filled = proposals = 0
+    while filled < count:
+        want = count - filled
+        rows = min(max(256, int(math.ceil(want * bound.value * 1.15))), _MAX_PROPOSAL_ROWS)
+        e = gen.standard_exponential((rows, n + 1))
+        x = gamma_th * e[:, :n] / e.sum(axis=1, keepdims=True)
+        log_ratio = _log_density(x, 0.5, 2.0 * mu * mu).sum(axis=1) - log_fgm
+        assert log_ratio.max() <= _LOG_RATIO_SLACK, "rejection bound violated"
+        acc = np.flatnonzero(gen.random(rows) <= np.exp(log_ratio))
+        kept = acc[:want]
+        out[filled:filled + kept.size] = x[kept]
+        filled += kept.size
+        proposals += int(kept[-1]) + 1 if acc.size > want else rows
+    return out, proposals

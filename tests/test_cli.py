@@ -96,6 +96,10 @@ class TestLoadSpec:
         (lambda t: t + "mls_pilot_samples = 99\n",
          "hyper.mls_pilot_samples must be >= 100, got 99"),
         (lambda t: t + "\n[sweep]\nvalues = 0.8, 0.5\n", "sweep.axis"),
+        (lambda t: t + "\n[sweep]\naxis = gamma_th\nvalues = 0.8, 0\n",
+         "invalid sweep.values 0.0: gamma_th must be finite and > 0"),
+        (lambda t: t + "\n[sweep]\naxis = mu\nvalues = -0.5, 0.5\n",
+         "invalid sweep.values -0.5: all mu_i must be finite and >= 0"),
         (lambda t: t.replace("gamma_th = 0.8\n", ""), "missing required key [channel] gamma_th"),
         (lambda t: t.replace("s0 = 10000", "s0 = 1.5"), "invalid value for [hyper] s0"),
         (lambda t: t + "rho = abc\n", "invalid value for [hyper] rho"),
@@ -394,6 +398,16 @@ class TestSweepCommand:
         results = json.loads((out / "sweep_scv.json").read_text())["results"]
         assert [(r["axis_value"], r["config"]["mu"]) for r in results] == [
             (v, [v] * 4) for v in (0.3, 0.3, 0.5, 0.5)]
+
+    def test_mean_sweep_from_rayleigh(self, tmp_path):
+        # mu = 0 is Rayleigh fading, which every estimator accepts
+        text = GOOD_SPEC.replace("samples = 50000", "samples = 20000")
+        text += "\n[sweep]\naxis = mu\nvalues = 0, 0.5\n"
+        out = tmp_path / "out"
+        assert main(["sweep", str(write(tmp_path, text)), "--out-dir", str(out)]) == 0
+        results = json.loads((out / "sweep_scv.json").read_text())["results"]
+        assert [(r["axis_value"], r["method"]) for r in results] == [
+            (0.0, "pis"), (0.0, "et"), (0.5, "pis"), (0.5, "et")]
 
     def test_requires_sweep_section(self, tmp_path):
         spec = write(tmp_path, GOOD_SPEC)

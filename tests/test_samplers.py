@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from conftest import branch_mode_brentq, log_m_ell_paper
+from conftest import branch_mode_brentq, log_m_ell_paper, pis_simplex_rows_exact
+from outagemc import samplers
 from outagemc.model import ChannelConfig
 from outagemc.samplers import (
     RejectionStalledError,
@@ -395,9 +396,46 @@ class TestPisBlockSampler:
         good = compute_m_ell(0.5, 4, 1.0)
         forged = replace(good, value=good.value / 1.5,
                          log_value=good.log_value - np.log(1.5))
-        with pytest.raises(RejectionStalledError):
+        # at mu <= 1 the closed-form bound cannot certify it, so the exact check runs
+        with pytest.raises(RejectionStalledError, match="bound violated"):
             _pis_block_rows(0.5, 4, 1.0, RngStream(19).generator(), 5000,
                             bound=forged)
+
+    @pytest.mark.parametrize("mu,n,gamma,count", [
+        (0.5, 2, 0.1, 20_000),   # subset's block
+        (0.5, 4, 1.0, 20_000),   # DENSE's block
+        (0.5, 7, 1.0, 5_000),
+        (0.5, 8, 1.0, 5_000),
+        (0.0, 3, 0.5, 5_000),
+        (1.0, 3, 0.5, 5_000),    # mu = 1 exactly
+        (1.8, 2, 6.0, 5_000),    # mu > 1: the bound cannot certify, every row is checked
+    ])
+    def test_squeeze_keeps_exact_draws(self, mu, n, gamma, count):
+        # accepting on closed-form bounds of f/(M_ell g) makes the same
+        # decisions as the exact density on every proposal
+        bound = replace(compute_m_ell(mu, n, gamma), proposal="simplex")
+        gen, ref = RngStream(63).generator(), RngStream(63).generator()
+        rows, proposals = _pis_block_rows(mu, n, gamma, gen, count, bound=bound)
+        want, want_proposals = pis_simplex_rows_exact(mu, n, gamma, ref, count, bound)
+        assert np.array_equal(rows, want)
+        assert proposals == want_proposals
+        assert gen.random() == ref.random()
+
+    def test_squeeze_spares_the_density(self, monkeypatch):
+        # on subset's block, M_ell = 1.05 and the lower bound e^{-gamma_th}
+        # alone accepts ~90% of proposals: few reach the exact density
+        density_rows = []
+
+        def counted(x, v1, v2):
+            density_rows.append(x.shape[0])
+            return _log_density(x, v1, v2)
+
+        bound = compute_m_ell(0.5, 2, 0.1)
+        assert bound.proposal == "simplex"
+        monkeypatch.setattr(samplers, "_log_density", counted)
+        _, proposals = _pis_block_rows(0.5, 2, 0.1, RngStream(64).generator(), 20_000,
+                                       bound=bound)
+        assert 0 < sum(density_rows) <= 0.15 * proposals
 
     def test_forged_large_mean_bound_trips_guard(self):
         # 1% below the supremum, where the simplex reaches the density mode
