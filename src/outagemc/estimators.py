@@ -176,7 +176,10 @@ def _outage(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
     return gsc_statistic_rows(x, config.m) <= config.gamma_th
 
 
-_Screen = namedtuple("_Screen", "k levels weights tol groups")
+_Screen = namedtuple("_Screen", "k levels tol groups")
+# w * _BYTE_SUM >> 56 sums the bytes of a uint64 word w whose bytes are each
+# 0 or 1 (Warren, Hacker's Delight, 2nd ed., ch. 5)
+_BYTE_SUM = np.uint64(0x0101010101010101)
 
 
 @lru_cache(maxsize=64)
@@ -185,15 +188,13 @@ def _screen(config: ChannelConfig) -> _Screen:
 
     groups holds, sorted by mean, one (mean, column indices, quantile table)
     per set of equal-mean branches; _outage_at reads its doubt off them.
-    k_j = F_j(gamma_th) is uis's truncation point.  The three rows of
-    levels are F_j at gamma_th/m (1 - tol), gamma_th/m (1 + tol) and
-    gamma_th (1 + tol), with tol the table decision's band (the largest
-    group table eps plus a few ulps per summand of H); an upper level
-    past the quantile's clip at _P_MAX, or any level of an uncertified
-    table, is made one that decides nothing.  weights turn a row's
-    comparisons into _outage_at's count s; their dtype is the smallest
-    unsigned one that holds the largest s, so the row-sum casts the
-    comparisons to at most that width.  All arrays are read-only.
+    k_j = F_j(gamma_th) is uis's truncation point.  The three levels are
+    F_j at gamma_th/m (1 - tol), gamma_th/m (1 + tol) and gamma_th (1 + tol),
+    with tol the table decision's band (the largest group table eps plus a
+    few ulps per summand of H); an upper level past the quantile's clip at
+    _P_MAX, or any level of an uncertified table, is made one that decides
+    nothing.  Each level is a float where every branch shares it, else an
+    (M,) row.  All arrays are read-only.
     """
     M, m, g = config.M, config.m, config.gamma_th
     mu = config.mu_array
@@ -209,11 +210,10 @@ def _screen(config: ChannelConfig) -> _Screen:
         if math.isfinite(tol):
             levels[:, cols] = ncx2_cdf(x, params)[:, None]
     levels[1:][levels[1:] > _P_MAX] = np.inf
-    weights = np.repeat([1, M + 1, m * (M + 1)], M)
-    weights = weights.astype(np.min_scalar_type(weights.sum()))
-    for a in (k, levels, weights):
+    for a in (k, levels):
         a.setflags(write=False)
-    return _Screen(k, levels, weights, tol, groups)
+    levels = tuple(float(row[0]) if (row == row[0]).all() else row for row in levels)
+    return _Screen(k, levels, tol, groups)
 
 
 def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
@@ -221,10 +221,11 @@ def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
 
     F_j^{-1} increases, so p_j against F_j at a level places x_j against
     that level.  No x_j above gamma_th/m puts H at most gamma_th; m of them
-    above gamma_th/m, or one above gamma_th, puts H above.  One comparison
-    and one weighted row-sum give s = #(p_j > level 0) + (M + 1) #(p_j >
-    level 1) + m (M + 1) #(p_j > level 2), so s = 0 means outage and
-    s >= m (M + 1) means none.
+    above gamma_th/m, or one above gamma_th, puts H above.  With c_i the
+    number of p_j past level i, c0 = 0 means outage, and c1 >= m or c2 > 0
+    means none.  Each level's comparisons fill one zeroed bool buffer whose
+    rows are padded to whole uint64 words, so a row's c0 = 0 and c2 > 0 are
+    tests of its words against zero, and its c1 sums each word's bytes.
 
     The levels sit a relative tol, the table band, outside gamma_th/m and
     gamma_th.  The exact inverse inverts the same CDF that gives the levels:
@@ -244,16 +245,26 @@ def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
     """
     scr = _screen(config)
     n, M = p.shape
-    s = (p[:, None, :] > scr.levels).reshape(n, 3 * M).view(np.uint8) @ scr.weights
-    mask = s == 0
-    doubt = ~mask & (s < config.m * (M + 1))
+    m = config.m
+    past = np.zeros((n, -(-M // 8) * 8), dtype=bool)
+    words = past.view(np.uint64)
+    np.greater(p, scr.levels[0], out=past[:, :M])
+    mask = ~words.any(axis=1)
+    np.greater(p, scr.levels[1], out=past[:, :M])
+    doubt = ~mask & ((words * _BYTE_SUM >> 56).sum(axis=1) < m)
+    np.greater(p, scr.levels[2], out=past[:, :M])
+    doubt &= ~words.any(axis=1)
     if doubt.any():
         q = p[doubt]
-        top = []
-        for _, cols, tab in scr.groups:
-            k = min(config.m, cols.size)
-            top.append(0.5 * _table_value(tab, np.partition(q[:, cols], -k, axis=1)[:, -k:]))
-        h = gsc_statistic_rows(np.hstack(top), config.m)
+        if len(scr.groups) == 1:  # every column: no column copy, no stacking
+            x = 0.5 * _table_value(scr.groups[0][2], np.partition(q, -m, axis=1)[:, -m:])
+        else:
+            top = []
+            for _, cols, tab in scr.groups:
+                k = min(m, cols.size)
+                top.append(0.5 * _table_value(tab, np.partition(q[:, cols], -k, axis=1)[:, -k:]))
+            x = np.hstack(top)
+        h = gsc_statistic_rows(x, m)
         hit = h <= config.gamma_th * (1.0 - scr.tol)
         band = ~hit & ~(h > config.gamma_th * (1.0 + scr.tol))
         if band.any():
@@ -664,16 +675,15 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
     gen = rng.generator()
     work = 0
 
-    def cond_fraction(dt):
+    def advance(dt):
         nonlocal work
         work += pilot_samples
-        g_mat, mask = _mls_advance(config, [gen], [g_surv], dt, pilot_samples)
-        return float(np.mean(mask)), g_mat[mask]
+        return _mls_advance(config, [gen], [g_surv], dt, pilot_samples)
 
     levels, fractions = [0.0], []
     g_surv, t = None, 0.0
     for _ in range(200):
-        frac_end, _ = cond_fraction(1.0 - t)
+        frac_end = float(np.mean(advance(1.0 - t)[1]))
         if frac_end >= target_cond_prob:
             levels.append(1.0)
             fractions.append(max(frac_end, 1.0 / pilot_samples))
@@ -681,9 +691,10 @@ def mls_pilot_levels(config: ChannelConfig, pilot_samples: int,
         lo, hi = t, 1.0
         while hi - lo > 1e-3:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if cond_fraction(mid - t)[0] >= target_cond_prob else (lo, mid)
+            lo, hi = (mid, hi) if np.mean(advance(mid - t)[1]) >= target_cond_prob else (lo, mid)
         t_next = max(lo, t + 1e-3)
-        frac, g_surv = cond_fraction(t_next - t)
+        g_mat, mask = advance(t_next - t)  # only the chosen level keeps its survivors
+        frac, g_surv = float(np.mean(mask)), g_mat[mask]
         if g_surv.shape[0] == 0:
             raise RuntimeError("pilot produced no survivors; increase pilot_samples")
         levels.append(t_next)

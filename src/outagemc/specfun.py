@@ -151,6 +151,8 @@ def _table_value(tab: _QuantileTable, q: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         u = (np.log(q) - np.log1p(-q) - tab.s0) / tab.h
     on = (u >= 0.0) & (u < tab.n_cert)
+    if on.all():
+        on = ...  # every point on the table: a view, not masked copies
     i = u[on].astype(np.intp)
     t = u[on] - i
     g, d, h = tab.log_x, tab.slope, tab.h

@@ -770,8 +770,13 @@ class TestOutageScreen:
         ChannelConfig(M=2, m=1, mu=0.0, gamma_th=34.0),  # k = 1 - 1.7e-15
         # groups of 3 above m = 2: the table reads each group's top 2 columns
         ChannelConfig(M=6, m=2, mu=(0.5, 0.5, 0.5, 2.3, 2.3, 2.3), gamma_th=3.0),
+        # past one 8-byte word of comparisons: a padded second word, with a
+        # level row per group, and two full words on one scalar level
+        ChannelConfig(M=12, m=3, mu=(0.5,) * 6 + (2.3,) * 6, gamma_th=3.0),
+        ChannelConfig(M=16, m=4, mu=0.5, gamma_th=0.5),
     ]
-    IDS = ["mixed", "m_eq_M", "m1", "subset", "los", "clip", "mixed_groups"]
+    IDS = ["mixed", "m_eq_M", "m1", "subset", "los", "clip", "mixed_groups", "two_words_groups",
+           "two_words"]
 
     @staticmethod
     def level_cdfs(cfg):
@@ -787,7 +792,7 @@ class TestOutageScreen:
         assert np.array_equal(estimators._outage_at(cfg, p), full)
         return full
 
-    @pytest.mark.parametrize("cfg", CONFIGS[:3] + CONFIGS[-1:], ids=IDS[:3] + IDS[-1:])
+    @pytest.mark.parametrize("cfg", CONFIGS[:3] + CONFIGS[-3:], ids=IDS[:3] + IDS[-3:])
     def test_matches_exact_inversion(self, cfg, monkeypatch):
         gen = np.random.default_rng(23)
         k = estimators._screen(cfg).k
@@ -797,7 +802,11 @@ class TestOutageScreen:
         assert (mls == 1.0).any()
         doubt = TestTableDecision.band_sizes(monkeypatch, "_table_value")
         full = [self.check(cfg, p) for p in (uis, mls)]
-        assert full[0].any() and full[1].any() and not full[1].all()
+        assert full[1].any() and not full[1].all()
+        # the two-word configs' uis rows hold under m branches above
+        # gamma_th/m with probability 2e-5 (M = 16) and 1.3e-4 (M = 12):
+        # 50,000 of them hold no outage, and the mls rows carry the hits
+        assert full[0].any() == (cfg.M <= 8)
         # m = 1 leaves no row in doubt; otherwise the screen passes some on,
         # but never one with a branch clearly past gamma_th
         assert (sum(doubt) == 0) == (cfg.m == 1)
@@ -1019,7 +1028,7 @@ def _counts(r):
 
 class TestReproducibility:
     """Outputs at one seed, pinned so that any change to child-stream
-    indices, draw order or reductions fails here."""
+    indices, draw order, reductions or outage decisions fails here."""
 
     @pytest.mark.parametrize("method,size,kwargs,p_hat,var_hat,counts", [
         ("nmc", 20_000, {}, 0.01045, 0.0103407975,
@@ -1040,7 +1049,28 @@ class TestReproducibility:
     ])
     def test_pinned_outputs(self, method, size, kwargs, p_hat, var_hat, counts):
         # the first ce row's 150 pis rows cannot end the walk: three stages
-        r = ESTIMATORS[method](SMALL, size, RngStream(2024), **kwargs)
+        self.check(SMALL, method, size, kwargs, p_hat, var_hat, counts)
+
+    MLS = {"replications": 4, "pilot_samples": 1_000}
+
+    @pytest.mark.parametrize("cfg,method,size,kwargs,p_hat,var_hat,counts", [
+        (TestOutageScreen.CONFIGS[3], "uis", 20_000, {},
+         9.739408477266983e-12, 9.684120983034586e-21, {"work_units": 20_000, "hits": 194}),
+        (TestOutageScreen.CONFIGS[3], "mls", 200, MLS,
+         4.162965906074546e-12, 4.060594753379071e-20, {"work_units": 181_800, "levels": 16}),
+        (TestOutageScreen.CONFIGS[4], "uis", 20_000, {},
+         0.0008517270626360318, 0.0008053178823736655, {"work_units": 20_000, "hits": 18}),
+        (TestOutageScreen.CONFIGS[4], "mls", 200, MLS,
+         0.0009132047203125001, 0.0002919055226344041, {"work_units": 50_000, "levels": 5}),
+    ], ids=["subset-uis", "subset-mls", "los-uis", "los-mls"])
+    def test_pinned_screen_outputs(self, cfg, method, size, kwargs, p_hat, var_hat, counts):
+        # uis and mls decide every row through _outage_at's screen at M = 8,
+        # so one flipped decision moves a count or an estimate here
+        self.check(cfg, method, size, kwargs, p_hat, var_hat, counts)
+
+    @staticmethod
+    def check(cfg, method, size, kwargs, p_hat, var_hat, counts):
+        r = ESTIMATORS[method](cfg, size, RngStream(2024), **kwargs)
         assert r.p_hat == pytest.approx(p_hat, rel=1e-12)
         assert r.var_hat == pytest.approx(var_hat, rel=1e-12)
         assert _counts(r) == counts
