@@ -28,8 +28,9 @@ from .specfun import (
 # signals a bound-formula bug
 _LOG_RATIO_SLACK = 1e-9
 _MAX_PROPOSAL_ROWS = 1 << 20
-# a simplex trial costs about two tilted ones at theta = 0 (1.8-2.5, n = 1-8, mu > 1) and
-# 0.9-1.8 at mu <= 1, where the squeeze spares its density; lowering it would change draws
+# a simplex trial costs 1.8-3.1 tilted ones at theta = 0 for n = 2-8 (0.9-1.3 at n = 1),
+# and 1.6-6.2 at theta > 0 for n = 4-8, where few tilted trials draw coordinates (0.5-1.2
+# at n = 1); another value would change draws
 _SIMPLEX_COST = 2.0
 
 
@@ -105,9 +106,10 @@ def _nominal_rows(mu: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarra
 def _scaled_ncx2_rows(v1, v2, gen, shape) -> np.ndarray:
     """Draws of v1 ncx2(2, v2), v1 ((z1 + sqrt v2)^2 + z2^2), computed in place.
 
-    The one sampler that draws standard normals: nmc's branch law (v1 = 1/2,
-    v2 = 2 mu^2), pis's tilted proposal and ce's proposals.  v1 and v2 are
-    scalars or hold one value per column of shape.
+    nmc's branch law (v1 = 1/2, v2 = 2 mu^2) and ce's proposals; pis's
+    tilted proposal draws the same law through its block sum instead, see
+    _pis_block_rows.  v1 and v2 are scalars or hold one value per column of
+    shape.
     """
     z1 = gen.standard_normal(shape)
     z2 = gen.standard_normal(shape)
@@ -117,6 +119,27 @@ def _scaled_ncx2_rows(v1, v2, gen, shape) -> np.ndarray:
     z1 += z2
     z1 *= v1
     return z1
+
+
+def _tilted_coordinates(v1: float, w: np.ndarray, r: np.ndarray, n: int, gen) -> np.ndarray:
+    """Rows of v1 (re^2 + im^2) given each row's w = <Z, e> and r = |Z - w e|^2.
+
+    Z holds a block's 2n Gaussians, real parts first, and e is the unit
+    vector along the real parts.  Z - w e is isotropic in the 2n - 1
+    dimensions orthogonal to e, so its direction is that of 2n standard
+    normals less their projection on e (the mean of the real half), and it
+    is independent of w and r.  The normals are drawn one coordinate per
+    row of h, so that each step runs along all rows at once.
+    """
+    h = gen.standard_normal((2 * n, w.size))
+    re = h[:n]
+    re -= re.mean(axis=0)
+    h *= np.sqrt(r / np.einsum("ij,ij->j", h, h))
+    re += w / math.sqrt(n)
+    h *= h
+    x = h[:n] + h[n:]
+    x *= v1
+    return x.T
 
 
 def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -225,11 +248,16 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     less ln F; closed-form bounds on that ratio (a squeeze, Marsaglia 1977)
     accept most rows, and check f <= M_ell g where they can, without the
     Bessel density, deciding as the exact test does, uniform for uniform.
-    "tilted" draws n coordinates from the branch law tilted by e^{-theta x},
-    which is _scaled_ncx2_rows at v1 = u / 2, v2 = 2 mu^2 u with
+    "tilted" proposes n coordinates from the branch law tilted by
+    e^{-theta x}, v1 ncx2(2, v2) at v1 = u / 2, v2 = 2 mu^2 u with
     u = 1 / (1 + theta), and accepts a row of sum S when S <= gamma_th and a
     uniform is at most e^{theta (S - gamma_th)}.  At theta = 0 that is the
-    nominal law accepted on its sum, with no uniform drawn.  Proposals are
+    nominal law accepted on its sum, with no uniform drawn.  The row is 2n
+    Gaussians Z with real-part means sqrt(v2) and S = v1 |Z|^2, so a trial
+    draws only w = <Z, e> ~ N(sqrt(n v2), 1) along the real-part unit vector
+    e, and r = |Z - w e|^2 ~ chi2(2n - 1) where v1 w^2 <= gamma_th (Johnson,
+    Kotz & Balakrishnan 1995, ch. 29); S = v1 (w^2 + r).  A kept row's
+    coordinates come from _tilted_coordinates.  Proposals are
     generated in batches sized to the expected need (M_ell or B / F per
     acceptance).  Raises if the density ratio ever exceeds the bound or if
     the trial budget of 1e4 trials per expected acceptance is exhausted.
@@ -237,6 +265,7 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     tilted = bound.proposal == "tilted"
     theta = bound.theta
     u = 1.0 / (1.0 + theta)
+    v1, mean_w = 0.5 * u, mu * math.sqrt(2.0 * n * u)
     per_sample = bound.proposals_per_row
     # ln(F g M_ell), with F the block-sum CDF that normalizes f
     log_fgm = (bound.log_block_cdf + float(special.gammaln(n + 1)) - n * math.log(gamma_th)
@@ -262,12 +291,16 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
         rows = min(max(256, int(math.ceil(want * per_sample * 1.15))),
                    _MAX_PROPOSAL_ROWS)
         if tilted:
-            x = _scaled_ncx2_rows(0.5 * u, 2.0 * mu * mu * u, gen, (rows, n))
-            s = x.sum(axis=1)
-            accept = s <= gamma_th
+            w = gen.standard_normal(rows)
+            w += mean_w
+            cand = np.flatnonzero(v1 * (w * w) <= gamma_th)
+            r = 2.0 * gen.standard_gamma(n - 0.5, cand.size)
+            s = v1 * (w[cand] ** 2 + r)
+            hit = s <= gamma_th
             if theta > 0.0:
-                cand = np.flatnonzero(accept)
-                accept[cand] = gen.random(cand.size) <= np.exp(theta * (s[cand] - gamma_th))
+                sub = np.flatnonzero(hit)
+                hit[sub] = gen.random(sub.size) <= np.exp(theta * (s[sub] - gamma_th))
+            acc = cand[hit]
         else:
             x = _simplex_rows(n, gamma_th, gen, rows)
             exact = None if certified else log_ratio(x)
@@ -280,9 +313,11 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
             rest = np.flatnonzero(~accept)
             accept[rest] = uniform[rest] <= np.exp(
                 log_ratio(x[rest]) if exact is None else exact[rest])
-        acc = np.flatnonzero(accept)
+            acc = np.flatnonzero(accept)
         kept = acc[:want]
-        out[filled:filled + kept.size] = x[kept]
+        # a tilted row's coordinates are drawn only once it is kept
+        out[filled:filled + kept.size] = (
+            _tilted_coordinates(v1, w[kept], r[hit][:want], n, gen) if tilted else x[kept])
         filled += kept.size
         # trials up to and including the last acceptance kept; all when every one is kept
         proposals += int(kept[-1]) + 1 if acc.size > want else rows

@@ -314,3 +314,44 @@ def pis_simplex_rows_exact(mu, n, gamma_th, gen, count, bound):
         filled += kept.size
         proposals += int(kept[-1]) + 1 if acc.size > want else rows
     return out, proposals
+
+
+def pis_tilted_rows_rebuilt(mu, n, gamma_th, gen, count, bound):
+    """(samples, proposals) of _pis_block_rows's tilted rejection, from its derivation.
+
+    A block's 2n unit-variance Gaussians Z have real-part means sqrt(v2), with
+    v1 = u / 2, v2 = 2 mu^2 u and u = 1 / (1 + theta).  Each batch draws
+    w = <Z, e> ~ N(sqrt(n v2), 1) along the real-part unit vector e for
+    every trial, r = |Z - w e|^2 ~ chi2(2n - 1) for the trials with
+    v1 w^2 <= gamma_th, and a uniform for the trials with
+    S = v1 (w^2 + r) <= gamma_th only when theta > 0.  The kept rows then
+    take 2n normals, drawn coordinate by coordinate as the rows of a
+    (2n, kept) array, centred on their real half and scaled to norm sqrt r,
+    with w / sqrt(n) added to the real half.
+    """
+    u = 1.0 / (1.0 + bound.theta)
+    v1 = 0.5 * u
+    out = np.empty((count, n))
+    filled = proposals = 0
+    while filled < count:
+        want = count - filled
+        rows = min(max(256, int(math.ceil(want * bound.proposals_per_row * 1.15))),
+                   _MAX_PROPOSAL_ROWS)
+        w = gen.standard_normal(rows) + mu * math.sqrt(2.0 * n * u)
+        cand = np.flatnonzero(v1 * w ** 2 <= gamma_th)
+        r = 2.0 * gen.standard_gamma(n - 0.5, cand.size)
+        s = v1 * (w[cand] ** 2 + r)
+        hit = s <= gamma_th
+        if bound.theta > 0.0:
+            sub = np.flatnonzero(hit)
+            hit[sub] = gen.random(sub.size) <= np.exp(bound.theta * (s[sub] - gamma_th))
+        acc = np.flatnonzero(hit)
+        kept = acc[:want]
+        h = gen.standard_normal((2 * n, kept.size))
+        z = np.vstack([h[:n] - h[:n].mean(axis=0), h[n:]])
+        z = z * np.sqrt(r[kept] / np.einsum("ij,ij->j", z, z))
+        z[:n] += w[cand[kept]] / math.sqrt(n)
+        out[filled:filled + kept.size] = (v1 * (z[:n] ** 2 + z[n:] ** 2)).T
+        filled += kept.size
+        proposals += int(cand[kept[-1]]) + 1 if acc.size > want else rows
+    return out, proposals

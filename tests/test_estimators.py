@@ -1035,17 +1035,17 @@ class TestReproducibility:
          {"work_units": 20_000, "hits": 209}),
         ("uis", 20_000, {}, 0.010656547319765336, 0.0002500691256333786,
          {"work_units": 20_000, "hits": 6246}),
-        ("pis", 20_000, {}, 0.010632701026740429, 9.114386471095164e-05,
-         {"work_units": 20_000, "hits": 11073, "proposals": 70031}),
+        ("pis", 20_000, {}, 0.010683593572068457, 9.103640202184305e-05,
+         {"work_units": 20_000, "hits": 11126, "proposals": 70500}),
         ("et", 20_000, {}, 0.010683266318179318, 0.0001518257629254988,
          {"work_units": 20_000, "hits": 13166}),
-        ("ce", 20_000, {"S0": 150}, 0.010479723872848111, 0.00011007222767123615,
-         {"work_units": 20_300, "hits": 16760, "ce_stages": 3, "pilot_hits": 87}),
+        ("ce", 20_000, {"S0": 150}, 0.010652774993424182, 0.0001013193180756338,
+         {"work_units": 20_300, "hits": 16088, "ce_stages": 3, "pilot_hits": 88}),
         ("mls", 200, {"replications": 4, "pilot_samples": 1_000},
          0.0113750625, 0.003297175759375001,
          {"work_units": 27_400, "levels": 3}),
-        ("ce", 20_000, {"S0": 2_000}, 0.010636711825632611, 0.00010820717323601008,
-         {"work_units": 22_000, "hits": 16341, "ce_stages": 2, "pilot_hits": 1109}),
+        ("ce", 20_000, {"S0": 2_000}, 0.010618187660885821, 0.00010985644293087286,
+         {"work_units": 22_000, "hits": 16399, "ce_stages": 2, "pilot_hits": 1132}),
     ])
     def test_pinned_outputs(self, method, size, kwargs, p_hat, var_hat, counts):
         # the first ce row's 150 pis rows cannot end the walk: three stages
@@ -1067,6 +1067,17 @@ class TestReproducibility:
         # uis and mls decide every row through _outage_at's screen at M = 8,
         # so one flipped decision moves a count or an estimate here
         self.check(cfg, method, size, kwargs, p_hat, var_hat, counts)
+
+    @pytest.mark.parametrize("method,kwargs,p_hat,var_hat,counts", [
+        ("pis", {}, 0.0009215847791433612, 9.616713597731355e-06,
+         {"work_units": 20_000, "hits": 1623, "proposals": 155_758}),
+        ("ce", {"S0": 2_000}, 0.0009140476428410647, 2.430749941115989e-06,
+         {"work_units": 24_000, "hits": 13_549, "ce_stages": 3, "pilot_hits": 1263}),
+    ], ids=["los-pis", "los-ce"])
+    def test_pinned_tilted_outputs(self, method, kwargs, p_hat, var_hat, counts):
+        # every pis block on los is tilted, and ce's first batch is pis rows,
+        # so a change to the tilted draw order fails here
+        self.check(TestOutageScreen.CONFIGS[4], method, 20_000, kwargs, p_hat, var_hat, counts)
 
     @staticmethod
     def check(cfg, method, size, kwargs, p_hat, var_hat, counts):

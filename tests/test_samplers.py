@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from conftest import branch_mode_brentq, log_m_ell_paper, pis_simplex_rows_exact
+from conftest import (
+    branch_mode_brentq,
+    log_m_ell_paper,
+    pis_simplex_rows_exact,
+    pis_tilted_rows_rebuilt,
+)
 from outagemc import samplers
 from outagemc.model import ChannelConfig
 from outagemc.samplers import (
@@ -307,21 +312,48 @@ class TestPisBlockSampler:
             se = np.sqrt(exact * (1 - exact) / total.shape[0])
             assert abs(emp - exact) < 4.0 * se
 
+    class CountedGenerator:
+        """A generator that records the name of every draw made through it."""
+
+        def __init__(self, gen):
+            self.gen, self.calls = gen, []
+
+        def __getattr__(self, name):
+            self.calls.append(name)
+            return getattr(self.gen, name)
+
+    def check_rebuilt(self, mu, n, gamma, count, bound):
+        # the same rows, the same trial count and the same next draw as the
+        # tilted draw sequence written out from its derivation
+        gen = self.CountedGenerator(RngStream(57).generator())
+        ref = RngStream(57).generator()
+        rows, proposals = _pis_block_rows(mu, n, gamma, gen, count, bound=bound)
+        want, want_proposals = pis_tilted_rows_rebuilt(mu, n, gamma, ref, count, bound)
+        assert np.array_equal(rows, want)
+        assert proposals == want_proposals
+        assert gen.gen.random() == ref.random()
+        return gen.calls
+
     def test_nominal_proposal(self):
         # at theta = 0 the tilted proposal is the nominal law accepted on its
-        # sum: the same rows, the same trial count and no uniform drawn
-        for mu, n, gamma, count in [(2.3, 1, 8.0, 1000), (0.5, 4, 6.0, 1000)]:
+        # sum, and no uniform is drawn
+        for mu, n, gamma in [(2.3, 1, 8.0), (0.5, 4, 6.0)]:
             bound = compute_m_ell(mu, n, gamma)
             assert (bound.proposal, bound.theta) == ("tilted", 0.0)
-            gen, ref = RngStream(57).generator(), RngStream(57).generator()
-            rows, proposals = _pis_block_rows(mu, n, gamma, gen, count, bound=bound)
-            batch = max(256, int(math.ceil(count * math.exp(-bound.log_block_cdf) * 1.15)))
-            x = _nominal_rows(np.full(n, mu), ref, batch)
-            hit = np.flatnonzero(x.sum(axis=1) <= gamma)
-            assert hit.size >= count  # one batch
-            assert np.array_equal(rows, x[hit[:count]])
-            assert proposals == hit[count - 1] + 1
-            assert gen.random() == ref.random()
+            calls = self.check_rebuilt(mu, n, gamma, 1000, bound)
+            assert calls == ["standard_normal", "standard_gamma", "standard_normal"]
+
+    @pytest.mark.parametrize("mu,n,gamma", [
+        (2.3, 4, 17.0),   # los
+        (2.3, 1, 3.0),
+        (0.5, 2, 0.1),    # theta = 19, forced tilted
+    ])
+    def test_tilted_draw_sequence(self, mu, n, gamma):
+        # theta > 0 adds one uniform per trial whose sum is at most gamma_th
+        bound = replace(compute_m_ell(mu, n, gamma), proposal="tilted")
+        assert bound.theta > 0.0
+        calls = self.check_rebuilt(mu, n, gamma, 5000, bound)
+        assert calls == ["standard_normal", "standard_gamma", "random", "standard_normal"]
 
     def test_tilted_proposal(self):
         # at mu 2.3, n 4, gamma 17 (los) theta = 0.24: the accepted sums follow
@@ -358,13 +390,16 @@ class TestPisBlockSampler:
     @pytest.mark.parametrize("mu,n,gamma,other", [
         (2.3, 4, 17.0, "nominal"),   # los
         (4.0, 4, 17.0, "simplex"),
+        (2.3, 1, 3.0, "simplex"),    # n = 1: the direction is only the imaginary sign
+        (0.5, 2, 0.1, "simplex"),    # theta = 19: w is often near 0 or below it
+        (0.0, 3, 1.0, "simplex"),    # Rayleigh
     ])
     def test_tilted_matches_other_rejection(self, mu, n, gamma, other):
-        # two-sample KS of block sums and of each coordinate against an
-        # independent exact sampler of the same conditioned law
+        # two-sample KS of block sums, of each coordinate and of the block
+        # maximum against an independent exact sampler of the same conditioned law
         count = 20_000
-        bound = compute_m_ell(mu, n, gamma)
-        assert bound.proposal == "tilted" and bound.theta > 0.0
+        bound = replace(compute_m_ell(mu, n, gamma), proposal="tilted")
+        assert bound.theta > 0.0
         rows, _ = _pis_block_rows(mu, n, gamma, RngStream(61).generator(), count,
                                   bound=bound)
         gen = RngStream(62).generator()
@@ -376,6 +411,7 @@ class TestPisBlockSampler:
             ref, _ = _pis_block_rows(mu, n, gamma, gen, count,
                                      bound=replace(bound, proposal="simplex"))
         assert stats.ks_2samp(rows.sum(axis=1), ref.sum(axis=1)).pvalue > KS_ALPHA
+        assert stats.ks_2samp(rows.max(axis=1), ref.max(axis=1)).pvalue > KS_ALPHA
         for j in range(n):
             assert stats.ks_2samp(rows[:, j], ref[:, j]).pvalue > KS_ALPHA
 
