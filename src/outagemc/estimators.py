@@ -53,7 +53,7 @@ from .samplers import (
     _underflow,
     compute_m_ell,
 )
-from .specfun import _P_MAX, Ncx2Params, _log_density, _quantile_table, _table_value, ncx2_cdf
+from .specfun import _P_MAX, Ncx2Params, _bessel_rows, _quantile_table, _table_value, ncx2_cdf
 
 BLOCK_SIZE = 1 << 17
 CE_MAX_ITER = 50
@@ -449,7 +449,10 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
 def _et_log_lr_rows(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
     """ln f(x) / prod_i (rate e^{-rate x_i}) per row, f the channel law, rate = M / gamma_th."""
     M, mu, rate = config.M, config.mu_array, config.M / config.gamma_th
-    return (_log_density(x, 0.5, 2.0 * mu * mu) + rate * x).sum(axis=1) - M * math.log(rate)
+    out = (rate - 1.0) * x.sum(axis=1) - (float(np.dot(mu, mu)) + M * math.log(rate))
+    for val in sorted(set(config.mu)):
+        out += _bessel_rows(((1.0, 2.0 * val),), x if config.identical_mu else x[:, mu == val])
+    return out
 
 
 def _et_block(config: ChannelConfig, gen, n: int):
@@ -475,9 +478,11 @@ def estimate_et(config: ChannelConfig, S: int, rng: RngStream,
 
 
 def _ce_log_lr_rows(x: np.ndarray, nominal: CEParams, sampling: CEParams) -> np.ndarray:
-    """ln f(x; nominal) / f(x; sampling) per row: one sum of _log_density differences."""
-    return (_log_density(x, nominal.v1, nominal.v2)
-            - _log_density(x, sampling.v1, sampling.v2)).sum(axis=1)
+    """ln f(x; nominal) / f(x; sampling) per row, its Bessel terms off one table."""
+    a, b = nominal, sampling
+    return (_bessel_rows(((1.0, math.sqrt(a.v2 / a.v1)), (-1.0, math.sqrt(b.v2 / b.v1))), x)
+            + (0.5 / b.v1 - 0.5 / a.v1) * x.sum(axis=1)
+            + x.shape[1] * (math.log(b.v1 / a.v1) + 0.5 * (b.v2 - a.v2)))
 
 
 def ce_update(x: np.ndarray, weights: np.ndarray) -> CEParams:
@@ -628,7 +633,7 @@ def _mls_advance(config: ChannelConfig, gens, survivors, dt: float, s: int):
     for every row, so the decision does not depend on the grouping.
     """
     g_mat = np.empty((len(gens) * s, config.M))
-    for gen, g_surv, rows in zip(gens, survivors, np.split(g_mat, len(gens))):
+    for gen, g_surv, rows in zip(gens, survivors, g_mat.reshape(len(gens), s, config.M)):
         pick = None if g_surv is None else gen.integers(0, g_surv.shape[0], size=s)
         gen.standard_gamma(dt, out=rows)
         if pick is not None:

@@ -245,8 +245,8 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     the total number of trials consumed.  bound.proposal picks the exact
     rejection: "simplex" draws uniformly from the solid simplex and accepts
     with probability f / (M_ell g), ln f being the row sum of _log_density
-    less ln F; closed-form bounds on that ratio (a squeeze, Marsaglia 1977)
-    accept most rows, and check f <= M_ell g where they can, without the
+    less ln F; bounds on each row's ratio from its sum (a squeeze, Marsaglia
+    1977) decide most rows and check f <= M_ell g where they can, without the
     Bessel density, deciding as the exact test does, uniform for uniform.
     "tilted" proposes n coordinates from the branch law tilted by
     e^{-theta x}, v1 ncx2(2, v2) at v1 = u / 2, v2 = 2 mu^2 u with
@@ -271,17 +271,14 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
     log_fgm = (bound.log_block_cdf + float(special.gammaln(n + 1)) - n * math.log(gamma_th)
                + bound.log_value)
 
-    def log_ratio(x):
-        return _log_density(x, 0.5, 2.0 * mu * mu).sum(axis=1) - log_fgm
-
     # 1 <= I0(z) <= e^{z^2 / 4} puts each coordinate's -x + ln I0(2 mu sqrt x) in
-    # [-x, (mu^2 - 1) x], so on the simplex ln f/(M_ell g) lies in [lo, hi], both
-    # widened by far more than the exact ratio's rounding
+    # [-x, (mu^2 - 1) x], so a row of sum S <= gamma_th has ln f/(M_ell g) in
+    # [-S - base, (mu^2 - 1) S - base], both widened by far more than the exact
+    # ratio's rounding; at S = gamma_th the lower end holds for every row
     pad = 1e-12 * (1.0 + abs(log_fgm) + n * (mu + math.sqrt(gamma_th)) ** 2)
-    lo = -gamma_th - n * mu * mu - log_fgm - pad
-    hi = max(mu * mu - 1.0, 0.0) * gamma_th - n * mu * mu - log_fgm + pad
-    squeeze = math.exp(min(lo, 0.0))  # a uniform at most this is accepted on the bound alone
-    certified = hi <= _LOG_RATIO_SLACK  # then no row can fail the exact check
+    base = n * mu * mu + log_fgm
+    squeeze = math.exp(min(-gamma_th - base - pad, 0.0))  # a uniform at most this is accepted
+    certified = max(mu * mu - 1.0, 0.0) * gamma_th - base + pad <= _LOG_RATIO_SLACK
     out = np.empty((count, n))
     filled = 0
     proposals = 0
@@ -303,16 +300,22 @@ def _pis_block_rows(mu: float, n: int, gamma_th: float, gen,
             acc = cand[hit]
         else:
             x = _simplex_rows(n, gamma_th, gen, rows)
-            exact = None if certified else log_ratio(x)
-            if exact is not None and (worst := float(exact.max())) > _LOG_RATIO_SLACK:
+            uniform = gen.random(rows)
+            accept = uniform <= squeeze
+            # rows left (all, where the batch's bound cannot show f <= M_ell g) take
+            # bounds from their sums; the density decides and checks where they cannot
+            rest = np.flatnonzero(~accept) if certified else np.arange(rows)
+            s, u = x[rest].sum(axis=1), uniform[rest]
+            hi = (mu * mu - 1.0) * s - base + pad
+            sure = u <= np.exp(np.minimum(-s - base - pad, 0.0))
+            need = rest[(hi > _LOG_RATIO_SLACK) | (~sure & (u <= np.exp(np.minimum(hi, 0.0))))]
+            exact = _log_density(x[need], 0.5, 2.0 * mu * mu).sum(axis=1) - log_fgm
+            if (worst := float(exact.max(initial=-math.inf))) > _LOG_RATIO_SLACK:
                 raise RejectionStalledError(
                     f"rejection bound violated: log f/(M g) = {worst:.3e} > 0 "
                     f"(mu={mu}, n={n}, gamma_th={gamma_th})")
-            uniform = gen.random(rows)
-            accept = uniform <= squeeze
-            rest = np.flatnonzero(~accept)
-            accept[rest] = uniform[rest] <= np.exp(
-                log_ratio(x[rest]) if exact is None else exact[rest])
+            accept[rest] = sure
+            accept[need] = uniform[need] <= np.exp(exact)
             acc = np.flatnonzero(accept)
         kept = acc[:want]
         # a tilted row's coordinates are drawn only once it is kept

@@ -4,7 +4,8 @@ The CDF is Boost's (scipy.special.chndtr; Benton & Krishnamoorthy, CSDA
 43, 2003), which sums the Poisson mixture outward from its mode.  Where
 lam x < 1e-16 the mixture's leading term e^{-lam/2} P(k/2, x/2) is F to
 1e-16 relative and replaces it.  The one density, _log_density, is the
-Bessel form of the scaled 2-dof law in log space.
+Bessel form of the scaled 2-dof law in log space; ce's and et's likelihood
+ratios read its Bessel terms off certified cubic tables in ln(1 + z).
 
 The quantile is Boost's inverse of that CDF (scipy.special.chndtrix).  At
 2 dof, the branch law's, it is read through a monotone cubic Hermite table
@@ -37,6 +38,9 @@ _NEWTON_CERT = 1e-15
 # the quantile's upper clip on p: nearer 1 the CDF's rounding leaves too few digits of 1 - p
 _P_MAX = 1.0 - 1e-14
 _QuantileTable = namedtuple("_QuantileTable", "s0 h log_x slope eps n_cert")
+# The Bessel table's (intervals, width) in u = ln(1 + z) up to z = 1e4, its certificate,
+# and its reader's rows per pass, which keep the reader's temporaries in cache
+_BESSEL_GRID, _BESSEL_CERT, _BESSEL_CHUNK = (8192, math.log1p(1e4) / 8192), 1e-13, 4096
 
 
 @dataclass(frozen=True)
@@ -113,12 +117,66 @@ def _log_density(x, v1, v2):
 
     Per coordinate of x, for scalar v1, v2 or one per column.  The branch law
     v1 = 1/2, v2 = 2 mu^2 gives -mu^2 - x + ln I0(2 mu sqrt x), the Bessel
-    argument rounded as 2 mu sqrt(x).  The package's one density: ce's and
-    et's ratios, pis's simplex test and M_ell read it, and at v1 = 1 so do
-    the quantile table's slopes and the Newton step of ncx2_quantile.
+    argument rounded as 2 mu sqrt(x).  pis's simplex test and M_ell read it,
+    and at v1 = 1 so do the quantile table's slopes and the Newton step of
+    ncx2_quantile; ce's and et's ratios read _bessel_rows instead.
     """
     return (log_bessel_i0(np.sqrt(v2 / v1) * np.sqrt(x))
             - x / (2.0 * v1) - (np.log(2.0 * v1) + 0.5 * v2))
+
+
+@lru_cache(maxsize=16)
+def _bessel_table(terms: tuple):
+    """Cubics in u = ln(1 + c_max sqrt x) of sum_k s_k ln i0e(c_k sqrt x), each c_k > 0, or None.
+
+    ln i0e(z) is -z + z^2/4 near 0 and -ln(2 pi z)/2 far out (DLMF 10.40.1), smooth in u,
+    so Hermite cubics converge at h^4.  None unless every midpoint reads within
+    _BESSEL_CERT max(1, sum_k |ln I0|) of log_bessel_i0's sum.
+    """
+    n, h = _BESSEL_GRID
+    c_max = max(c for _, c in terms)
+    e = np.expm1(0.5 * h * np.arange(2 * n + 1))  # c_max sqrt x at the nodes and midpoints
+    val = scale = d = 0.0
+    for s, c in terms:
+        z = (c / c_max) * e
+        log_i0 = log_bessel_i0(z)
+        val, scale, z = val + s * (log_i0 - z), scale + np.abs(log_i0), z[::2]
+        # h d ln i0e/du at the nodes: (I1/I0 - 1) dz/du, dz/du = z + c / c_max
+        d = d + s * h * (special.i1e(z) / np.exp(log_i0[::2] - z) - 1.0) * (z + c / c_max)
+    g, dg = val[::2], np.diff(val[::2])
+    coef = np.stack([g[:-1], d[:-1], 3 * dg - 2 * d[:-1] - d[1:], d[:-1] + d[1:] - 2 * dg], axis=1)
+    mid = ((0.5 * coef[:, 3] + coef[:, 2]) * 0.5 + coef[:, 1]) * 0.5 + coef[:, 0]
+    ok = np.all(np.abs(mid - val[1::2]) <= _BESSEL_CERT * np.maximum(scale[1::2], 1.0))
+    return coef if ok else None
+
+
+def _bessel_rows(terms, x: np.ndarray) -> np.ndarray:
+    """Row sums over x's columns of sum_k s_k ln I0(c_k sqrt x), terms ((s_k, c_k), ...).
+
+    Terms with c_k = 0 drop out; the rest read their table of ln i0e, _BESSEL_CHUNK rows a
+    pass, plus sum_k s_k c_k sqrt x, or log_bessel_i0 past the table or where it did not
+    certify.  A row reads alike in any batch.
+    """
+    terms = tuple((s, c) for s, c in terms if c > 0.0)
+    coef = _bessel_table(terms) if terms else None
+
+    def exact(r):
+        return sum((s * log_bessel_i0(c * r) for s, c in terms), np.zeros(r.shape))
+    if coef is None:
+        return exact(np.sqrt(x)).sum(axis=1)
+    (n, h), c_max = _BESSEL_GRID, max(c for _, c in terms)
+    out = np.empty(x.shape[0])
+    for a in range(0, x.shape[0], _BESSEL_CHUNK):
+        r = np.sqrt(x[a:a + _BESSEL_CHUNK])
+        u = np.log1p(c_max * r) / h
+        i = np.fmin(u, n - 1.0).astype(np.intp)  # past the table, or NaN: the last cubic
+        u -= i
+        a0, a1, a2, a3 = np.take(coef, i, axis=0).transpose(2, 0, 1)  # one gather a point
+        v = ((a3 * u + a2) * u + a1) * u + a0 + sum(s * c for s, c in terms) * r
+        if (far := ~(u < 1.0)).any():
+            v[far] = exact(r[far])
+        out[a:a + _BESSEL_CHUNK] = v.sum(axis=1)
+    return out
 
 
 def ncx2_logcdf(x: float, params: Ncx2Params) -> float:

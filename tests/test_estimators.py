@@ -16,7 +16,7 @@ from scipy import optimize, special, stats
 
 from conftest import ce_fit_brentq, mls_replications
 
-from outagemc import estimators, samplers
+from outagemc import estimators, samplers, specfun
 from outagemc.estimators import (
     ESTIMATORS,
     CEParams,
@@ -38,7 +38,7 @@ from outagemc.samplers import (
     _inverse_rows,
     _scaled_ncx2_rows,
 )
-from outagemc.specfun import Ncx2Params, log_bessel_i0, ncx2_cdf
+from outagemc.specfun import Ncx2Params, _log_density, log_bessel_i0, ncx2_cdf
 
 
 def combined_se(r1, r2_p=None, r2_var=None, r2_n=None):
@@ -1006,6 +1006,76 @@ class TestWorkerDeterminism:
         for workers in (1, 3):
             assert estimators._run_blocks(kernel, sum(sizes), rng, workers,
                                           first=2) == (rows, draws)
+
+
+class TestTabledRatios:
+    """ce's and et's ln w read their Bessel terms off specfun's certified tables."""
+
+    # (config, a fitted ce proposal near the one the stage walk ends on)
+    CASES = [
+        (ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1), CEParams(0.0034, 5.5)),  # subset
+        (ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0), CEParams(0.17, 15.1)),  # los
+        (TestCePilot.DENSE, CEParams(0.026, 3.6)),
+        (ChannelConfig(M=8, m=2, mu=4.0, gamma_th=10.0), CEParams(0.05, 60.0)),
+        (ChannelConfig(M=8, m=4, mu=5.0, gamma_th=17.0), CEParams(0.029, 126.0)),
+        (ChannelConfig(M=4, m=2, mu=10.0, gamma_th=40.0), CEParams(0.05, 200.0)),
+    ]
+
+    @staticmethod
+    def bound(x, *laws):
+        """_BESSEL_CERT times each row's sum of max(1, sum |ln I0|) + sum |ln f|."""
+        bessel = sum(np.abs(log_bessel_i0(np.sqrt(v2 / v1) * np.sqrt(x))) for v1, v2 in laws)
+        dens = sum(np.abs(_log_density(x, v1, v2)) for v1, v2 in laws)
+        return specfun._BESSEL_CERT * (np.maximum(bessel, 1.0) + dens).sum(axis=1)
+
+    @staticmethod
+    def outage_rows(cfg, v, seed):
+        x = _scaled_ncx2_rows(v.v1, v.v2, RngStream(seed).generator(), (40_000, cfg.M))
+        x = x[estimators._outage(cfg, x)]
+        assert x.shape[0] >= 50
+        return x
+
+    @pytest.mark.parametrize("cfg,v", CASES)
+    def test_ce_ratio_within_certificate(self, cfg, v):
+        nominal = CEParams(0.5, 2.0 * cfg.mu[0] ** 2)
+        x = self.outage_rows(cfg, v, 71)
+        exact = (_log_density(x, nominal.v1, nominal.v2) - _log_density(x, v.v1, v.v2)).sum(axis=1)
+        err = np.abs(estimators._ce_log_lr_rows(x, nominal, v) - exact)
+        assert np.all(err <= self.bound(x, (nominal.v1, nominal.v2), (v.v1, v.v2)))
+
+    @pytest.mark.parametrize("cfg", [c for c, _ in CASES] + [
+        ChannelConfig(M=4, m=2, mu=(0.3, 0.3, 1.5, 1.5), gamma_th=1.0),
+        ChannelConfig(M=4, m=2, mu=0.0, gamma_th=1.0),
+    ])
+    def test_et_ratio_within_certificate(self, cfg):
+        rate, mu = cfg.M / cfg.gamma_th, cfg.mu_array
+        x = RngStream(72).generator().exponential(1.0 / rate, size=(40_000, cfg.M))
+        x = x[estimators._outage(cfg, x)]
+        exact = ((_log_density(x, 0.5, 2.0 * mu * mu) + rate * x).sum(axis=1)
+                 - cfg.M * math.log(rate))
+        err = np.abs(estimators._et_log_lr_rows(cfg, x) - exact)
+        assert np.all(err <= self.bound(x, (0.5, 2.0 * mu * mu)))
+
+    def test_rayleigh_and_edge_fits(self):
+        # mu = 0 and a fit on the v2 = 0 edge have no Bessel term to read
+        x = RngStream(73).generator().uniform(0.0, 1.0, (500, 4))
+        for nominal, v in [(CEParams(0.5, 0.0), CEParams(0.3, 0.0)),
+                           (CEParams(0.5, 0.0), CEParams(0.2, 3.0)),
+                           (CEParams(0.5, 0.5), CEParams(0.3, 0.0))]:
+            exact = (_log_density(x, nominal.v1, nominal.v2)
+                     - _log_density(x, v.v1, v.v2)).sum(axis=1)
+            err = np.abs(estimators._ce_log_lr_rows(x, nominal, v) - exact)
+            assert np.all(err <= self.bound(x, (nominal.v1, nominal.v2), (v.v1, v.v2)))
+
+    @pytest.mark.parametrize("runner,kwargs", [(estimate_et, {}), (estimate_ce, {"S0": 5_000})])
+    def test_blocks_bit_identical_across_workers(self, runner, kwargs):
+        # two sample blocks on los, each reading the same cached table
+        cfg = ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0)
+        size = estimators.BLOCK_SIZE + 5_000
+        a = runner(cfg, size, RngStream(74), workers=1, **kwargs)
+        b = runner(cfg, size, RngStream(74), workers=2, **kwargs)
+        assert a.p_hat > 0.0
+        assert (a.p_hat, a.var_hat, a.diagnostics) == (b.p_hat, b.var_hat, b.diagnostics)
 
 
 def _counts(r):

@@ -444,7 +444,12 @@ class TestPisBlockSampler:
         (0.5, 8, 1.0, 5_000),
         (0.0, 3, 0.5, 5_000),
         (1.0, 3, 0.5, 5_000),    # mu = 1 exactly
-        (1.8, 2, 6.0, 5_000),    # mu > 1: the bound cannot certify, every row is checked
+        (1.8, 2, 6.0, 5_000),    # mu > 1: the batch's bound cannot certify
+        # each row's own bounds, over many batches: DENSE's and subset's blocks,
+        # and mu > 1, where a row whose own upper bound is below 0 skips the density
+        (0.5, 4, 1.0, 100_000),
+        (0.5, 2, 0.1, 100_000),
+        (1.2, 3, 2.0, 5_000),
     ])
     def test_squeeze_keeps_exact_draws(self, mu, n, gamma, count):
         # accepting on closed-form bounds of f/(M_ell g) makes the same
@@ -472,6 +477,24 @@ class TestPisBlockSampler:
         _, proposals = _pis_block_rows(0.5, 2, 0.1, RngStream(64).generator(), 20_000,
                                        bound=bound)
         assert 0 < sum(density_rows) <= 0.15 * proposals
+
+    @pytest.mark.parametrize("mu,n,gamma,share", [
+        (0.5, 4, 1.0, 0.15),  # DENSE's block: 73% took the density on one batch-wide bound
+        (0.5, 2, 0.1, 0.03),  # subset's block: 11% did
+    ])
+    def test_row_squeeze_spares_the_density(self, monkeypatch, mu, n, gamma, share):
+        density_rows = []
+
+        def counted(x, v1, v2):
+            density_rows.append(x.shape[0])
+            return _log_density(x, v1, v2)
+
+        bound = compute_m_ell(mu, n, gamma)
+        assert bound.proposal == "simplex"
+        monkeypatch.setattr(samplers, "_log_density", counted)
+        _, proposals = _pis_block_rows(mu, n, gamma, RngStream(66).generator(), 200_000,
+                                       bound=bound)
+        assert 0 < sum(density_rows) <= share * proposals
 
     def test_forged_large_mean_bound_trips_guard(self):
         # 1% below the supremum, where the simplex reaches the density mode

@@ -8,6 +8,8 @@ term by term with per-term regularized gammas.  The generating snippets are
 kept next to each constant so the numbers can be re-derived.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -405,3 +407,83 @@ class TestAdditivity:
         exact = ncx2_cdf(2.0 * gamma, Ncx2Params(2 * n, n * lam))
         se = np.sqrt(exact * (1 - exact) / draws)
         assert abs(emp - exact) < 3.0 * se
+
+
+class TestBesselTable:
+    """_bessel_rows reads sum_k s_k ln I0(c_k sqrt x) off one certified cubic table."""
+
+    # (terms, gamma_th): et's branch laws c = 2 mu and ce pairs (1, c_n), (-1, c_s)
+    # at subset, los, DENSE, mu=4/gamma=10, mu=5/gamma=17 and mu=10/gamma=40
+    LAWS = [
+        (((1.0, 1.0),), 0.1),
+        (((1.0, 1.0), (-1.0, math.sqrt(4.0 / 0.2))), 0.1),
+        (((1.0, 4.6),), 17.0),
+        (((1.0, 4.6), (-1.0, math.sqrt(14.3 / 0.2))), 17.0),
+        (((1.0, 1.0), (-1.0, math.sqrt(2.0 / 0.1))), 1.0),
+        (((1.0, 8.0), (-1.0, math.sqrt(60.0 / 0.4))), 10.0),
+        (((1.0, 10.0),), 17.0),
+        (((1.0, 10.0), (-1.0, math.sqrt(90.0 / 0.3))), 17.0),
+        (((1.0, 20.0), (-1.0, math.sqrt(250.0 / 0.5))), 40.0),
+    ]
+
+    @staticmethod
+    def exact(terms, x):
+        return sum(s * log_bessel_i0(c * np.sqrt(x)) for s, c in terms)
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        specfun._bessel_table.cache_clear()
+        yield
+        specfun._bessel_table.cache_clear()
+
+    @pytest.mark.parametrize("terms,gamma", LAWS)
+    def test_within_certificate_on_outage_coordinates(self, terms, gamma):
+        # every outage coordinate lies in [0, gamma_th]: 60,001 probes there
+        assert specfun._bessel_table(terms) is not None
+        x = np.linspace(0.0, gamma, 60_001)[:, None]
+        scale = np.maximum(sum(np.abs(log_bessel_i0(c * np.sqrt(x))) for _, c in terms), 1.0)
+        err = np.abs(specfun._bessel_rows(terms, x) - self.exact(terms, x)[:, 0])
+        assert np.all(err <= specfun._BESSEL_CERT * scale[:, 0])
+        assert specfun._bessel_rows(terms, np.zeros((3, 2))).tolist() == [0.0] * 3
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        # chunks of _BESSEL_CHUNK rows: a row reads the same alone and in any batch
+        terms = self.LAWS[3][0]
+        x = np.random.default_rng(5).uniform(0.0, 17.0, (2 * specfun._BESSEL_CHUNK + 7, 8))
+        full = specfun._bessel_rows(terms, x)
+        for rows in (slice(0, 1), slice(100, 5000), slice(4095, 4097), slice(-7, None)):
+            assert np.array_equal(specfun._bessel_rows(terms, x[rows]), full[rows])
+
+    def test_zero_arguments_drop_out(self, monkeypatch):
+        # mu = 0 (Rayleigh) and a ce fit on the v2 = 0 edge give c = 0, ln I0(0) = 0
+        x = np.random.default_rng(6).uniform(0.0, 2.0, (50, 4))
+        built, table = [], specfun._bessel_table
+        monkeypatch.setattr(specfun, "_bessel_table",
+                            lambda terms: built.append(terms) or table(terms))
+        assert np.array_equal(specfun._bessel_rows(((1.0, 0.0),), x), np.zeros(50))
+        assert np.array_equal(specfun._bessel_rows(((1.0, 0.0), (-1.0, 0.0)), x), np.zeros(50))
+        assert not built
+        one = specfun._bessel_rows(((1.0, 0.0), (-1.0, 3.0)), x)
+        assert built == [((-1.0, 3.0),)]
+        np.testing.assert_allclose(one, -log_bessel_i0(3.0 * np.sqrt(x)).sum(axis=1),
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_coordinates_past_the_table_take_the_exact_path(self):
+        terms = self.LAWS[3][0]
+        c_max = max(c for _, c in terms)
+        n, h = specfun._BESSEL_GRID
+        x_edge = (math.expm1(n * h) / c_max) ** 2  # c_max sqrt x = 1e4
+        far = x_edge * np.array([[1.0, 1.5], [4.0, 1e6]])
+        assert np.array_equal(specfun._bessel_rows(terms, far),
+                              self.exact(terms, far).sum(axis=1))
+        mixed = np.array([[0.5 * x_edge, 2.0 * x_edge, 3.0]])
+        want = self.exact(terms, mixed).sum(axis=1)
+        assert specfun._bessel_rows(terms, mixed) == pytest.approx(want, rel=1e-13)
+
+    def test_uncertified_table_takes_the_exact_path(self, monkeypatch):
+        # no table meets a zero tolerance: its law reads log_bessel_i0 on every coordinate
+        terms = self.LAWS[3][0]
+        monkeypatch.setattr(specfun, "_BESSEL_CERT", 0.0)
+        assert specfun._bessel_table(terms) is None
+        x = np.random.default_rng(7).uniform(0.0, 17.0, (300, 8))
+        assert np.array_equal(specfun._bessel_rows(terms, x), self.exact(terms, x).sum(axis=1))
