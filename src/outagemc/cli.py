@@ -65,8 +65,11 @@ def _cmd_report(args) -> int:
         "sweep": (sweep_scv_rows, "sweep_scv", SWEEP_COLUMNS),
     }[args.command]
     spec = load_spec(args.spec)
+    try:  # before any cell runs
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SpecError(f"cannot create --out-dir {args.out_dir}: {exc.strerror}") from None
     rows, sidecar, hard_failure = runner(spec, workers=args.workers, seed=args.seed)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         csv_path = write_csv(rows, columns, args.out_dir / f"{stem}.csv")
         print(f"wrote {csv_path}")

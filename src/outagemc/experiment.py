@@ -149,10 +149,12 @@ def load_spec(path) -> ExperimentSpec:
     if not path.exists():
         raise SpecError(f"spec file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise SpecError(f"spec parse error: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8 text
+        raise SpecError(f"cannot read spec file {path}: {exc}")
     for key in parser.defaults():  # configparser would copy it into every section
         raise SpecError(f"unknown key {key!r} in section [DEFAULT]")
     for section in parser.sections():

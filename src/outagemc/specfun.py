@@ -9,10 +9,11 @@ ratios read its Bessel terms off certified cubic tables in ln(1 + z).
 
 The quantile is Boost's inverse of that CDF (scipy.special.chndtrix).  At
 2 dof, the branch law's, it is read through a monotone cubic Hermite table
-(Fritsch & Carlson, SIAM J. Numer. Anal. 1980) of ln x against logit p
-built from it, one per noncentrality.  A point on the table takes one
-certified Newton step, so it costs one CDF evaluation; a caller that only
-needs the table's value within its certified eps costs none.
+(Fritsch & Carlson, SIAM J. Numer. Anal. 1980) of ln x against logit p,
+one per noncentrality, built and read as the Bessel tables are, by
+_cubic_pieces and _cubic_at.  A point on it takes one certified Newton
+step (one CDF evaluation); a caller that only needs its value within its
+certified eps costs none.
 
 Everything that can underflow (the density, the CDF for very large
 noncentralities) also has a log-space path: ln P(a, x) from scipy's
@@ -29,15 +30,15 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-# The quantile table's grid: 8192 points uniform in logit p, which is ln p
-# deep in the left tail and -ln(1 - p) deep in the right.  A Newton step
+# The quantile table's grid: 8192 points uniform in logit p (ln p deep in the left tail) up
+# to 15, past which the CDF's rounding makes the quantile too noisy to check.  A Newton step
 # from residual r leaves about r^2 / (2 min(p, 1 - p)), so the certificate
 # r^2 <= 1e-15 p min(p, 1 - p) keeps that below 5e-16 p, the CDF's own rounding.
-_TABLE_LOGIT = (math.log(1e-250), -math.log(5e-13), 8192)
+_TABLE_LOGIT = (math.log(1e-250), 15.0, 8192)
 _NEWTON_CERT = 1e-15
 # the quantile's upper clip on p: nearer 1 the CDF's rounding leaves too few digits of 1 - p
 _P_MAX = 1.0 - 1e-14
-_QuantileTable = namedtuple("_QuantileTable", "s0 h log_x slope eps n_cert")
+_QuantileTable = namedtuple("_QuantileTable", "s0 h coef eps")
 # The Bessel table's (intervals, width) in u = ln(1 + z) up to z = 1e4, its certificate,
 # and its reader's rows per pass, which keep the reader's temporaries in cache
 _BESSEL_GRID, _BESSEL_CERT, _BESSEL_CHUNK = (8192, math.log1p(1e4) / 8192), 1e-13, 4096
@@ -125,6 +126,29 @@ def _log_density(x, v1, v2):
             - x / (2.0 * v1) - (np.log(2.0 * v1) + 0.5 * v2))
 
 
+def _cubic_pieces(g, d, exact, scale=1.0):
+    """Hermite cubics through node values g and slopes d (per interval), and their midpoint gap.
+
+    coef[i] holds a_0..a_3 of sum_k a_k t^k on t in [0, 1], node i to i + 1; the gap is the
+    worst |piece - exact| / scale at the midpoints, NaN if any is.
+    """
+    dg = np.diff(g)
+    coef = np.stack([g[:-1], d[:-1], 3 * dg - 2 * d[:-1] - d[1:], d[:-1] + d[1:] - 2 * dg], axis=1)
+    return coef, float(np.max(np.abs(_cubic_at(coef, np.arange(len(dg)) + 0.5) - exact) / scale))
+
+
+def _cubic_at(coef, u):
+    """The pieces at u (in intervals), NaN off [0, len(coef)): one gather, one Horner a point."""
+    if not len(coef):
+        return np.full(np.shape(u), np.nan)
+    i = np.fmin(np.fmax(u, 0.0), len(coef) - 1.0).astype(np.intp)  # NaN u: piece 0, NaN t
+    t = u - i
+    a0, a1, a2, a3 = np.moveaxis(np.take(coef, i, axis=0), -1, 0)
+    v = ((a3 * t + a2) * t + a1) * t + a0
+    v[~((t >= 0.0) & (t < 1.0))] = np.nan
+    return v
+
+
 @lru_cache(maxsize=16)
 def _bessel_table(terms: tuple):
     """Cubics in u = ln(1 + c_max sqrt x) of sum_k s_k ln i0e(c_k sqrt x), each c_k > 0, or None.
@@ -143,11 +167,8 @@ def _bessel_table(terms: tuple):
         val, scale, z = val + s * (log_i0 - z), scale + np.abs(log_i0), z[::2]
         # h d ln i0e/du at the nodes: (I1/I0 - 1) dz/du, dz/du = z + c / c_max
         d = d + s * h * (special.i1e(z) / np.exp(log_i0[::2] - z) - 1.0) * (z + c / c_max)
-    g, dg = val[::2], np.diff(val[::2])
-    coef = np.stack([g[:-1], d[:-1], 3 * dg - 2 * d[:-1] - d[1:], d[:-1] + d[1:] - 2 * dg], axis=1)
-    mid = ((0.5 * coef[:, 3] + coef[:, 2]) * 0.5 + coef[:, 1]) * 0.5 + coef[:, 0]
-    ok = np.all(np.abs(mid - val[1::2]) <= _BESSEL_CERT * np.maximum(scale[1::2], 1.0))
-    return coef if ok else None
+    coef, gap = _cubic_pieces(val[::2], d, val[1::2], np.maximum(scale[1::2], 1.0))
+    return coef if gap <= _BESSEL_CERT else None
 
 
 def _bessel_rows(terms, x: np.ndarray) -> np.ndarray:
@@ -164,16 +185,12 @@ def _bessel_rows(terms, x: np.ndarray) -> np.ndarray:
         return sum((s * log_bessel_i0(c * r) for s, c in terms), np.zeros(r.shape))
     if coef is None:
         return exact(np.sqrt(x)).sum(axis=1)
-    (n, h), c_max = _BESSEL_GRID, max(c for _, c in terms)
+    h, c_max = _BESSEL_GRID[1], max(c for _, c in terms)
     out = np.empty(x.shape[0])
     for a in range(0, x.shape[0], _BESSEL_CHUNK):
         r = np.sqrt(x[a:a + _BESSEL_CHUNK])
-        u = np.log1p(c_max * r) / h
-        i = np.fmin(u, n - 1.0).astype(np.intp)  # past the table, or NaN: the last cubic
-        u -= i
-        a0, a1, a2, a3 = np.take(coef, i, axis=0).transpose(2, 0, 1)  # one gather a point
-        v = ((a3 * u + a2) * u + a1) * u + a0 + sum(s * c for s, c in terms) * r
-        if (far := ~(u < 1.0)).any():
+        v = _cubic_at(coef, np.log1p(c_max * r) / h) + sum(s * c for s, c in terms) * r
+        if (far := np.isnan(v)).any():  # past the table, or NaN x
             v[far] = exact(r[far])
         out[a:a + _BESSEL_CHUNK] = v.sum(axis=1)
     return out
@@ -205,20 +222,9 @@ def ncx2_logcdf(x: float, params: Ncx2Params) -> float:
 
 
 def _table_value(tab: _QuantileTable, q: np.ndarray) -> np.ndarray:
-    """The table's quantile at q where q lies in its certified intervals, else NaN."""
-    with np.errstate(divide="ignore"):
-        u = (np.log(q) - np.log1p(-q) - tab.s0) / tab.h
-    on = (u >= 0.0) & (u < tab.n_cert)
-    if on.all():
-        on = ...  # every point on the table: a view, not masked copies
-    i = u[on].astype(np.intp)
-    t = u[on] - i
-    g, d, h = tab.log_x, tab.slope, tab.h
-    tm = 1.0 - t  # cubic Hermite basis on [s_i, s_i + h]
-    x = np.full(q.shape, np.nan)
-    x[on] = np.exp(tm * tm * ((1.0 + 2.0 * t) * g[i] + t * h * d[i])
-                   + t * t * ((3.0 - 2.0 * t) * g[i + 1] - tm * h * d[i + 1]))
-    return x
+    """The table's quantile at q where logit q lies on its pieces, else NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0 or 1: u = -inf or inf
+        return np.exp(_cubic_at(tab.coef, (np.log(q) - np.log1p(-q) - tab.s0) / tab.h))
 
 
 def _boost_quantile(q: np.ndarray, params: Ncx2Params) -> np.ndarray:
@@ -240,44 +246,38 @@ def _boost_quantile(q: np.ndarray, params: Ncx2Params) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _quantile_table(lam: float) -> _QuantileTable:
-    """ln x and d ln x / ds at the grid points s0 + i h of s = logit p, for ncx2(2, lam).
+    """Cubic pieces of ln x in s = logit p between the grid points s0 + i h, for ncx2(2, lam).
 
-    One table per noncentrality of the branch law's 2 dof.  Nodes come from
-    _boost_quantile; the exact slopes p (1 - p) / (x f(x)), f read from
-    _log_density, meet Fritsch & Carlson's monotonicity condition on this
-    grid.  eps bounds the relative error on the n_cert intervals below
-    logit p = 15, past which the CDF's rounding makes the quantile too noisy
-    to check against: 8 times the worst error against _boost_quantile at the
-    midpoints, where the Hermite error peaks, plus 1e-12 for the certified
-    step's own error.  An eps above 1e-6 (sound tables read 2e-8 to 4e-8;
-    lam = 200 reads 0.12) or a non-finite one gives eps = inf, n_cert = 0.
+    One table per noncentrality of the branch law's 2 dof.  Nodes come from _boost_quantile;
+    the exact slopes p (1 - p) / (x f(x)), f read from _log_density, meet Fritsch & Carlson's
+    monotonicity condition on this grid.  eps bounds the relative error on every piece: 8 times
+    the worst gap in ln x to _boost_quantile at the midpoints, where the Hermite error peaks,
+    plus 1e-12 for the certified step's own error.  An eps above 1e-6 (sound tables read 2e-8
+    to 4e-8; lam = 200 reads 0.12) or a non-finite one leaves no pieces and eps = inf.
     """
     params = Ncx2Params(2, lam)
     s = np.linspace(*_TABLE_LOGIT)
+    h = s[1] - s[0]
     p = special.expit(s)
     x = _boost_quantile(p, params)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # chndtrix reads NaN at some lam (2000 among them); nan_to_num passes
-        # the density's domain check, and the NaN nodes leave NaN slopes
+        # chndtrix reads NaN at some lam (2000 among them): nan_to_num passes the density's check
         slope = p * special.expit(-s) / (x * np.exp(_log_density(np.nan_to_num(x), 1.0, lam)))
-    h = s[1] - s[0]
-    n = int((15.0 - s[0]) // h)
-    tab = _QuantileTable(s[0], h, np.log(x), slope, math.inf, n)
-    p_mid = special.expit(s[:n] + 0.5 * h)
-    err = np.abs(_table_value(tab, p_mid) / _boost_quantile(p_mid, params) - 1.0)
-    eps = 8.0 * float(np.max(err)) + 1e-12
-    return tab._replace(eps=eps) if eps <= 1e-6 else tab._replace(n_cert=0)
+        mid = np.log(_boost_quantile(special.expit(s[:-1] + 0.5 * h), params))
+        coef, gap = _cubic_pieces(np.log(x), h * slope, mid)
+    ok = (eps := 8.0 * gap + 1e-12) <= 1e-6  # False at NaN
+    return _QuantileTable(s[0], h, coef if ok else coef[:0], eps if ok else math.inf)
 
 
 def ncx2_quantile(p, params: Ncx2Params):
     """Inverse CDF for p in (0, 1); |cdf(quantile(p)) - p| stays below 1e-12.
 
-    p is clipped to _P_MAX = 1 - 1e-14.  At 2 dof, on the table's certified
-    intervals, a point takes one Newton step from the table (one CDF
-    evaluation), kept when its residual r meets r^2 <= _NEWTON_CERT p
-    min(p, 1 - p); other points, and every point at other dof, are
-    _boost_quantile's, checked by one CDF evaluation each: a miss past 1e-9
-    relative (p <= 1/2) or 1e-11 absolute raises.  Batch size never matters.
+    p is clipped to _P_MAX = 1 - 1e-14.  At 2 dof, on the table's pieces, a
+    point takes one Newton step from the table (one CDF evaluation), kept
+    when its residual r meets r^2 <= _NEWTON_CERT p min(p, 1 - p); other
+    points, and every point at other dof, are _boost_quantile's, checked by
+    one CDF evaluation each: a miss past 1e-9 relative (p <= 1/2) or 1e-11
+    absolute raises.  Batch size never matters.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from outagemc import ChannelConfig, RngStream, estimators
+from outagemc import ChannelConfig, RngStream, estimators, experiment
 from outagemc.cli import main
 from outagemc.experiment import (
     DEFAULT_HYPER,
@@ -123,6 +123,22 @@ class TestLoadSpec:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecError, match="not found"):
             load_spec(tmp_path / "absent.ini")
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_file(self, tmp_path, capsys, kind):
+        # a path that is not UTF-8 text is a spec error (exit 1), not a
+        # traceback or an estimation error
+        spec = tmp_path / "spec.ini"
+        if kind == "directory":
+            spec.mkdir()
+        else:
+            spec.write_bytes(GOOD_SPEC.replace("mu = 0.5", "mu = 0.5 ; \xb5").encode("latin-1"))
+        with pytest.raises(SpecError, match="cannot read spec file"):
+            load_spec(spec)
+        assert main(["estimate", str(spec), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: cannot read spec file") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_hyper_defaults_match_estimators(self):
         # a spec without [hyper] must run ce and mls at their own defaults
@@ -301,6 +317,20 @@ class TestEstimateCommand:
     def test_spec_error_exit_code(self, tmp_path):
         spec = write(tmp_path, GOOD_SPEC.replace("M = 4", "M = -4"))
         assert main(["estimate", str(spec)]) == 1
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, monkeypatch, command):
+        # an --out-dir that is an existing file stops the command with one
+        # line and exit 1 before any cell runs
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiment, "run_method", no_cells)
+        blocker = write(tmp_path, "", "taken")
+        argv = [command, str(write(tmp_path, SWEEP_SPEC)), "--out-dir", str(blocker)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"spec error: cannot create --out-dir {blocker}: File exists\n"
 
     def test_seed_override_changes_results(self, tmp_path):
         spec = write(tmp_path, GOOD_SPEC)

@@ -687,13 +687,13 @@ class TestTableDecision:
 
     @staticmethod
     def uncertified(monkeypatch):
-        """Serve eps = inf, n_cert = 0 tables to the screen, whose groups
+        """Serve eps = inf tables with no pieces to the screen, whose groups
         hold the table decision's tables, with a _screen cache of this
         test's own."""
         table = estimators._quantile_table
 
         def void(lam):
-            return table(lam)._replace(eps=math.inf, n_cert=0)
+            return table(lam)._replace(eps=math.inf, coef=table(lam).coef[:0])
 
         monkeypatch.setattr(estimators, "_quantile_table", void)
         monkeypatch.setattr(estimators, "_screen", functools.lru_cache(maxsize=64)(

@@ -285,7 +285,7 @@ class TestNcx2Quantile:
         # is not certified, and the cold check turns the miss into an error
         params = Ncx2Params(2, 200.0)
         tab = specfun._quantile_table(200.0)
-        assert tab.eps == np.inf and tab.n_cert == 0
+        assert tab.eps == np.inf and len(tab.coef) == 0
         with pytest.raises(ValueError, match="cannot invert"):
             ncx2_quantile(1e-100, params)
         x = ncx2_quantile(0.5, params)
@@ -303,7 +303,7 @@ class TestNcx2Quantile:
         # at lam = 2000 Boost's inverse reads NaN on part of the grid; the
         # table must come out uncertified, not fail the density's domain check
         params = Ncx2Params(2, 2000.0)
-        assert specfun._quantile_table(2000.0).n_cert == 0
+        assert len(specfun._quantile_table(2000.0).coef) == 0
         p = np.array([1e-3, 0.5, 0.9])
         assert np.max(np.abs(ncx2_cdf(ncx2_quantile(p, params), params) - p)) < 1e-11
 
@@ -312,7 +312,7 @@ class TestNcx2Quantile:
         # certificate; those points must come from the exact inverse
         params = Ncx2Params(2, 10.58)
         tab = specfun._quantile_table(10.58)
-        shifted = tab._replace(log_x=tab.log_x + 1e-3)
+        shifted = tab._replace(coef=tab.coef + [1e-3, 0.0, 0.0, 0.0])
         monkeypatch.setattr(specfun, "_quantile_table", lambda lam: shifted)
         rng = np.random.default_rng(4)
         p = np.concatenate([[1e-200, 1e-10, 0.5, 1 - 1e-6], rng.random(2000)])
@@ -335,21 +335,21 @@ class TestNcx2Quantile:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 10.58, 42.32])
     def test_table_monotone(self, lam):
         # Fritsch & Carlson: alpha^2 + beta^2 <= 9 keeps each Hermite piece
-        # monotone; the exact slopes meet it without limiting
-        tab = specfun._quantile_table(lam)
-        d = tab.slope
-        secant = np.diff(tab.log_x) / tab.h
-        assert np.all(secant > 0.0)
-        assert np.all((d[:-1] / secant) ** 2 + (d[1:] / secant) ** 2 <= 9.0)
+        # monotone; the exact slopes meet it without limiting.  A piece's
+        # rise is a1 + a2 + a3, its end slopes a1 and a1 + 2 a2 + 3 a3
+        a0, a1, a2, a3 = specfun._quantile_table(lam).coef.T
+        rise = a1 + a2 + a3
+        assert np.all(rise > 0.0)
+        assert np.all((a1 / rise) ** 2 + ((a1 + 2.0 * a2 + 3.0 * a3) / rise) ** 2 <= 9.0)
 
     @pytest.mark.parametrize("lam", [0.5, 10.58, 18.0, 42.32, 50.0])
     def test_table_error_certified(self, lam):
-        # the bound comes from one midpoint per interval; check it at 15
-        # interior points of every certified interval against the quantile
+        # the bound comes from one midpoint per piece; check it at 15
+        # interior points of every piece against the quantile
         params = Ncx2Params(2, lam)
         tab = specfun._quantile_table(lam)
-        assert 0.0 < tab.eps < 1e-7 and tab.n_cert == 8010
-        u = (np.arange(tab.n_cert)[:, None] + np.arange(1, 16) / 16.0).ravel()
+        assert 0.0 < tab.eps < 1e-7 and len(tab.coef) == 8191
+        u = (np.arange(len(tab.coef))[:, None] + np.arange(1, 16) / 16.0).ravel()
         p = special.expit(tab.s0 + u * tab.h)
         x = specfun._table_value(tab, p)
         assert not np.isnan(x).any()
@@ -357,8 +357,8 @@ class TestNcx2Quantile:
 
     def test_table_error_uncertified(self, monkeypatch):
         # a NaN density in mid-grid leaves NaN slopes and NaN midpoints, so
-        # no point may be read off the table (TestTableDecision's mu5 case
-        # serves such tables); built uncached, so no other test sees it
+        # the table keeps no pieces (TestTableDecision's mu5 case serves
+        # such tables); built uncached, so no other test sees it
         raw = specfun._log_density
 
         def nan_density(x, v1, v2):
@@ -366,8 +366,8 @@ class TestNcx2Quantile:
 
         monkeypatch.setattr(specfun, "_log_density", nan_density)
         tab = specfun._quantile_table.__wrapped__(10.58)
-        assert np.isnan(tab.slope).any()
-        assert tab.eps == np.inf and tab.n_cert == 0
+        assert tab.eps == np.inf and tab.coef.shape == (0, 4)
+        assert np.isnan(specfun._table_value(tab, np.array([1e-10, 0.5]))).all()
 
     @pytest.mark.parametrize("lam,x_th", [(0.5, 0.2), (10.58, 34.0), (42.32, 34.0)])
     def test_one_cdf_evaluation_per_point(self, lam, x_th, monkeypatch):
@@ -487,3 +487,40 @@ class TestBesselTable:
         assert specfun._bessel_table(terms) is None
         x = np.random.default_rng(7).uniform(0.0, 17.0, (300, 8))
         assert np.array_equal(specfun._bessel_rows(terms, x), self.exact(terms, x).sum(axis=1))
+
+
+class TestCubicPieces:
+    """_cubic_pieces builds, and _cubic_at reads, the quantile and Bessel tables' pieces."""
+
+    TABLES = {
+        "quantile-0.5": lambda: specfun._quantile_table(0.5).coef,
+        "quantile-10.58": lambda: specfun._quantile_table(10.58).coef,
+        "bessel-los-ce": lambda: specfun._bessel_table(((1.0, 4.6), (-1.0, math.sqrt(14.3 / 0.2)))),
+        "bessel-subset-et": lambda: specfun._bessel_table(((1.0, 1.0),)),
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_pieces_meet_at_the_nodes(self, name):
+        # at integer u the reader returns the node value itself; each piece
+        # ends on the next node with the next node's slope, to rounding
+        coef = self.TABLES[name]()
+        a0, a1, a2, a3 = coef.T
+        assert np.array_equal(specfun._cubic_at(coef, np.arange(len(coef), dtype=float)), a0)
+        eps = np.finfo(float).eps
+        end = ((a3 + a2) + a1) + a0
+        scale = np.abs(a0) + np.abs(a1) + np.abs(a2) + np.abs(a3)
+        assert np.all(np.abs(end[:-1] - a0[1:]) <= 4.0 * eps * scale[:-1])
+        end_slope = a1 + 2.0 * a2 + 3.0 * a3
+        scale = np.abs(a1[:-1]) + np.abs(a1[1:]) + np.abs(a2[:-1]) + np.abs(a3[:-1])
+        assert np.all(np.abs(end_slope[:-1] - a1[1:]) <= 8.0 * eps * scale)
+
+    @pytest.mark.parametrize("lam", [0.5, 10.58])
+    def test_quantile_pieces_span_the_grid(self, lam):
+        # every piece is certified: the table reads on all of logit p in
+        # [s0, 15) and nowhere else, q = 0 and q = 1 included
+        tab = specfun._quantile_table(lam)
+        on = special.expit(np.linspace(tab.s0 + 1e-6, 15.0 - 1e-6, 100_001))
+        assert np.isfinite(specfun._table_value(tab, on)).all()
+        off = np.concatenate([[0.0, 5e-324, 1.0 - 1e-14, 1.0],
+                              special.expit([-700.0, tab.s0 - 1e-6, 15.0 + 1e-6, 30.0])])
+        assert np.isnan(specfun._table_value(tab, off)).all()
