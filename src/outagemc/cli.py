@@ -65,6 +65,8 @@ def _cmd_report(args) -> int:
         "sweep": (sweep_scv_rows, "sweep_scv", SWEEP_COLUMNS),
     }[args.command]
     spec = load_spec(args.spec)
+    if args.command == "sweep" and spec.sweep_axis is None:  # before --out-dir is made
+        raise SpecError("sweep requires a [sweep] section with axis and values")
     try:  # before any cell runs
         args.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -308,7 +308,7 @@ def _lr_sums(config: ChannelConfig, x: np.ndarray, log_lr):
     if not hits:
         return 0.0, 0.0, 0
     w = np.exp(log_lr(x[mask]))
-    return float(w.sum()), float(np.dot(w, w)), hits
+    return float(w.sum()), float((w * w).sum()), hits
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +449,7 @@ def estimate_pis(config: ChannelConfig, S: int, rng: RngStream,
 def _et_log_lr_rows(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
     """ln f(x) / prod_i (rate e^{-rate x_i}) per row, f the channel law, rate = M / gamma_th."""
     M, mu, rate = config.M, config.mu_array, config.M / config.gamma_th
-    out = (rate - 1.0) * x.sum(axis=1) - (float(np.dot(mu, mu)) + M * math.log(rate))
+    out = (rate - 1.0) * x.sum(axis=1) - (config.mu_norm_sq + M * math.log(rate))
     for val in sorted(set(config.mu)):
         out += _bessel_rows(((1.0, 2.0 * val),), x if config.identical_mu else x[:, mu == val])
     return out
@@ -515,14 +515,14 @@ def ce_update(x: np.ndarray, weights: np.ndarray) -> CEParams:
     wz = np.repeat(w / w.sum(), x.shape[1]) / x.shape[1]
     rz = np.sqrt(z)
     wrz, wzz = wz * rz, wz * z
-    m1, m2 = float(np.dot(wz, z)), float(np.dot(wzz, z))
+    m1, m2 = float(wzz.sum()), float((wzz * z).sum())
 
     def score(nu):
         v1 = 0.5 * (m1 - nu * nu)
         arg = nu * rz / v1
         r = special.i1e(arg) / special.i0e(arg)
-        t = float(np.dot(wrz, r))
-        ezr = m1 - float(np.dot(wzz, r * r)) - v1 / nu * t  # E_w[z R'], as z/a = sqrt(z) v1/nu
+        t = float((wrz * r).sum())
+        ezr = m1 - float((wzz * (r * r)).sum()) - v1 / nu * t  # E_w[z R'], as z/a = sqrt(z) v1/nu
         return t - nu, ezr * (v1 + nu * nu) / (v1 * v1) - 1.0
 
     lo, hi = 1e-4 * math.sqrt(m1), math.sqrt(m1)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .samplers import _underflow
-from .specfun import Ncx2Params, ncx2_logcdf
+from .specfun import Ncx2Params, _log_density, ncx2_logcdf
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,38 @@ def gsc_statistic_rows(x: np.ndarray, m: int) -> np.ndarray:
     return np.partition(x, M - m, axis=1)[:, M - m:].sum(axis=1)
 
 
+def _log_outage_m2(config: ChannelConfig) -> float:
+    """ln P(H <= gamma) at m = 2, conditioned on the second-largest branch value t.
+
+    With branch k at t and branch j the largest, in (t, gamma - t], every other
+    branch lies below t < gamma / 2 (David & Nagaraja, Order Statistics, 2003):
+    p = sum_k int_0^{gamma/2} f_k(t) sum_{j != k} [F_j(gamma - t) - F_j(t)]
+    prod_{i not in {j, k}} F_i(t) dt, by 64-node Gauss-Legendre in log space.
+    A branch passes (mu_max + 5)^2 with chance below e^-25 (Marcum's Q_1(a, b)
+    <= e^{-(b - a)^2 / 2}), so t stops there: two branches past it add nothing.
+    """
+    x, w = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * min(0.5 * config.gamma_th, (max(config.mu) + 5.0) ** 2)
+    t, mu = half * (x + 1.0), config.mu_array
+    logcdf = {v: [[ncx2_logcdf(2.0 * s, Ncx2Params(2, 2.0 * v * v)) for s in row]
+                  for row in (t, config.gamma_th - t)] for v in set(config.mu)}
+    lo, hi = np.transpose([logcdf[v] for v in config.mu], (1, 2, 0))  # (node, branch)
+    with np.errstate(divide="ignore"):  # -inf where both F round to 1
+        gap = hi + np.log1p(-np.exp(lo - hi))  # ln(F_j(gamma - t) - F_j(t))
+    term = ((_log_density(t[:, None], 0.5, 2.0 * mu * mu) - lo)[:, :, None]
+            + (gap - lo)[:, None, :] + (lo.sum(axis=1) + np.log(half * w))[:, None, None])
+    term[:, np.arange(config.M), np.arange(config.M)] = -math.inf  # j = k
+    top = term.max()
+    return float(top + math.log(np.exp(term - top).sum()))
+
+
 def closed_form_outage(config: ChannelConfig) -> Optional[float]:
     """Exact outage probability where one exists; None otherwise.
 
     m=1: the outage event is every branch below threshold, so the
     probability factorizes over branches.  m=M: the combined statistic is
-    the full sum, itself half a noncentral chi-square with 2M dof.  Both
+    the full sum, itself half a noncentral chi-square with 2M dof.  m=2:
+    one integral over the second-largest branch value (_log_outage_m2).  All
     are summed in log space, which stays exact far in the left tail where
     the linear CDF reads 0.  A probability below the smallest normal double
     raises, not returns 0.
@@ -122,6 +148,8 @@ def closed_form_outage(config: ChannelConfig) -> Optional[float]:
         log_p = math.fsum(ncx2_logcdf(g2, Ncx2Params(2, 2.0 * mu * mu)) for mu in config.mu)
     elif config.m == config.M:
         log_p = ncx2_logcdf(g2, Ncx2Params(2 * config.M, 2.0 * config.mu_norm_sq))
+    elif config.m == 2:
+        log_p = _log_outage_m2(config)
     else:
         return None
     p = math.exp(log_p)

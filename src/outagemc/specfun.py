@@ -118,9 +118,9 @@ def _log_density(x, v1, v2):
 
     Per coordinate of x, for scalar v1, v2 or one per column.  The branch law
     v1 = 1/2, v2 = 2 mu^2 gives -mu^2 - x + ln I0(2 mu sqrt x), the Bessel
-    argument rounded as 2 mu sqrt(x).  pis's simplex test and M_ell read it,
-    and at v1 = 1 so do the quantile table's slopes and the Newton step of
-    ncx2_quantile; ce's and et's ratios read _bessel_rows instead.
+    argument rounded as 2 mu sqrt(x).  pis's simplex test, M_ell and the exact
+    m = 2 integral read it, and at v1 = 1 so do the quantile table's slopes and
+    ncx2_quantile's Newton step; ce's and et's ratios read _bessel_rows instead.
     """
     return (log_bessel_i0(np.sqrt(v2 / v1) * np.sqrt(x))
             - x / (2.0 * v1) - (np.log(2.0 * v1) + 0.5 * v2))

@@ -443,6 +443,12 @@ class TestSweepCommand:
         spec = write(tmp_path, GOOD_SPEC)
         assert main(["sweep", str(spec)]) == 1
 
+    def test_missing_sweep_section_makes_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "new"
+        assert main(["sweep", str(write(tmp_path, GOOD_SPEC)), "--out-dir", str(out)]) == 1
+        assert "requires a [sweep] section" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_across_worker_counts(self, tmp_path):
         spec = write(tmp_path, SWEEP_SPEC)
         out1, out2 = tmp_path / "w1", tmp_path / "w2"

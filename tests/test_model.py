@@ -8,6 +8,7 @@ from conftest import gsc_statistic
 from outagemc.model import (
     ChannelConfig,
     EstimateResult,
+    _log_outage_m2,
     closed_form_outage,
     gsc_statistic_rows,
 )
@@ -147,10 +148,41 @@ class TestClosedFormOutage:
         cfg = ChannelConfig(M=8, m=8, mu=4.0, gamma_th=0.1)
         assert closed_form_outage(cfg) == pytest.approx(2.2161190553249328e-68, rel=1e-12)
 
-    @pytest.mark.parametrize("m", [8, 1])
+    @pytest.mark.parametrize("cfg,expected", [
+        # oracle: mpmath quadrature of the m = 2 integral at 30 digits
+        (ChannelConfig(M=3, m=2, mu=0.5, gamma_th=0.5), 0.010662784030170517),
+        (ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1), 9.0653618487707648e-12),
+    ], ids=["small", "subset"])
+    def test_second_largest_integral(self, cfg, expected):
+        assert closed_form_outage(cfg) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("cfg,printed", [
+        (ChannelConfig(M=4, m=2, mu=(0.3, 0.3, 1.5, 1.5), gamma_th=1.0), "1.2116001e-03"),
+        (ChannelConfig(M=8, m=2, mu=4.0, gamma_th=10.0), "3.733441e-19"),
+        (ChannelConfig(M=4, m=2, mu=10.0, gamma_th=40.0), "2.949780e-59"),
+    ], ids=["unequal", "mu4", "mu10"])
+    def test_second_largest_integral_table(self, cfg, printed):
+        # the order-statistic values that ROADMAP's exact table prints
+        digits = len(printed.split("e")[0]) - 2
+        assert f"{closed_form_outage(cfg):.{digits}e}" == printed
+
+    @pytest.mark.parametrize("mu,gamma", [
+        ((0.5, 0.5), 2.0),
+        ((0.3, 1.7), 2.0),
+        # t stops at (1.7 + 5)^2, short of gamma / 2 = 500, over which 64 nodes
+        # do not resolve the integrand
+        ((0.3, 1.7), 1e3),
+    ], ids=["equal", "unequal", "unequal-far"])
+    def test_second_largest_integral_at_full_sum(self, mu, gamma):
+        # at M = 2 the integral is the full sum, the 4-dof closed form
+        cfg = ChannelConfig(M=2, m=2, mu=mu, gamma_th=gamma)
+        assert np.exp(_log_outage_m2(cfg)) == pytest.approx(closed_form_outage(cfg),
+                                                            rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [8, 1, 2])
     def test_underflow_raises(self, m):
-        # at 1e-40 the exact p is 0.0 in double (m = 8) or the subnormal
-        # 1.354e-321 (m = 1); neither is a usable reference
+        # at 1e-40 the exact p is 0.0 in double (m = 8) or the subnormals
+        # 1.354e-321 (m = 1) and 1e-323 (m = 2); none is a usable reference
         cfg = ChannelConfig(M=8, m=m, mu=0.5, gamma_th=1e-40)
         with pytest.raises(TruncationUnderflowError, match="too extreme"):
             closed_form_outage(cfg)
