@@ -1,26 +1,27 @@
 """Command-line front end.
 
-    outagemc estimate SPEC [--seed N] [--workers N] [--out-dir D] [--format csv|json]
-    outagemc sweep    SPEC [--seed N] [--workers N] [--out-dir D] [--format csv|json]
+    outagemc estimate SPEC [--seed N] [--workers N] [--out-dir D]
+    outagemc sweep    SPEC [--seed N] [--workers N] [--out-dir D]
     outagemc verify        [--seed N] [--workers N] [--samples N]
 
-Exit codes: 0 success, 1 spec validation error, 2 runtime estimation
-failure, 3 verification failure.
+estimate writes results.csv and sweep sweep_scv.csv, each computed from a
+JSON sidecar of the same stem that holds every cell's record, a failed one's too.
+
+Exit codes: 0 success, 1 spec validation error or an output path that
+cannot be written, 2 runtime estimation failure, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .experiment import (
-    CSV_COLUMNS,
-    SWEEP_COLUMNS,
     SpecError,
     load_spec,
     run_experiment,
-    sweep_scv_rows,
     verify_oracles,
     write_csv,
     write_json,
@@ -48,8 +49,6 @@ def build_parser():
                          help="worker threads; results do not depend on this")
         sub.add_argument("--out-dir", type=Path, default=Path("."),
                          help="directory for output files")
-        sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                         help="csv writes a CSV plus JSON sidecar; json writes JSON only")
 
     p_ver = subs.add_parser("verify", help="run the built-in oracle checks")
     p_ver.add_argument("--seed", type=int, default=20240601)
@@ -60,25 +59,26 @@ def build_parser():
 
 
 def _cmd_report(args) -> int:
-    runner, stem, columns = {
-        "estimate": (run_experiment, "results", CSV_COLUMNS),
-        "sweep": (sweep_scv_rows, "sweep_scv", SWEEP_COLUMNS),
-    }[args.command]
+    sweep = args.command == "sweep"
     spec = load_spec(args.spec)
-    if args.command == "sweep" and spec.sweep_axis is None:  # before --out-dir is made
+    if sweep and spec.sweep_axis is None:  # before --out-dir is made
         raise SpecError("sweep requires a [sweep] section with axis and values")
     try:  # before any cell runs
         args.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise SpecError(f"cannot create --out-dir {args.out_dir}: {exc.strerror}") from None
-    rows, sidecar, hard_failure = runner(spec, workers=args.workers, seed=args.seed)
-    if args.format == "csv":
-        csv_path = write_csv(rows, columns, args.out_dir / f"{stem}.csv")
-        print(f"wrote {csv_path}")
-    json_path = write_json(sidecar, args.out_dir / f"{stem}.json")
-    print(f"wrote {json_path}")
-    # estimate fails when no cell returned an estimate, sweep when no cell has an SCV
-    if hard_failure or not rows or not sidecar["results"]:
+    sidecar, hard_failure = run_experiment(spec, workers=args.workers, seed=args.seed)
+    stem = args.out_dir / ("sweep_scv" if sweep else "results")
+    for path, write in ((stem.with_suffix(".csv"), partial(write_csv, sidecar, sweep=sweep)),
+                        (stem.with_suffix(".json"), partial(write_json, sidecar))):
+        try:
+            write(path)
+        except OSError as exc:
+            raise SpecError(f"cannot write {path}: {exc.strerror}") from None
+        print(f"wrote {path}")
+    # estimate fails when no record holds p_hat, sweep when none holds an SCV
+    key = "scv" if sweep else "p_hat"
+    if hard_failure or all(rec.get(key) is None for rec in sidecar["results"]):
         return EXIT_RUNTIME
     return EXIT_OK
 

@@ -28,8 +28,9 @@ A spec file is flat INI text:
     mls_target_cond_prob = 0.2
     mls_pilot_samples = 10000
 
-Each run writes a CSV (4-significant-digit scientific notation) and a JSON
-sidecar with full-precision values and per-method diagnostics.  All columns
+Each run writes a JSON sidecar that holds one full-precision record per
+(sweep point, method) cell, a failed one's error too, and a CSV (4-significant-
+digit scientific notation) computed from those records alone.  All values
 except wall_time_s and wnrv_time are byte-reproducible for a fixed seed,
 independent of the worker count.
 """
@@ -200,15 +201,22 @@ def run_method(method: str, config: ChannelConfig, S: int, rng: RngStream,
     return est.ESTIMATORS[method](config, S, rng, workers=workers, **kwargs)
 
 
-def _csv_row(rec: dict, seed: int, notes: list, wnrv: float = None) -> dict:
-    """One results.csv row formatted from a cell's sidecar record.
+def _csv_row(rec: dict, seed: int) -> dict:
+    """One results.csv row, a projection of a cell's sidecar record.
 
-    A failed cell passes a record holding only method, config and samples;
-    every value it lacks, like a None from a zero-hit estimate, is blank.
+    A failed cell's notes are its error, else they are the estimator's
+    warnings and, where re is None, the zero-hit note; every value a record
+    lacks or holds as None is blank.
     """
     def sci(key, scale=1.0):
         v = rec.get(key)
         return "" if v is None else f"{scale * v:.3e}"
+    if "error" in rec:
+        notes = [f"error: {rec['error']}"]
+    else:
+        notes = list(rec["diagnostics"].get("warnings", []))
+        if rec["re"] is None:
+            notes.append("zero hits at this sample count; derived metrics undefined")
     cfg = rec["config"]
     mu = cfg["mu"] if len(set(cfg["mu"])) > 1 else cfg["mu"][:1]
     return {
@@ -216,66 +224,68 @@ def _csv_row(rec: dict, seed: int, notes: list, wnrv: float = None) -> dict:
         "mu": ";".join(f"{v:.10g}" for v in mu),
         "gamma_th": f"{cfg['gamma_th']:.10g}",
         "S": rec["samples"], "p_hat": sci("p_hat"), "var_hat": sci("var_hat"),
-        "re_pct": sci("re", 100.0), "scv": sci("scv"),
-        "wnrv_time": "" if wnrv is None else f"{wnrv:.3e}",
+        "re_pct": sci("re", 100.0), "scv": sci("scv"), "wnrv_time": sci("wnrv_time"),
         "wnrv_work": sci("wnrv_work"), "wall_time_s": sci("wall_time_s"),
         "seed": seed, "warnings": ";".join(notes),
     }
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1, seed: int = None):
-    """Run every (sweep point, method) cell; returns (rows, sidecar, hard_failure).
+    """Run every (sweep point, method) cell; returns (sidecar, hard_failure).
 
-    Inapplicable or failed methods produce an error-tagged row and the run
-    continues; hard_failure is set if any method raised at run time (as
-    opposed to failing validation).
+    sidecar["results"] holds one record per cell, in cell order; a cell that
+    raises keeps its record, with error, the exception's message, in place of
+    the estimate fields, and the run goes on.  hard_failure is set if a method
+    raised at run time (as opposed to failing validation).
     """
     base_seed = spec.seed if seed is None else seed
-    rows = []
     sidecar = {"hyper": dict(spec.hyper), "seed": base_seed,
                "workers_note": "results are independent of the worker count",
                "results": []}
     hard_failure = False
-    stream_id = 0
-    for axis_value, config in _sweep_configs(spec):
-        for method in spec.methods:
-            S = spec.samples[method]
-            rng = RngStream(base_seed, stream_id)
-            stream_id += 1
-            rec = {"method": method, "axis_value": axis_value,
-                   "config": {"M": config.M, "m": config.m,
-                              "mu": list(config.mu), "gamma_th": config.gamma_th},
-                   "samples": S}
-            try:
-                result = run_method(method, config, S, rng, spec.hyper,
-                                    workers=workers)
-            except (ValueError, RuntimeError) as exc:
-                rows.append(_csv_row(rec, base_seed, [f"error: {exc}"]))
-                hard_failure |= isinstance(exc, RuntimeError)
-                continue
-            rep = metrics.efficiency_report(result) if result.p_hat > 0 else None
-            rec.update({
-                "samples": result.samples,
-                "stream_id": rng.stream_id,
-                "p_hat": result.p_hat,
-                "var_hat": result.var_hat,
-                "re": rep.re if rep else None,
-                "scv": rep.scv if rep else None,
-                "wnrv_work": rep.wnrv_work if rep else None,
-                "wall_time_s": result.wall_time_s,
-                "work_units": result.work_units,
-                "diagnostics": result.diagnostics,
-            })
-            sidecar["results"].append(rec)
-            notes = list(result.warnings)
-            if rep is None:
-                notes.append("zero hits at this sample count; derived metrics undefined")
-            rows.append(_csv_row(rec, base_seed, notes, rep.wnrv if rep else None))
-    return rows, sidecar, hard_failure
+    for stream_id, ((axis_value, config), method) in enumerate(
+            itertools.product(_sweep_configs(spec), spec.methods)):
+        rec = {"method": method, "axis_value": axis_value,
+               "config": {"M": config.M, "m": config.m,
+                          "mu": list(config.mu), "gamma_th": config.gamma_th},
+               "samples": spec.samples[method], "stream_id": stream_id}
+        sidecar["results"].append(rec)
+        try:
+            result = run_method(method, config, rec["samples"],
+                                RngStream(base_seed, stream_id), spec.hyper, workers=workers)
+        except (ValueError, RuntimeError) as exc:
+            rec["error"] = str(exc)
+            hard_failure |= isinstance(exc, RuntimeError)
+            continue
+        rep = metrics.efficiency_report(result) if result.p_hat > 0 else None
+        rec.update({
+            "samples": result.samples,
+            "p_hat": result.p_hat,
+            "var_hat": result.var_hat,
+            "re": rep.re if rep else None,
+            "scv": rep.scv if rep else None,
+            "wnrv_time": rep.wnrv if rep else None,
+            "wnrv_work": rep.wnrv_work if rep else None,
+            "wall_time_s": result.wall_time_s,
+            "work_units": result.work_units,
+            "diagnostics": result.diagnostics,
+        })
+    return sidecar, hard_failure
 
 
-def write_csv(rows, columns, path):
-    """Write dict rows under a header of columns, quoted per RFC 4180."""
+def write_csv(sidecar: dict, path, sweep: bool = False):
+    """Write results.csv's rows, or with sweep sweep_scv.csv's, from sidecar["results"] alone.
+
+    results.csv has a row for every cell, sweep_scv.csv one for every cell
+    with an SCV; a field is quoted per RFC 4180.
+    """
+    records = sidecar["results"]
+    if sweep:
+        columns = SWEEP_COLUMNS
+        rows = [{"axis_value": f"{rec['axis_value']:.10g}", "method": rec["method"],
+                 "scv": f"{rec['scv']:.6e}"} for rec in records if rec.get("scv") is not None]
+    else:
+        columns, rows = CSV_COLUMNS, [_csv_row(rec, sidecar["seed"]) for rec in records]
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, columns, lineterminator="\n")
@@ -295,18 +305,6 @@ def write_json(payload, path):
     path = Path(path)
     path.write_text(json.dumps(finite(payload), indent=2, allow_nan=False) + "\n")
     return path
-
-
-def sweep_scv_rows(spec: ExperimentSpec, workers: int = 1, seed: int = None):
-    """Plot-data rows (axis_value, method, scv) for the sweep axis of a spec that has one."""
-    _, sidecar, hard_failure = run_experiment(spec, workers=workers, seed=seed)
-    out = []
-    for rec in sidecar["results"]:
-        if rec["scv"] is not None:
-            out.append({"axis_value": f"{rec['axis_value']:.10g}",
-                        "method": rec["method"],
-                        "scv": f"{rec['scv']:.6e}"})
-    return out, sidecar, hard_failure
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def ncx2_logcdf(x: float, params: Ncx2Params) -> float:
              + log_regularized_lower_gamma(params.dof / 2.0 + j, x / 2.0))
     if max(log_t[-1], log_t[0] if j[0] else -math.inf) > log_t.max() - 46.0:
         raise ValueError(f"ncx2_logcdf's window misses mass at x={x!r}, lam={2 * h!r}")
-    return float(special.logsumexp(log_t))
+    return min(float(special.logsumexp(log_t)), 0.0)  # the sum can round past 1
 
 
 def _table_value(tab: _QuantileTable, q: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from outagemc.experiment import (
     ExperimentSpec,
     SpecError,
     load_spec,
+    run_experiment,
     run_method,
 )
 
@@ -232,6 +233,11 @@ class TestEstimateCommand:
         assert "error:" in ce_row and "identical" in ce_row
         et_row = next(r for r in rows if r.startswith("et,"))
         assert "error:" not in et_row
+        # the sidecar keeps the failed cell's record, error in place of estimates
+        ce, et = json.loads((out / "results.json").read_text())["results"]
+        assert ce["error"] == "CE requires identical mu_i across branches"
+        assert "p_hat" not in ce and ce["stream_id"] == 0
+        assert et["stream_id"] == 1 and et["p_hat"] > 0 and "error" not in et
 
     def test_runtime_failure_sets_exit_code(self, tmp_path, monkeypatch):
         # a method that fails at run time gets an error row, the others
@@ -285,7 +291,7 @@ class TestEstimateCommand:
         records = json.loads((out / "results.json").read_text())["results"]
         assert [r["method"] for r in rows] == [rec["method"] for rec in records]
         for row, rec in zip(rows, records):
-            for key in ("p_hat", "var_hat", "scv"):
+            for key in ("p_hat", "var_hat", "scv", "wnrv_time"):
                 assert row[key] == f"{rec[key]:.3e}", (row["method"], key)
 
     def test_sidecar_is_strict_json(self, tmp_path):
@@ -313,6 +319,35 @@ class TestEstimateCommand:
         with open(out / "results.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert row["warnings"] == "outage event is not rare: single-level schedule"
+
+    def test_zero_hit_cell(self, tmp_path):
+        # p ~ 9e-12 leaves 2,000 nominal rows without a hit: p_hat reads 0,
+        # its derived metrics are blank (null in the sidecar) and the run succeeds
+        text = GOOD_SPEC.replace("M = 4\nm = 2", "M = 8\nm = 2")
+        text = text.replace("gamma_th = 0.8", "gamma_th = 0.1")
+        text = text.replace("methods = pis, et", "methods = nmc").replace("50000", "2000")
+        out = tmp_path / "out"
+        assert main(["estimate", str(write(tmp_path, text)), "--out-dir", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["p_hat"] == "0.000e+00"
+        assert [row[k] for k in ("re_pct", "scv", "wnrv_time", "wnrv_work")] == [""] * 4
+        assert row["warnings"] == "zero hits at this sample count; derived metrics undefined"
+        (rec,) = json.loads((out / "results.json").read_text())["results"]
+        assert rec["p_hat"] == 0.0
+        assert [rec[k] for k in ("re", "scv", "wnrv_time", "wnrv_work")] == [None] * 4
+
+    @pytest.mark.parametrize("command,name", [("estimate", "results.csv"),
+                                              ("sweep", "sweep_scv.json")])
+    def test_output_file_that_cannot_be_written(self, tmp_path, capsys, command, name):
+        # a directory in an output file's place stops the command with one
+        # line and exit 1 once its cells have run
+        text = SWEEP_SPEC.replace("samples = 300000", "samples = 20000")
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([command, str(write(tmp_path, text)), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"spec error: cannot write {out / name}: Is a directory\n"
 
     def test_spec_error_exit_code(self, tmp_path):
         spec = write(tmp_path, GOOD_SPEC.replace("M = 4", "M = -4"))
@@ -462,16 +497,15 @@ class TestSweepCommand:
     def test_threshold_sweep_scv_ordering(self, tmp_path):
         # adaptive cross-entropy tracks the target event, so its SCV curve
         # stays below both bounded-relative-error competitors on the grid
-        from outagemc.experiment import load_spec, sweep_scv_rows
         text = (
             "[channel]\nM = 8\nm = 4\nmu = 0.5\ngamma_th = 1.0\n\n"
             "[run]\nmethods = pis, et, ce\nsamples = 100000\nseed = 606\n\n"
             "[sweep]\naxis = gamma_th\nvalues = 1.0, 0.5, 0.2\n\n"
             "[hyper]\ns0 = 50000\n")
-        rows, _, _ = sweep_scv_rows(load_spec(write(tmp_path, text)))
+        sidecar, _ = run_experiment(load_spec(write(tmp_path, text)))
         by_point = {}
-        for row in rows:
-            by_point.setdefault(row["axis_value"], {})[row["method"]] = float(row["scv"])
+        for rec in sidecar["results"]:
+            by_point.setdefault(rec["axis_value"], {})[rec["method"]] = rec["scv"]
         assert len(by_point) == 3
         for point, scvs in by_point.items():
             assert scvs["ce"] < min(scvs["pis"], scvs["et"]), (point, scvs)
@@ -479,16 +513,15 @@ class TestSweepCommand:
     def test_mean_sweep_scv_ordering(self, tmp_path):
         # at a large threshold with growing means the tilted proposal's SCV
         # blows up while the partition sampler's stays moderate
-        from outagemc.experiment import load_spec, sweep_scv_rows
         text = (
             "[channel]\nM = 8\nm = 4\nmu = 2.3\ngamma_th = 17.0\n\n"
             "[run]\nmethods = pis, et, ce\nsamples = 100000\nseed = 607\n\n"
             "[sweep]\naxis = mu\nvalues = 2.3, 2.5\n\n"
             "[hyper]\ns0 = 50000\n")
-        rows, _, _ = sweep_scv_rows(load_spec(write(tmp_path, text)))
+        sidecar, _ = run_experiment(load_spec(write(tmp_path, text)))
         by_point = {}
-        for row in rows:
-            by_point.setdefault(row["axis_value"], {})[row["method"]] = float(row["scv"])
+        for rec in sidecar["results"]:
+            by_point.setdefault(rec["axis_value"], {})[rec["method"]] = rec["scv"]
         for point, scvs in by_point.items():
             assert scvs["pis"] < scvs["et"], (point, scvs)
             assert scvs["ce"] < scvs["pis"], (point, scvs)

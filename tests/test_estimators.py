@@ -204,6 +204,14 @@ class TestEt:
         r = estimate_et(SMALL, 200_000, RngStream(14))
         assert abs(r.p_hat - SMALL_P) < 4.0 * combined_se(r)
 
+    def test_lr_sums_without_outage_rows(self):
+        # a block with no outage row sums to zero and never reads its ratio
+        def unread(rows):
+            raise AssertionError("the ratio was read")
+
+        x = np.full((16, SMALL.M), 5.0)
+        assert estimators._lr_sums(SMALL, x, unread) == (0.0, 0.0, 0)
+
 
 def _ce_objective(x, w, v1, v2):
     """Weighted log-likelihood sum_s w_s ln f(x_s; v1, v2) that ce_update maximizes."""
@@ -545,6 +553,16 @@ class TestMls:
         r = estimate_mls(cfg, 500, RngStream(24), schedule=sched,
                          replications=5)
         assert r.p_hat == 1.0 and r.var_hat == 0.0
+
+    def test_every_replication_dies(self):
+        # ten chains a level all die short of subset's p ~ 9e-12
+        subset = ChannelConfig(M=8, m=2, mu=0.5, gamma_th=0.1)
+        sched = MlsSchedule((0.0, 0.5, 1.0), (1.0, 1.0))
+        r = estimate_mls(subset, 10, RngStream(26), schedule=sched, replications=3)
+        assert r.p_hat == 0.0 and r.var_hat == 0.0
+        assert r.warnings == ["3 replication(s) died with zero survivors"]
+        with pytest.raises(ValueError, match="schedule must be an MlsSchedule or 'auto'"):
+            estimate_mls(subset, 10, RngStream(26), schedule=(0.0, 1.0))
 
     def test_single_level_matches_naive_law(self):
         # with the degenerate schedule [0, 1] each replication is a plain

@@ -179,6 +179,12 @@ class TestClosedFormOutage:
         assert np.exp(_log_outage_m2(cfg)) == pytest.approx(closed_form_outage(cfg),
                                                             rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("M,m", [(2, 1), (4, 2)])
+    def test_at_most_one_far_right(self, M, m):
+        # far right of every branch's mean each ln F rounds to about 0; it
+        # once read above 0, giving 1 + 1.2e-13 (M = 2) and 1 + 2.0e-13 (M = 4)
+        assert closed_form_outage(ChannelConfig(M=M, m=m, mu=10.0, gamma_th=1e5)) <= 1.0
+
     @pytest.mark.parametrize("m", [8, 1, 2])
     def test_underflow_raises(self, m):
         # at 1e-40 the exact p is 0.0 in double (m = 8) or the subnormals

@@ -192,6 +192,11 @@ class TestNcx2Cdf:
         with pytest.raises(ValueError, match="500,001"):
             ncx2_logcdf(4e9 + 2.0, Ncx2Params(2, 4e9))
 
+    def test_logcdf_at_most_zero_far_right(self):
+        # every mixture term's ln P reads about 0 here, and their logsumexp
+        # once rounded to 6.13e-14
+        assert ncx2_logcdf(2e5, Ncx2Params(2, 200.0)) <= 0.0
+
     def test_log_lower_gamma_vectorized(self):
         a = np.array([0.5, 4.0, 50.0, 3000.0])
         got = log_regularized_lower_gamma(a, 3.0)
