@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from functools import partial
 from pathlib import Path
 
@@ -69,11 +70,15 @@ def _cmd_report(args) -> int:
         raise SpecError(f"cannot create --out-dir {args.out_dir}: {exc.strerror}") from None
     sidecar, hard_failure = run_experiment(spec, workers=args.workers, seed=args.seed)
     stem = args.out_dir / ("sweep_scv" if sweep else "results")
-    for path, write in ((stem.with_suffix(".csv"), partial(write_csv, sidecar, sweep=sweep)),
-                        (stem.with_suffix(".json"), partial(write_json, sidecar))):
+    # the record first; a failed write removes its own file and the CSV
+    for path, write in ((stem.with_suffix(".json"), partial(write_json, sidecar)),
+                        (stem.with_suffix(".csv"), partial(write_csv, sidecar, sweep=sweep))):
         try:
             write(path)
         except OSError as exc:
+            for stale in (path, stem.with_suffix(".csv")):  # no projection outlives its record
+                with suppress(OSError):
+                    stale.unlink(missing_ok=True)
             raise SpecError(f"cannot write {path}: {exc.strerror}") from None
         print(f"wrote {path}")
     # estimate fails when no record holds p_hat, sweep when none holds an SCV

@@ -61,7 +61,7 @@ CE_MAX_ITER = 50
 # with this many outage rows: from 200 rows on, the unit-weight fit's SCV was
 # within 5% of a 2,000-row fit (README)
 CE_EXACT_PILOT_MIN_ROWS = 200
-MLS_ROWS = 1 << 11  # chains per mls group, decided by one _outage_at call a level
+MLS_ROWS = 1 << 11  # chains per mls group, whose G one _outage_at call a level decides
 
 
 class CeAdaptationError(RuntimeError):
@@ -184,17 +184,19 @@ _BYTE_SUM = np.uint64(0x0101010101010101)
 
 @lru_cache(maxsize=64)
 def _screen(config: ChannelConfig) -> _Screen:
-    """Branch CDFs at the threshold and the levels of the p-space screen.
+    """Branch CDFs at the threshold and the levels of the outage screen.
 
     groups holds, sorted by mean, one (mean, column indices, quantile table)
     per set of equal-mean branches; _outage_at reads its doubt off them.
     k_j = F_j(gamma_th) is uis's truncation point.  The three levels are
     F_j at gamma_th/m (1 - tol), gamma_th/m (1 + tol) and gamma_th (1 + tol),
-    with tol the table decision's band (the largest group table eps plus a
-    few ulps per summand of H); an upper level past the quantile's clip at
-    _P_MAX, or any level of an uncertified table, is made one that decides
-    nothing.  Each level is a float where every branch shares it, else an
-    (M,) row.  All arrays are read-only.
+    tol the table decision's band (the largest group table eps plus a few
+    ulps per summand of H); an upper level past the quantile's clip at
+    _P_MAX, or any level of an uncertified table, decides nothing.
+    levels[space] holds them moved 8 machine eps outward and mapped to the
+    estimator's draws: u = p / k for uis, G = -ln(1 - p) for mls, +-inf
+    kept.  Each is a float where every branch shares it, else an (M,) row.
+    All arrays are read-only.
     """
     M, m, g = config.M, config.m, config.gamma_th
     mu = config.mu_array
@@ -210,52 +212,61 @@ def _screen(config: ChannelConfig) -> _Screen:
         if math.isfinite(tol):
             levels[:, cols] = ncx2_cdf(x, params)[:, None]
     levels[1:][levels[1:] > _P_MAX] = np.inf
-    for a in (k, levels):
+    levels *= 1.0 + 8.0 * np.finfo(float).eps * np.array([[-1.0], [1.0], [1.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drawn = {"uis": levels / k, "mls": -np.log1p(-np.minimum(levels, 1.0))}
+    for a in (k, *drawn.values()):
         a.setflags(write=False)
-    levels = tuple(float(row[0]) if (row == row[0]).all() else row for row in levels)
+    levels = {space: tuple(float(row[0]) if (row == row[0]).all() else row for row in a)
+              for space, a in drawn.items()}
     return _Screen(k, levels, tol, groups)
 
 
-def _outage_at(config: ChannelConfig, p: np.ndarray) -> np.ndarray:
-    """_outage at x_j = F_j^{-1}(p[:, j]), decided in p-space where it can be.
+def _outage_at(config: ChannelConfig, z: np.ndarray, space: str) -> np.ndarray:
+    """_outage at x_j = F_j^{-1}(p[:, j]), decided from the draws z where it can be.
 
-    F_j^{-1} increases, so p_j against F_j at a level places x_j against
-    that level.  No x_j above gamma_th/m puts H at most gamma_th; m of them
-    above gamma_th/m, or one above gamma_th, puts H above.  With c_i the
-    number of p_j past level i, c0 = 0 means outage, and c1 >= m or c2 > 0
-    means none.  Each level's comparisons fill one zeroed bool buffer whose
-    rows are padded to whole uint64 words, so a row's c0 = 0 and c2 > 0 are
-    tests of its words against zero, and its c1 sums each word's bytes.
+    space is "uis", drawing uniforms u with p = k u, or "mls", drawing
+    gamma-process values G with p = 1 - e^{-G}.  Both maps and F_j^{-1}
+    increase, so z_j against a level of levels[space] places x_j against it.
+    No x_j above gamma_th/m puts H at most gamma_th; m of them above
+    gamma_th/m, or one above gamma_th, puts H above.  With c_i the number of
+    z_j past level i, c0 = 0 means outage, and c1 >= m or c2 > 0 means none.
+    Each level's comparisons fill one zeroed bool buffer whose rows are
+    padded to whole uint64 words, so a row's c0 = 0 and c2 > 0 are tests of
+    its words against zero, and its c1 sums each word's bytes.
 
     The levels sit a relative tol, the table band, outside gamma_th/m and
-    gamma_th.  The exact inverse inverts the same CDF that gives the levels:
-    its Newton step solves ncx2_cdf, Boost's chndtrix inverts Boost's
-    chndtr, and below ncx2_cdf's band edge the closed form inverts
-    ncx2_cdf's own j = 0 term.  eps is 8 times the worst gap between that
-    inverse and the smooth table, so the CDF's rounding noise moves x by far
-    less than tol: a p past a level solves to an x past it, and the ulps in
-    tol cover the rounding of H.  Rows with a p_j inside that margin, or
-    with 1 to m - 1 coordinates past gamma_th/m, are left in doubt and read
-    off the screen's group tables.  Branches with one mean share one
-    increasing F^{-1}, so H's m largest x lie among each group's m largest
-    p, and only those columns are read.  H is monotone and positively
-    homogeneous, so table values within relative error eps of x give
-    H(x~)/(1+eps) <= H(x) <= H(x~)/(1-eps), and rows with H(x~) within tol
-    of gamma_th, or NaN, are inverted exactly.
+    gamma_th.  The exact inverse inverts the same CDF that gives the levels
+    (Newton on ncx2_cdf, Boost's chndtrix on Boost's chndtr, or the closed
+    form of ncx2_cdf's own j = 0 term), and eps is 8 times the worst gap
+    between it and the smooth table, so the CDF's rounding noise moves x by
+    far less than tol: a p past a level solves to an x past it, and the ulps
+    in tol cover the rounding of H.  Mapping a level or a draw rounds by a
+    few machine eps, fewer than the 8 by which each level was moved outward,
+    so a z on the sure side of a level has its p there too.  Rows with a
+    coordinate inside that margin, or with 1 to m - 1 past gamma_th/m, are
+    left in doubt, mapped to p and read off the group tables: H's m largest
+    x lie among each equal-mean group's m largest p, and only those columns
+    are read.  H is monotone and positively homogeneous, so table values
+    within relative error eps of x give H(x~)/(1+eps) <= H(x) <=
+    H(x~)/(1-eps), and rows with H(x~) within tol of gamma_th, or NaN, are
+    inverted exactly.
     """
     scr = _screen(config)
-    n, M = p.shape
+    levels = scr.levels[space]
+    n, M = z.shape
     m = config.m
     past = np.zeros((n, -(-M // 8) * 8), dtype=bool)
     words = past.view(np.uint64)
-    np.greater(p, scr.levels[0], out=past[:, :M])
+    np.greater(z, levels[0], out=past[:, :M])
     mask = ~words.any(axis=1)
-    np.greater(p, scr.levels[1], out=past[:, :M])
+    np.greater(z, levels[1], out=past[:, :M])
     doubt = ~mask & ((words * _BYTE_SUM >> 56).sum(axis=1) < m)
-    np.greater(p, scr.levels[2], out=past[:, :M])
+    np.greater(z, levels[2], out=past[:, :M])
     doubt &= ~words.any(axis=1)
     if doubt.any():
-        q = p[doubt]
+        q = z[doubt]
+        q = q * scr.k if space == "uis" else -np.expm1(-q)
         if len(scr.groups) == 1:  # every column: no column copy, no stacking
             x = 0.5 * _table_value(scr.groups[0][2], np.partition(q, -m, axis=1)[:, -m:])
         else:
@@ -376,9 +387,8 @@ def estimate_nmc(config: ChannelConfig, S: int, rng: RngStream,
 # universal importance sampling (selection sampling on the per-branch event)
 
 
-def _uis_block(config: ChannelConfig, k: np.ndarray, gen, n: int):
-    u = gen.random((n, config.M))
-    return (int(np.count_nonzero(_outage_at(config, k * u))),)
+def _uis_block(config: ChannelConfig, gen, n: int):
+    return (int(np.count_nonzero(_outage_at(config, gen.random((n, config.M)), "uis"))),)
 
 
 @_estimator(S=1)
@@ -386,16 +396,16 @@ def estimate_uis(config: ChannelConfig, S: int, rng: RngStream,
                  workers: int = 1) -> EstimateResult:
     """Selection sampling with every branch truncated below the threshold.
 
-    Branch j is drawn as F_j^{-1}(k_j u) with k_j its CDF at the threshold.
-    The conditioning probability ell1 is the product of the k_j; the
-    estimator is ell1 times the conditional hit fraction and its
-    single-sample variance is ell1 * p - p^2 exactly.
+    Branch j is F_j^{-1}(k_j u), k_j its CDF at the threshold; _outage_at
+    takes the uniforms u and maps only the rows it leaves in doubt.  The
+    conditioning probability ell1 is the product of the k_j; the estimator
+    is ell1 times the conditional hit fraction and its single-sample
+    variance is ell1 * p - p^2 exactly.
     """
-    k = _screen(config).k
-    ell1 = math.prod(k.tolist())
+    ell1 = math.prod(_screen(config).k.tolist())
     if ell1 < np.finfo(float).tiny:
         raise _underflow(f"ell1 underflows to {ell1!r}")
-    hits, = _run_blocks(partial(_uis_block, config, k), S, rng, workers)
+    hits, = _run_blocks(partial(_uis_block, config), S, rng, workers)
     return *_selection(ell1, hits, S), S, S, {"ell1": ell1, "hit_fraction": hits / S}
 
 
@@ -630,7 +640,7 @@ def _mls_advance(config: ChannelConfig, gens, survivors, dt: float, s: int):
 
     Each stream draws its survivor picks (none from None, a fresh start), then
     its gamma increments; one _outage_at call decides X = F^{-1}(1 - e^{-G})
-    for every row, so the decision does not depend on the grouping.
+    for every row from G, so the decision does not depend on the grouping.
     """
     g_mat = np.empty((len(gens) * s, config.M))
     for gen, g_surv, rows in zip(gens, survivors, g_mat.reshape(len(gens), s, config.M)):
@@ -638,7 +648,7 @@ def _mls_advance(config: ChannelConfig, gens, survivors, dt: float, s: int):
         gen.standard_gamma(dt, out=rows)
         if pick is not None:
             rows += g_surv[pick]
-    return g_mat, _outage_at(config, -np.expm1(-g_mat))
+    return g_mat, _outage_at(config, g_mat, "mls")
 
 
 def _mls_group(config: ChannelConfig, levels, rng: RngStream, s: int, children):

@@ -146,9 +146,9 @@ def _inverse_rows(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """x[:, j] = (1/2) Q(p[:, j]; ncx2(2, 2 mu_j^2)), the branch-j inverse CDF.
 
     The one truncated inverse transform, exact for the rows that
-    estimators._outage_at's table read leaves in doubt: uis passes k_j u
-    with k_j the branch CDF at the threshold, mls passes 1 - e^{-G} for the
-    gamma-process coordinate G.
+    estimators._outage_at's table read leaves in doubt, which alone it maps
+    from their draws to p: k_j u for uis, with k_j the branch CDF at the
+    threshold, and 1 - e^{-G} for mls's gamma-process coordinate G.
     Columns sharing a mean share one quantile call; p is clipped to
     [5e-324, _P_MAX], the quantile's own clip, so the quantile stays
     finite and p = 1 (mls rounds 1 - e^{-G} to 1 past G ~ 36.7) is valid.

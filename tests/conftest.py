@@ -136,7 +136,7 @@ def mls_replications(config, levels, rng, s, replications):
             else:
                 pick = gen.integers(0, g_surv.shape[0], size=s)
                 g_mat = g_surv[pick] + gen.gamma(dt, size=(s, config.M))
-            mask = _outage_at(config, -np.expm1(-g_mat))
+            mask = _outage_at(config, g_mat, "mls")
             count = int(np.count_nonzero(mask))
             estimate *= count / s
             if count == 0:

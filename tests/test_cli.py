@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from outagemc import ChannelConfig, RngStream, estimators, experiment
+from outagemc import ChannelConfig, RngStream, cli, estimators, experiment
 from outagemc.cli import main
 from outagemc.experiment import (
     DEFAULT_HYPER,
@@ -338,16 +338,44 @@ class TestEstimateCommand:
         assert [rec[k] for k in ("re", "scv", "wnrv_time", "wnrv_work")] == [None] * 4
 
     @pytest.mark.parametrize("command,name", [("estimate", "results.csv"),
+                                              ("estimate", "results.json"),
                                               ("sweep", "sweep_scv.json")])
     def test_output_file_that_cannot_be_written(self, tmp_path, capsys, command, name):
         # a directory in an output file's place stops the command with one
-        # line and exit 1 once its cells have run
+        # line and exit 1 once its cells have run, and leaves no CSV file:
+        # the sidecar is written first, and no projection outlives its record
+        # (the directory itself, which cannot be unlinked, stays)
         text = SWEEP_SPEC.replace("samples = 300000", "samples = 20000")
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         assert main([command, str(write(tmp_path, text)), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"spec error: cannot write {out / name}: Is a directory\n"
+        csv_path = out / ("sweep_scv.csv" if command == "sweep" else "results.csv")
+        assert not csv_path.is_file() and f"wrote {csv_path}" not in captured.out
+
+    @pytest.mark.parametrize("writer,name", [("write_json", "results.json"),
+                                             ("write_csv", "results.csv")])
+    def test_write_that_fails_partway(self, tmp_path, capsys, monkeypatch, writer, name):
+        # over an earlier run's pair, a write that fails after its first line
+        # leaves no partial file and no CSV; a whole sidecar stays
+        def partway(sidecar, path, **kwargs):
+            path.write_text("partial\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, writer, partway)
+        out = tmp_path / "out"
+        out.mkdir()
+        for stale in ("results.json", "results.csv"):
+            (out / stale).write_text("earlier run\n")
+        text = SWEEP_SPEC.replace("samples = 300000", "samples = 20000")
+        assert main(["estimate", str(write(tmp_path, text)), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"spec error: cannot write {out / name}: Is a directory\n"
+        assert err == f"spec error: cannot write {out / name}: No space left on device\n"
+        assert not (out / "results.csv").exists()
+        sidecar = out / "results.json"
+        assert sidecar.exists() == (writer == "write_csv")
+        assert writer == "write_json" or json.loads(sidecar.read_text())["results"]
 
     def test_spec_error_exit_code(self, tmp_path):
         spec = write(tmp_path, GOOD_SPEC.replace("M = 4", "M = -4"))

@@ -658,15 +658,26 @@ class TestTableDecision:
     IDS = ["subset", "los", "small", "dense", "mu3", "mu5"]
 
     @staticmethod
-    def rows(cfg, style):
+    def to_p(cfg, z, space):
+        """The p = F(x) of draws z: k u for uis's uniforms, 1 - e^{-G} for mls's G."""
+        return estimators._screen(cfg).k * z if space == "uis" else -np.expm1(-z)
+
+    @classmethod
+    def check(cls, cfg, z, space):
+        """_outage_at's mask of draws z, asserted equal to the exact inverse's."""
+        full = estimators._outage(cfg, _inverse_rows(cls.to_p(cfg, z, space), cfg.mu_array))
+        assert np.array_equal(estimators._outage_at(cfg, z, space), full)
+        return full
+
+    @classmethod
+    def rows(cls, cfg, space):
+        """Draws: uniforms for uis; for mls, gamma-process points over a spread
+        of path lengths, without those the screen rules out at k."""
         gen = np.random.default_rng(17)
-        k = estimators._screen(cfg).k
-        if style == "uis":
-            return k * gen.random((100_000, cfg.M))
-        # gamma-process points over a spread of path lengths, pre-skipped by k
+        if space == "uis":
+            return gen.random((100_000, cfg.M))
         g = gen.gamma(0.3, size=(100_000, cfg.M)) * 10.0 ** gen.uniform(-3, 1, (100_000, 1))
-        p = -np.expm1(-g)
-        return p[~(p > k).any(axis=1)]
+        return g[~(cls.to_p(cfg, g, space) > estimators._screen(cfg).k).any(axis=1)]
 
     @staticmethod
     def band_sizes(monkeypatch, name="_inverse_rows"):
@@ -698,18 +709,16 @@ class TestTableDecision:
         monkeypatch.setattr(estimators, "_screen", functools.lru_cache(maxsize=64)(
             estimators._screen.__wrapped__))
 
-    @pytest.mark.parametrize("style", ["uis", "mls"])
+    @pytest.mark.parametrize("space", ["uis", "mls"])
     @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
-    def test_matches_exact_inversion(self, cfg, style, monkeypatch):
+    def test_matches_exact_inversion(self, cfg, space, monkeypatch):
         if cfg.mu[0] == 5.0:
             self.uncertified(monkeypatch)
-        p = self.rows(cfg, style)
-        full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
+        z = self.rows(cfg, space)
         band = self.band_sizes(monkeypatch)
         doubt = self.band_sizes(monkeypatch, "_table_value")
-        mask = estimators._outage_at(cfg, p)
-        assert p.shape[0] > 1000 and full.any() and not full.all()
-        assert np.array_equal(mask, full)
+        full = self.check(cfg, z, space)
+        assert z.shape[0] > 1000 and full.any() and not full.all()
         if cfg.mu[0] == 5.0:  # no certificate: every row the screen passes on is exact
             assert band == doubt
 
@@ -721,25 +730,35 @@ class TestTableDecision:
                             lambda lam: table(lam)._replace(eps=1e-2))
         monkeypatch.setattr(estimators, "_screen", functools.lru_cache(maxsize=64)(
             estimators._screen.__wrapped__))
-        p = self.rows(cfg, "uis")
+        u = self.rows(cfg, "uis")
         band = self.band_sizes(monkeypatch)
-        mask = estimators._outage_at(cfg, p)
-        assert 0 < sum(band) < p.shape[0]
-        assert np.array_equal(mask, estimators._outage(cfg, _inverse_rows(p, cfg.mu_array)))
+        self.check(cfg, u, "uis")
+        assert 0 < sum(band) < u.shape[0]
 
     def test_few_coordinates_reach_the_cdf(self, monkeypatch):
-        # a count, not a timing: points inverted exactly per coordinate
-        # whose outage is decided, after tables and threshold CDFs are
-        # cached (off the table, the exact inverse spends no CDF call)
+        # counts, not timings: coordinates mapped to p and points inverted
+        # exactly per coordinate whose outage is decided, after tables and
+        # threshold CDFs are cached (off the table, the exact inverse spends
+        # no CDF call)
         cfg = ChannelConfig(M=8, m=4, mu=2.3, gamma_th=17.0)
         estimate_uis(cfg, 1000, RngStream(5))
         estimate_mls(cfg, 300, RngStream(5), replications=5)
-        decided, points = [], []
+        decided, mapped, points = [], [], []
         decide, raw = estimators._outage_at, samplers.ncx2_quantile
+        doubt = self.band_sizes(monkeypatch, "_table_value")
 
-        def deciding(config, p):
-            decided.append(p.size)
-            return decide(config, p)
+        class Draws(np.ndarray):
+            """Draws that count the elements a k * u or a -G maps to p."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc in (np.multiply, np.negative):
+                    mapped.append(self.size)
+                inputs = [a.view(np.ndarray) if isinstance(a, Draws) else a for a in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        def deciding(config, z, space):
+            decided.append(z.size)
+            return decide(config, z.view(Draws), space)
 
         def counting(x, *args, **kwargs):
             points.append(np.size(x))
@@ -747,18 +766,23 @@ class TestTableDecision:
 
         monkeypatch.setattr(estimators, "_outage_at", deciding)
         monkeypatch.setattr(samplers, "ncx2_quantile", counting)
+        # only the rows in doubt, each read off the table, are mapped to p:
+        # 6.5% of uis's rows, 73% of mls's, whose survivors crowd the threshold
         estimate_uis(cfg, 100_000, RngStream(6))
         assert sum(decided) == 800_000 and sum(points) <= 0.01 * sum(decided)
-        decided.clear()
-        points.clear()
+        assert sum(mapped) == cfg.M * sum(doubt) <= 0.1 * sum(decided)
+        for counts in (decided, mapped, points, doubt):
+            counts.clear()
         estimate_mls(cfg, 300, RngStream(6), replications=5)
         assert sum(decided) > 100_000 and sum(points) <= 0.01 * sum(decided)
+        assert sum(mapped) == cfg.M * sum(doubt) <= 0.8 * sum(decided)
 
 
 class TestOutageScreen:
-    """The p-space screen in _outage_at decides most rows from the branch
-    CDFs at gamma_th/m and gamma_th; its mask must still equal the outage
-    mask of the full inverse transform, row for row."""
+    """The screen in _outage_at decides most rows from their draws, against
+    the branch CDFs at gamma_th/m and gamma_th mapped to the draws' space;
+    its mask must still equal the outage mask of the full inverse
+    transform, row for row."""
 
     CONFIGS = [
         ChannelConfig(M=4, m=2, mu=(0.5, 0.5, 2.3, 2.3), gamma_th=3.0),
@@ -777,30 +801,15 @@ class TestOutageScreen:
     IDS = ["mixed", "m_eq_M", "m1", "subset", "los", "clip", "mixed_groups", "two_words_groups",
            "two_words"]
 
-    @staticmethod
-    def level_cdfs(cfg):
-        """(c, k): each branch's CDF at gamma_th/m and at gamma_th."""
-        mu = cfg.mu_array
-        c, k = (np.array([ncx2_cdf(2.0 * x, Ncx2Params(2, 2.0 * v * v)) for v in mu])
-                for x in (cfg.gamma_th / cfg.m, cfg.gamma_th))
-        return c, k
-
-    @staticmethod
-    def check(cfg, p):
-        full = estimators._outage(cfg, _inverse_rows(p, cfg.mu_array))
-        assert np.array_equal(estimators._outage_at(cfg, p), full)
-        return full
-
     @pytest.mark.parametrize("cfg", CONFIGS[:3] + CONFIGS[-3:], ids=IDS[:3] + IDS[-3:])
     def test_matches_exact_inversion(self, cfg, monkeypatch):
         gen = np.random.default_rng(23)
         k = estimators._screen(cfg).k
-        uis = k * gen.random((50_000, cfg.M))
+        u = gen.random((50_000, cfg.M))
         g = gen.gamma(0.3, size=(50_000, cfg.M)) * 10.0 ** gen.uniform(-3, 1.5, (50_000, 1))
-        mls = -np.expm1(-g)  # it rounds to 1 past G ~ 36.7
-        assert (mls == 1.0).any()
+        assert (-np.expm1(-g) == 1.0).any()  # it rounds to 1 past G ~ 36.7
         doubt = TestTableDecision.band_sizes(monkeypatch, "_table_value")
-        full = [self.check(cfg, p) for p in (uis, mls)]
+        full = [TestTableDecision.check(cfg, z, space) for z, space in ((u, "uis"), (g, "mls"))]
         assert full[1].any() and not full[1].all()
         # the two-word configs' uis rows hold under m branches above
         # gamma_th/m with probability 2e-5 (M = 16) and 1.3e-4 (M = 12):
@@ -810,34 +819,59 @@ class TestOutageScreen:
         # but never one with a branch clearly past gamma_th
         assert (sum(doubt) == 0) == (cfg.m == 1)
         doubt.clear()
-        past = mls[(mls > k * (1.0 + 1e-6)).any(axis=1)]
-        assert past.shape[0] > 1000 and not estimators._outage_at(cfg, past).any()
+        past = g[(-np.expm1(-g) > k * (1.0 + 1e-6)).any(axis=1)]
+        assert past.shape[0] > 1000 and not estimators._outage_at(cfg, past, "mls").any()
         assert doubt == []
 
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
-    def test_rows_on_the_levels(self, cfg):
-        c, k = self.level_cdfs(cfg)
+    @staticmethod
+    def level_rows(cfg, space):
+        """Draws on each of the screen's levels in draw space and one ulp to
+        either side, and on the draws c and k of p = F(gamma_th/m) and
+        F(gamma_th) themselves; uniforms stop below 1, and gamma values on
+        an infinite level, or at the top, sit at 40, where p rounds to 1."""
+        scr = estimators._screen(cfg)
         M, m = cfg.M, cfg.m
+        c, k = (np.array([ncx2_cdf(2.0 * x, Ncx2Params(2, 2.0 * v * v)) for v in cfg.mu_array])
+                for x in (cfg.gamma_th / m, cfg.gamma_th))
+        top = np.nextafter(1.0, 0.0) if space == "uis" else 40.0
+        on = [np.broadcast_to(level, (M,)) for level in scr.levels[space]]
+        on += [c / scr.k, k / scr.k] if space == "uis" else [-np.log1p(-c), -np.log1p(-k)]
+        base = np.minimum(on[-2], top).min()
         rows = []
-        for level in (c, k, np.nextafter(c, 0.0), np.nextafter(c, 1.0),
-                      np.nextafter(k, 0.0), np.nextafter(k, 1.0)):
-            for n_on in range(1, M + 1):
-                for rest in (0.0, 1e-3, 0.5):
-                    row = np.full(M, rest * c.min())
-                    row[:n_on] = level[:n_on]
-                    rows.append(row)
-                    rows.append(row[::-1].copy())
-        # one coordinate on k, the others on c; one past the quantile's clip
+        for level in on:
+            for z in (level, np.nextafter(level, -np.inf), np.nextafter(level, np.inf)):
+                z = np.clip(z, 0.0, top)
+                for n_on in range(1, M + 1):
+                    for rest in (0.0, 1e-3, 0.5):
+                        row = np.full(M, rest * base)
+                        row[:n_on] = z[:n_on]
+                        rows += [row, row[::-1].copy()]
+        # one coordinate on k's draw, the others on c's; one at the top
         for j in range(M):
-            row = c.copy()
-            row[j] = k[j]
+            row = np.minimum(on[-2], top)
+            row[j] = min(on[-1][j], top)
             rows.append(row)
-            row = np.full(M, 0.5 * c.min())
-            row[j] = np.nextafter(1.0, 0.0)
+            row = np.full(M, 0.5 * base)
+            row[j] = top
             rows.append(row)
-        full = self.check(cfg, np.array(rows))
-        if m > 1:
-            assert full.any() and not full.all()
+        return np.array(rows)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+    def test_rows_on_the_levels(self, cfg, monkeypatch):
+        if cfg.gamma_th == 34.0:  # clip: no uniform reaches the upper levels
+            assert min(estimators._screen(cfg).levels["uis"][1:]) >= 1.0
+        doubt = TestTableDecision.band_sizes(monkeypatch, "_table_value")
+        for certified in (True, False):
+            if not certified:
+                TestTableDecision.uncertified(monkeypatch)
+            for space in ("uis", "mls"):
+                z = self.level_rows(cfg, space)
+                doubt.clear()
+                full = TestTableDecision.check(cfg, z, space)
+                if cfg.m > 1:
+                    assert full.any() and not full.all()
+                if not certified:  # no level decides a row: every one is read
+                    assert sum(doubt) == z.shape[0] * len(estimators._screen(cfg).groups)
 
     def test_few_rows_reach_the_table(self, monkeypatch):
         # a count, not a timing: rows _outage_at reads off the quantile tables
@@ -1138,6 +1172,7 @@ class TestReproducibility:
         self.check(SMALL, method, size, kwargs, p_hat, var_hat, counts)
 
     MLS = {"replications": 4, "pilot_samples": 1_000}
+    GROUPS = ChannelConfig(M=6, m=2, mu=(0.3,) * 3 + (1.5,) * 3, gamma_th=1.0)
 
     @pytest.mark.parametrize("cfg,method,size,kwargs,p_hat,var_hat,counts", [
         (TestOutageScreen.CONFIGS[3], "uis", 20_000, {},
@@ -1148,10 +1183,15 @@ class TestReproducibility:
          0.0008517270626360318, 0.0008053178823736655, {"work_units": 20_000, "hits": 18}),
         (TestOutageScreen.CONFIGS[4], "mls", 200, MLS,
          0.0009132047203125001, 0.0002919055226344041, {"work_units": 50_000, "levels": 5}),
-    ], ids=["subset-uis", "subset-mls", "los-uis", "los-mls"])
+        # two equal-mean groups of three: per-column levels
+        (GROUPS, "uis", 20_000, {},
+         3.0220380318736924e-05, 2.3343604751746863e-08, {"work_units": 20_000, "hits": 753}),
+        (GROUPS, "mls", 200, MLS,
+         3.277434987375e-05, 5.31733858197781e-07, {"work_units": 74_600, "levels": 7}),
+    ], ids=["subset-uis", "subset-mls", "los-uis", "los-mls", "groups-uis", "groups-mls"])
     def test_pinned_screen_outputs(self, cfg, method, size, kwargs, p_hat, var_hat, counts):
-        # uis and mls decide every row through _outage_at's screen at M = 8,
-        # so one flipped decision moves a count or an estimate here
+        # uis and mls decide every row through _outage_at's screen at M = 8
+        # and M = 6, so one flipped decision moves a count or an estimate here
         self.check(cfg, method, size, kwargs, p_hat, var_hat, counts)
 
     @pytest.mark.parametrize("method,kwargs,p_hat,var_hat,counts", [
